@@ -9,13 +9,17 @@ equilibrium qualities through
     v~_k = 2 * lam * (c_s/c_q) * q_b / (q_a + q_b)^2     (firm a)
     v~_l = 2 * lam * (c_s/c_q) * q_a / (q_a + q_b)^2     (firm b)
 
-``solve_nash`` enumerates the finitely many candidate cases of that
-characterization; ``solve_nash_iterative`` reaches the same point by
+Each firm's marginal agent is interior (partially seeded), boundary_zero
+(unseeded after a full prefix) or saturated (everyone fully seeded).
+``solve_nash`` walks firm a's candidates in order and, for each, brackets
+firm b's marginal index by bisection, since b's conditions are monotone
+in that index; ``solve_nash_iterative`` reaches the same point by
 alternating exact best responses and is kept as an independent route.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import logging
 import math
@@ -51,6 +55,8 @@ class BudgetSpec:
     c_q: float
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, vars(self).values())):
+            raise ValueError(f"budgets and costs must be finite: {self}")
         if self.c_s <= 0.0 or self.c_q <= 0.0:
             raise ValueError(f"costs must be positive: c_s={self.c_s}, c_q={self.c_q}")
         if self.K_a < 0.0 or self.K_b < 0.0:
@@ -131,26 +137,18 @@ def water_fill_seeding(v: CentralityVector, amount: float) -> tuple[np.ndarray, 
         raise ValueError(f"seeding amount {amount} is negative")
     if amount > n / 2.0 + COND_TOL:
         raise ValueError(f"seeding amount {amount} exceeds capacity {n / 2.0}")
+    # amount - j/2 is exact for amounts below 2**52, so this equals
+    # handing out 1/2 at a time from the remaining amount
+    fill = np.clip(min(max(amount, 0.0), n / 2.0) - 0.5 * np.arange(n), 0.0, 0.5)
     seeding = np.zeros(n)
-    remaining = min(max(amount, 0.0), n / 2.0)
-    marginal = 0
-    for pos, agent in enumerate(v.order):
-        if remaining <= 0.0:
-            break
-        give = min(0.5, remaining)
-        seeding[agent] = give
-        remaining -= give
-        marginal = pos + 1
-    return seeding, marginal
+    seeding[v.order] = fill
+    return seeding, int(np.count_nonzero(fill))
 
 
 def _prefix_seeding(order: np.ndarray, k: int, s_k: float) -> np.ndarray:
     """Prefix seeding: full up to position k-1, ``s_k`` at position k."""
     seeding = np.zeros(len(order))
-    for pos in range(k - 1):
-        seeding[order[pos]] = 0.5
-    if k >= 1:
-        seeding[order[k - 1]] = min(max(s_k, 0.0), 0.5)
+    seeding[order[:k]] = np.append(np.full(k - 1, 0.5), min(max(s_k, 0.0), 0.5))
     return seeding
 
 
@@ -167,7 +165,9 @@ def best_response_quality(
     The reduced objective v.S(q) + lam*(q - q_opp)/(q + q_opp) is concave
     in q and piecewise smooth between the spend levels where the marginal
     agent changes, so it suffices to compare the per-piece stationary
-    points (closed form) with the piece endpoints.
+    points (closed form) with the piece endpoints.  Candidates are scored
+    from prefix sums of the sorted centralities; the returned value is
+    the objective evaluated on the returned seeding.
     """
     n = len(v.values)
     if q_opp < p.epsilon - COND_TOL:
@@ -180,50 +180,70 @@ def best_response_quality(
     q_hi = K / c_q
     q_lo = max(p.epsilon, (K - c_s * n / 2.0) / c_q)
 
-    def value(q: float) -> float:
-        spend = (K - c_q * q) / c_s
-        seeding, _ = water_fill_seeding(v, min(spend, n / 2.0))
-        return float(v.values @ seeding) + lam * (q - q_opp) / (q + q_opp)
+    j = np.arange(1, n + 1)
+    piece_hi = np.minimum((K - c_s * (j - 1) / 2.0) / c_q, q_hi)
+    piece_lo = np.maximum((K - c_s * j / 2.0) / c_q, q_lo)
+    live = (piece_hi >= q_lo) & (piece_lo <= q_hi) & (piece_hi > piece_lo)
+    stationary = np.sqrt(2.0 * lam * ratio * q_opp / vd) - q_opp
+    inside = live & (piece_lo <= stationary) & (stationary <= piece_hi)
+    q = np.concatenate(([q_lo, q_hi], piece_lo[live], piece_hi[live], stationary[inside]))
+    spend = np.clip((K - c_q * q) / c_s, 0.0, n / 2.0)
+    full = np.minimum((2.0 * spend).astype(int), n)
+    prefix = np.concatenate(([0.0], np.cumsum(vd)))
+    seeded = 0.5 * prefix[full] + (spend - 0.5 * full) * np.append(vd, 0.0)[full]
+    best_q = float(q[np.argmax(seeded + lam * (q - q_opp) / (q + q_opp))])
 
-    candidates = {q_lo, q_hi}
-    for j in range(1, n + 1):
-        piece_hi = min((K - c_s * (j - 1) / 2.0) / c_q, q_hi)
-        piece_lo = max((K - c_s * j / 2.0) / c_q, q_lo)
-        if piece_hi < q_lo or piece_lo > q_hi or piece_hi <= piece_lo:
-            continue
-        candidates.add(piece_lo)
-        candidates.add(piece_hi)
-        stationary = math.sqrt(2.0 * lam * ratio * q_opp / vd[j - 1]) - q_opp
-        if piece_lo <= stationary <= piece_hi:
-            candidates.add(stationary)
-    best_q = max(candidates, key=value)
     spend = (K - c_q * best_q) / c_s
     seeding, _ = water_fill_seeding(v, min(spend, n / 2.0))
-    return best_q, seeding, value(best_q)
+    value = float(v.values @ seeding) + lam * (best_q - q_opp) / (best_q + q_opp)
+    return best_q, seeding, value
 
 
-def _firm_cases(K: float, c_s: float, c_q: float, eps: float, n: int):
-    """Candidate (case, index, pinned quality) triples for one firm."""
-    cases = []
-    for k in range(1, n + 1):
-        cases.append((CASE_INTERIOR, k, None))
-        q_pinned = (K - c_s * (k - 1) / 2.0) / c_q
-        if q_pinned >= eps - COND_TOL:
-            cases.append((CASE_BOUNDARY, k, q_pinned))
-    q_full = (K - c_s * n / 2.0) / c_q
-    if q_full >= eps - COND_TOL:
-        cases.append((CASE_SATURATED, n, q_full))
-    return cases
+def _pin(K: float, c_s: float, c_q: float, idx: int, case: str) -> float | None:
+    """Quality left once every agent before the marginal one is fully seeded.
+
+    Saturation seeds all n fully; interior cases leave the quality free.
+    """
+    if case == CASE_INTERIOR:
+        return None
+    full = idx if case == CASE_SATURATED else idx - 1
+    return (K - c_s * full / 2.0) / c_q
+
+
+def _firm_cases(K: float, c_s: float, c_q: float, eps: float, n: int) -> dict:
+    """Per case tag, the marginal indices (ascending) a firm can take.
+
+    Pinned qualities must reach the floor and fall as the index grows, so
+    the boundary indices are a prefix; index n + 1 stands for saturation.
+    """
+    def unaffordable(idx):
+        return _pin(K, c_s, c_q, idx, CASE_BOUNDARY) < eps - COND_TOL
+
+    short = bisect.bisect_left(range(1, n + 2), True, key=unaffordable)
+    return {
+        CASE_INTERIOR: range(1, n + 1),
+        CASE_BOUNDARY: range(1, min(short, n) + 1),
+        CASE_SATURATED: range(n, n + 1) if short > n else range(0),
+    }
 
 
 def solve_nash(g: SocialGraph, p: ModelParams, budget: BudgetSpec) -> NashOutcome:
-    """Unique equilibrium of the budget game via case enumeration.
+    """Unique equilibrium of the budget game from the marginal conditions.
 
     For every pair of marginal positions and case tags the two marginal
     conditions reduce to a closed-form solve for (q_a, q_b); a candidate
-    is accepted iff every characterization condition holds within 1e-9.
-    Ties between accepted candidates (degenerate centralities, exact
+    is accepted iff every characterization condition holds within 1e-9,
+    and ties between accepted candidates (degenerate centralities, exact
     boundaries) resolve to the lexicographically smallest (k, l, case).
+
+    Firm a's candidates are taken by ascending k, so the search stops at
+    the first k with an accepted candidate.  For each one, firm b's
+    conditions are monotone in l within each of b's cases: interior
+    seeds fall by at least 1/2 per step, a boundary case's v~_l rises
+    while the centrality bracket falls, and saturation has the single
+    index n.  Bisection finds the few l that pass them, so the search
+    costs O(n log n) candidate solves instead of the O(n^2) of trying
+    every pair, with the same result.
     """
     v = centrality(g, p)
     n = g.n
@@ -234,27 +254,47 @@ def solve_nash(g: SocialGraph, p: ModelParams, budget: BudgetSpec) -> NashOutcom
     lam = p.quality_weight(n)
     ratio = budget.c_s / budget.c_q
     vd = v.sorted_values
-    accepted = []
-    cases_a = _firm_cases(budget.K_a, budget.c_s, budget.c_q, p.epsilon, n)
-    cases_b = _firm_cases(budget.K_b, budget.c_s, budget.c_q, p.epsilon, n)
-    for (ca, k, qa_pin), (cb, l, qb_pin) in itertools.product(cases_a, cases_b):
-        sol = _solve_case(lam, ratio, vd, k, l, ca, cb, qa_pin, qb_pin)
-        if sol is None:
-            continue
-        q_a, q_b, vt_k, vt_l = sol
-        if not _conditions_ok(
-            budget, p, vd, n, q_a, q_b, vt_k, vt_l, k, l, ca, cb
+    K_b, c_s, c_q = budget.K_b, budget.c_s, budget.c_q
+    cases_a = _firm_cases(budget.K_a, c_s, c_q, p.epsilon, n)
+    cases_b = _firm_cases(K_b, c_s, c_q, p.epsilon, n)
+
+    def rival_window(k, ca, cb):
+        """Firm b's indices in case ``cb`` that pass its monotone conditions."""
+        qa_pin = _pin(budget.K_a, c_s, c_q, k, ca)
+
+        def solve(l):
+            return _solve_case(lam, ratio, vd, k, l, ca, cb, qa_pin, _pin(K_b, c_s, c_q, l, cb))
+
+        def side(l):
+            sol = solve(l)
+            return -1 if sol is None else _side(K_b, c_s, c_q, vd, sol[1], sol[3], l, cb)
+
+        ls = cases_b[cb]
+        for l in itertools.takewhile(
+            lambda l: side(l) == 0, ls[bisect.bisect_left(ls, 0, key=side):]
         ):
-            continue
-        accepted.append((k, l, _CASE_RANK[ca], _CASE_RANK[cb], q_a, q_b, vt_k, vt_l, ca, cb))
-    if not accepted:
+            yield (l, *solve(l))
+
+    best = None
+    for k in range(1, n + 1):
+        for ca, cb in itertools.product(cases_a, cases_b):
+            if k not in cases_a[ca]:
+                continue
+            for l, q_a, q_b, vt_k, vt_l in rival_window(k, ca, cb):
+                cand = (k, l, _CASE_RANK[ca], _CASE_RANK[cb], q_a, q_b, vt_k, vt_l, ca, cb)
+                if (best is None or cand[:4] < best[:4]) and _conditions_ok(
+                    budget, p, vd, n, q_a, q_b, vt_k, vt_l, k, l, ca, cb
+                ):
+                    best = cand
+        if best is not None:
+            break
+    if best is None:
         raise SolverError(
             f"no equilibrium candidate satisfied the conditions "
             f"(n={n}, K_a={budget.K_a}, K_b={budget.K_b}, lam={lam})"
         )
-    accepted.sort(key=lambda c: c[:4])
-    k, l, _, _, q_a, q_b, vt_k, vt_l, ca, cb = accepted[0]
-    log.debug("accepted %d candidate(s); chose k=%d l=%d (%s, %s)", len(accepted), k, l, ca, cb)
+    k, l, _, _, q_a, q_b, vt_k, vt_l, ca, cb = best
+    log.debug("chose k=%d l=%d (%s, %s)", k, l, ca, cb)
     return _build_outcome(g, p, v, budget, q_a, q_b, vt_k, vt_l, k, l, ca, cb)
 
 
@@ -283,6 +323,28 @@ def _solve_case(lam, ratio, vd, k, l, case_a, case_b, qa_pin, qb_pin):
     return q_a, q_b, 2 * lam * ratio * q_b / total, 2 * lam * ratio * q_a / total
 
 
+def _marginal_seed(K, c_s, c_q, idx, q):
+    """Seed left for the marginal agent at position ``idx`` after buying ``q``."""
+    return K / c_s - (idx - 1) / 2.0 - (c_q / c_s) * q
+
+
+def _side(K, c_s, c_q, vd, q, vt, idx, case):
+    """Where index ``idx`` lies against the window its firm's conditions allow.
+
+    -1 below it, 0 inside, +1 above.  These are the conditions that are
+    monotone in the index for a fixed rival candidate, so bisection on
+    this sign brackets the window; the rest are left to _conditions_ok.
+    """
+    if case == CASE_INTERIOR:
+        s_marginal = _marginal_seed(K, c_s, c_q, idx, q)
+        return -1 if s_marginal > 0.5 + COND_TOL else int(s_marginal < -COND_TOL)
+    if case == CASE_BOUNDARY:
+        if vt < vd[idx - 1] - COND_TOL:
+            return -1
+        return int(idx > 1 and vt > vd[idx - 2] + COND_TOL)
+    return 0
+
+
 def _conditions_ok(budget, p, vd, n, q_a, q_b, vt_k, vt_l, k, l, case_a, case_b):
     if q_a < p.epsilon - COND_TOL or q_b < p.epsilon - COND_TOL:
         return False
@@ -290,22 +352,14 @@ def _conditions_ok(budget, p, vd, n, q_a, q_b, vt_k, vt_l, k, l, case_a, case_b)
         (q_a, vt_k, k, case_a, budget.K_a),
         (q_b, vt_l, l, case_b, budget.K_b),
     ):
+        if _side(K, budget.c_s, budget.c_q, vd, q, vt, idx, case) != 0:
+            return False
         if case == CASE_SATURATED:
             spend = K / budget.c_s - (budget.c_q / budget.c_s) * q
-            if abs(spend - n / 2.0) > COND_TOL:
+            if abs(spend - n / 2.0) > COND_TOL or vt > vd[n - 1] + COND_TOL:
                 return False
-            if vt > vd[n - 1] + COND_TOL:
-                return False
-            continue
-        s_marginal = K / budget.c_s - (idx - 1) / 2.0 - (budget.c_q / budget.c_s) * q
-        if case == CASE_INTERIOR:
-            if not -COND_TOL <= s_marginal <= 0.5 + COND_TOL:
-                return False
-        else:
-            if abs(s_marginal) > COND_TOL:
-                return False
-            upper = math.inf if idx == 1 else vd[idx - 2] + COND_TOL
-            if not vd[idx - 1] - COND_TOL <= vt <= upper:
+        elif case == CASE_BOUNDARY:
+            if abs(_marginal_seed(K, budget.c_s, budget.c_q, idx, q)) > COND_TOL:
                 return False
     return True
 
@@ -316,8 +370,7 @@ def _build_outcome(g, p, v, budget, q_a, q_b, vt_k, vt_l, k, l, case_a, case_b):
     def seeding_for(q, idx, case, K):
         if case == CASE_SATURATED:
             return _prefix_seeding(v.order, n, 0.5)
-        s_marginal = K / budget.c_s - (idx - 1) / 2.0 - (budget.c_q / budget.c_s) * q
-        return _prefix_seeding(v.order, idx, s_marginal)
+        return _prefix_seeding(v.order, idx, _marginal_seed(K, budget.c_s, budget.c_q, idx, q))
 
     s_a = seeding_for(q_a, k, case_a, budget.K_a)
     s_b = seeding_for(q_b, l, case_b, budget.K_b)
@@ -350,7 +403,8 @@ def solve_nash_iterative(
 
     Started from a small grid of quality pairs; raises SolverError when no
     start settles within ``max_iter`` rounds.  Kept deliberately separate
-    from the case enumeration so the two can cross-check each other.
+    from the case search in ``solve_nash`` so the two can cross-check
+    each other.
     """
     v = centrality(g, p)
     starts = [p.epsilon, budget.K_a / (2 * budget.c_q), budget.K_a / budget.c_q]

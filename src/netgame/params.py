@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -23,7 +24,9 @@ class ModelParams:
     epsilon: float = 1e-6
 
     def __post_init__(self) -> None:
-        problems = []
+        problems = [
+            f"{name}={x} is not finite" for name, x in vars(self).items() if not math.isfinite(x)
+        ]
         if self.beta > self.alpha:
             problems.append(f"beta={self.beta} exceeds alpha={self.alpha}")
         if 1.0 + self.alpha > 2.0 * self.beta:

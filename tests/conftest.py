@@ -2,7 +2,7 @@
 
 Random draws stay inside the model's admissible region (1 + alpha <= 2*beta,
 beta <= alpha, 0 < delta < 1).  Budget pairs are screened so the equilibrium
-case enumeration applies; see draw_instance.
+case characterization applies; see draw_instance.
 """
 from __future__ import annotations
 
@@ -64,7 +64,7 @@ def _assert_quality_floor_binds(
 
     Called when solve_nash rejects an instance: the only legitimate reason
     is an equilibrium with one quality pinned at epsilon, which the case
-    enumeration deliberately has no branch for.  Anything else is a bug.
+    characterization deliberately has no branch for.  Anything else is a bug.
     """
     v = centrality(g, p)
     q_a = q_b = 1.0
@@ -72,7 +72,7 @@ def _assert_quality_floor_binds(
         q_a, _, _ = best_response_quality(v, p, budget.K_a, budget.c_s, budget.c_q, q_b)
         q_b, _, _ = best_response_quality(v, p, budget.K_b, budget.c_s, budget.c_q, q_a)
     assert min(q_a, q_b) <= p.epsilon + 1e-9, (
-        f"case enumeration failed away from the quality floor "
+        f"case search failed away from the quality floor "
         f"(q_a={q_a}, q_b={q_b}, eps={p.epsilon}): solver bug"
     )
 
@@ -84,7 +84,7 @@ def draw_instance(
 
     Lopsided enough draws (or small quality weights) can pin the poorer
     firm's quality at the floor, an equilibrium shape outside the case
-    enumeration; those draws are replaced.  Each rejection must first be
+    characterization; those draws are replaced.  Each rejection must first be
     proven to be that corner via the independent best-response route, so
     a genuine solver failure can never hide inside the resampling loop.
     About 4-5% of raw draws are rejected this way.

@@ -4,14 +4,16 @@ Each test appends a single PASS/FAIL line to RESULTS, printed by the
 terminal-summary hook in conftest.  Frozen numbers come from the worked
 15-agent setting (alpha = beta = 1, delta = 1/2); every random suite
 re-derives its expectation through an independent route (iteration vs
-enumeration, simulation vs closed form, grid search vs stationarity).
+case search, simulation vs closed form, grid search vs stationarity).
 """
 from __future__ import annotations
 
+import os
 import subprocess
 import sys
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 
@@ -36,6 +38,7 @@ from netgame import (
     thresholds,
     water_fill_seeding,
 )
+import netgame
 from netgame.equilibrium import SolverError
 
 from conftest import (
@@ -159,7 +162,7 @@ def _deviation_slack(v, lam, eps, n, k, c_s, c_q, own, opp):
 
 
 def test_criterion_05_solver_routes_and_deviations(rng):
-    with criterion(5, "enumeration matches iteration; no profitable deviations (50 draws)"):
+    with criterion(5, "case search matches iteration; no profitable deviations (50 draws)"):
         for _ in range(50):
             g, p, budget = draw_instance(rng, n_max=10)
             enum = solve_nash(g, p, budget)
@@ -387,12 +390,16 @@ def test_criterion_09_agent_count_bound_brute_force(rng):
 
 def test_criterion_10_reproduce_runs_clean():
     with criterion(10, "reproduce commands exit zero with all checks passing"):
+        # the child imports the same netgame as this process, installed or not
+        src = str(Path(netgame.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         t0 = time.perf_counter()
         for name in ("example1", "example2"):
             proc = subprocess.run(
                 [sys.executable, "-m", "netgame.cli", "reproduce", name],
                 capture_output=True,
                 text=True,
+                env={**os.environ, "PYTHONPATH": path},
             )
             assert proc.returncode == 0, f"{name}: {proc.stdout}{proc.stderr}"
             assert "FAIL" not in proc.stdout, proc.stdout

@@ -156,6 +156,27 @@ def test_nash_budget_below_floor_exits_2(capsys):
     assert code == EXIT_INVALID
 
 
+@pytest.mark.parametrize(
+    "flag, value, named",
+    [
+        ("--Ka", "nan", "must be finite"),
+        ("--Kb", "inf", "must be finite"),
+        ("--cs", "-inf", "must be finite"),
+        ("--cq", "nan", "must be finite"),
+        ("--alpha", "nan", "alpha=nan is not finite"),
+        ("--delta", "inf", "delta=inf is not finite"),
+        ("--epsilon", "nan", "epsilon=nan is not finite"),
+    ],
+)
+def test_nash_non_finite_input_exits_2(capsys, flag, value, named):
+    # rejected as invalid input (2), never reported as a solver failure (3)
+    args = {"--Ka": "2", "--Kb": "1", flag: value}
+    argv = ["nash", "--generate", "l_star", "--n", "15", "--l", "3"]
+    code, out, err = _run(capsys, *argv, *(f"{k}={v}" for k, v in args.items()))
+    assert code == EXIT_INVALID
+    assert named in err and out == ""
+
+
 def test_allocate_command(capsys):
     code, out, _ = _run(
         capsys,

@@ -1,8 +1,12 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
 from netgame import (
     BudgetSpec,
+    SocialGraph,
     best_response_quality,
     centrality,
     discounted_utilities,
@@ -12,7 +16,17 @@ from netgame import (
     symmetric_nash,
     water_fill_seeding,
 )
-from netgame.equilibrium import CASE_BOUNDARY, CASE_INTERIOR, CASE_SATURATED
+from netgame.equilibrium import (
+    CASE_BOUNDARY,
+    CASE_INTERIOR,
+    CASE_SATURATED,
+    COND_TOL,
+    SolverError,
+    _CASE_RANK,
+    _build_outcome,
+    _conditions_ok,
+    _solve_case,
+)
 
 from conftest import (
     bounded_argmax,
@@ -39,6 +53,31 @@ def test_water_fill_structure(example_params):
     assert marginal == 3
     _assert_water_filled(seeding, v.order)
     assert seeding[v.order[2]] == pytest.approx(0.3, abs=1e-12)
+
+
+def _water_fill_loop(v, amount):
+    """Reference water-fill: hand out 1/2 at a time in centrality order."""
+    seeding = np.zeros(len(v.values))
+    remaining = min(max(amount, 0.0), len(v.values) / 2.0)
+    marginal = 0
+    for pos, agent in enumerate(v.order):
+        if remaining <= 0.0:
+            break
+        seeding[agent] = min(0.5, remaining)
+        remaining -= seeding[agent]
+        marginal = pos + 1
+    return seeding, marginal
+
+
+def test_water_fill_equals_loop_reference(rng):
+    for _ in range(200):
+        n = int(rng.integers(2, 40))
+        v = centrality(draw_graph(rng, n), draw_params(rng))
+        half = int(rng.integers(0, n + 1)) / 2.0
+        for amount in (0.0, half, float(rng.uniform(0.0, n / 2.0)), n / 2.0, 1e-300, -1e-12):
+            seeding, marginal = water_fill_seeding(v, amount)
+            want, want_marginal = _water_fill_loop(v, amount)
+            assert seeding.tobytes() == want.tobytes() and marginal == want_marginal
 
 
 def test_water_fill_rejects_out_of_range(example_params):
@@ -204,6 +243,126 @@ def test_no_profitable_deviation(rng):
             assert utility_a(random_seeding(rng, n, spend), q) <= base_val + 1e-6
 
 
+def _enumerated_cases(K, c_s, c_q, eps, n):
+    """Every (case, index, pinned quality) triple one firm can take."""
+    cases = []
+    for k in range(1, n + 1):
+        cases.append((CASE_INTERIOR, k, None))
+        q_pinned = (K - c_s * (k - 1) / 2.0) / c_q
+        if q_pinned >= eps - COND_TOL:
+            cases.append((CASE_BOUNDARY, k, q_pinned))
+    q_full = (K - c_s * n / 2.0) / c_q
+    if q_full >= eps - COND_TOL:
+        cases.append((CASE_SATURATED, n, q_full))
+    return cases
+
+
+def enumerate_nash(g, p, budget):
+    """Oracle for solve_nash: try every (case, k) x (case, l) pair.
+
+    O(n^2) closed-form solves; keeps the lexicographically smallest
+    accepted (k, l, case_a, case_b), the tie-break solve_nash promises.
+    """
+    v = centrality(g, p)
+    n = g.n
+    lam = p.quality_weight(n)
+    ratio = budget.c_s / budget.c_q
+    vd = v.sorted_values
+    accepted = []
+    for (ca, k, qa_pin), (cb, l, qb_pin) in itertools.product(
+        _enumerated_cases(budget.K_a, budget.c_s, budget.c_q, p.epsilon, n),
+        _enumerated_cases(budget.K_b, budget.c_s, budget.c_q, p.epsilon, n),
+    ):
+        sol = _solve_case(lam, ratio, vd, k, l, ca, cb, qa_pin, qb_pin)
+        if sol is not None and _conditions_ok(budget, p, vd, n, *sol, k, l, ca, cb):
+            accepted.append((k, l, _CASE_RANK[ca], _CASE_RANK[cb], *sol, ca, cb))
+    if not accepted:
+        raise SolverError("no candidate pair satisfied the conditions")
+    k, l, _, _, q_a, q_b, vt_k, vt_l, ca, cb = min(accepted, key=lambda c: c[:4])
+    return _build_outcome(g, p, v, budget, q_a, q_b, vt_k, vt_l, k, l, ca, cb)
+
+
+def _oracle_graph(rng, n):
+    kind = ("random", "star", "l_star", "balanced")[int(rng.integers(4))]
+    if kind == "random":
+        return draw_graph(rng, n)
+    if kind == "l_star" and n < 3:
+        kind = "star"
+    g = generate(kind, n, l=int(rng.integers(2, n)) if kind == "l_star" else None)
+    # relabel so ties in centrality are not always broken toward the hub
+    perm = rng.permutation(n)
+    return SocialGraph(n, g.weights[np.ix_(perm, perm)])
+
+
+def _assert_matches_oracle(g, p, budget):
+    """solve_nash equals the enumeration bit for bit; returns its outcome.
+
+    Returns None when the oracle refuses, after checking solve_nash does too.
+    """
+    try:
+        want = enumerate_nash(g, p, budget)
+    except SolverError:
+        with pytest.raises(SolverError):
+            solve_nash(g, p, budget)
+        return None
+    got = solve_nash(g, p, budget)
+    assert (got.k, got.l, got.case_a, got.case_b) == (want.k, want.l, want.case_a, want.case_b)
+    assert got.strategy_a.quality == want.strategy_a.quality
+    assert got.strategy_b.quality == want.strategy_b.quality
+    assert np.array_equal(got.strategy_a.seeding, want.strategy_a.seeding)
+    assert np.array_equal(got.strategy_b.seeding, want.strategy_b.seeding)
+    assert (got.utility_a, got.utility_b) == (want.utility_a, want.utility_b)
+    return got
+
+
+def test_solve_nash_matches_enumeration_oracle():
+    rng = np.random.default_rng(2015)
+    cases_seen = set()
+    refused = 0
+    for _ in range(600):
+        n = int(rng.integers(2, 31))
+        p = draw_params(rng)
+        g = _oracle_graph(rng, n)
+        c_s, c_q = draw_costs(rng)
+        top = 1.2 * (c_s * n / 2.0 + c_q)
+        if rng.random() < 0.5:
+            k_a = float(rng.uniform(0.01, top))
+        else:
+            k_a = float(np.exp(rng.uniform(math.log(0.01), math.log(top))))
+        k_b = min(max(k_a * 2.0 ** float(rng.uniform(-3.0, 3.0)), 0.01), top)
+        out = _assert_matches_oracle(g, p, BudgetSpec(k_a, k_b, c_s, c_q))
+        if out is None:
+            refused += 1
+        else:
+            cases_seen.add((out.case_a, out.case_b))
+    # the draws reach every case tag for both firms and the floor corner
+    assert {c for c, _ in cases_seen} == {c for _, c in cases_seen} == set(_CASE_RANK)
+    assert refused > 0
+
+
+def test_solve_nash_tie_break_matches_oracle(example_params):
+    # Random draws never accept two candidates; budgets on a 1/8 grid at
+    # the worked parameters land exactly on case boundaries, where several
+    # candidates pass and the (k, l, case) tie-break decides.
+    for kind, n in itertools.product(("balanced", "star", "l_star"), (4, 9)):
+        g = generate(kind, n, l=3 if kind == "l_star" else None)
+        for k_a, k_b in itertools.product(np.arange(1, 4 * n + 1) / 8.0, (0.125, 0.5, 1.0, 3.0)):
+            _assert_matches_oracle(g, example_params, BudgetSpec(float(k_a), k_b, 1.0, 1.0))
+
+
+def test_floor_corner_is_refused_while_iteration_settles(example_params):
+    # firm a seeds every agent fully and buys quality with the rest; firm
+    # b's best quality is the floor, which the case characterization lacks
+    g = generate("star", 15)
+    budget = BudgetSpec(20.0, 0.01, 1.0, 1.0)
+    with pytest.raises(SolverError):
+        solve_nash(g, example_params, budget)
+    out = solve_nash_iterative(g, example_params, budget)
+    assert out.strategy_b.quality == pytest.approx(example_params.epsilon, abs=1e-15)
+    assert out.strategy_a.quality == pytest.approx(12.5, abs=1e-9)
+    assert out.case_a == CASE_SATURATED
+
+
 def test_saturated_case_reached(example_params):
     # budget big enough to fully seed everyone and still buy quality
     out = symmetric_nash(generate("balanced", 4), example_params, 5.0, 1.0, 1.0)
@@ -223,6 +382,16 @@ def test_budget_spec_validation():
         BudgetSpec(1.0, 1.0, 0.0, 1.0)
     with pytest.raises(ValueError, match="nonnegative"):
         BudgetSpec(-1.0, 1.0, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", range(4))
+def test_budget_spec_rejects_non_finite(field, bad):
+    # NaN fails no sign check, so it would otherwise reach the solver
+    values = [1.0, 1.0, 1.0, 1.0]
+    values[field] = bad
+    with pytest.raises(ValueError, match="must be finite"):
+        BudgetSpec(*values)
 
 
 def test_outcome_serialization(example_params):

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from netgame import ModelParams
@@ -48,3 +50,20 @@ def test_quality_floor():
     require_qualities(p, 0.01, 1.0)
     with pytest.raises(ValueError, match="at least epsilon"):
         require_qualities(p, 0.005, 1.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["alpha", "beta", "delta", "epsilon"])
+def test_rejects_non_finite_fields(field, bad):
+    # NaN passes every range comparison, and alpha = beta = inf passes both
+    # curvature bounds, so finiteness is checked before them
+    values = {"alpha": 1.0, "beta": 1.0, "delta": 0.5, "epsilon": 1e-6, field: bad}
+    with pytest.raises(ValueError, match=f"{field}={bad} is not finite"):
+        ModelParams(**values)
+
+
+def test_rejects_nan_curvature_pair():
+    with pytest.raises(ValueError, match="alpha=nan is not finite; beta=nan is not finite"):
+        ModelParams(math.nan, math.nan, 0.5)
+    with pytest.raises(ValueError, match="alpha=inf is not finite; beta=inf is not finite"):
+        ModelParams(math.inf, math.inf, 0.5)
