@@ -51,6 +51,11 @@ def require_seeding(s: np.ndarray, n: int) -> np.ndarray:
     return s
 
 
+def _require_horizon(T: int) -> None:
+    if T < 0:
+        raise ValueError(f"T must be nonnegative, got {T}")
+
+
 def step(
     g: SocialGraph, p: ModelParams, q_a: float, q_b: float, y: np.ndarray
 ) -> np.ndarray:
@@ -108,6 +113,7 @@ def simulate(
 ) -> np.ndarray:
     """Iterate ``step`` T times; returns the (T+1, n) trajectory incl. y(0)."""
     require_valid(g)
+    _require_horizon(T)
     y = _require_state(y0, g.n)
     traj = np.empty((T + 1, g.n))
     traj[0] = y
@@ -130,6 +136,7 @@ def trajectory_via_powers(
     Kept as an independent route for cross-checking ``simulate``.
     """
     require_valid(g)
+    _require_horizon(T)
     y0 = _require_state(y0, g.n)
     w = g.weights / (2.0 * p.beta)
     u = externality_drift(q_a, q_b, p) * np.ones(g.n)
@@ -222,6 +229,8 @@ def discounted_utilities(
     ``tol`` (or at an explicit horizon ``T``).
     """
     require_valid(g)
+    if T is not None:
+        _require_horizon(T)
     require_qualities(p, q_a, q_b)
     s_a = require_seeding(s_a, g.n)
     s_b = require_seeding(s_b, g.n)

@@ -1,14 +1,20 @@
 """Row-stochastic influence graphs: validation, generators and JSON round-trip.
 
 ``weights[i, j]`` is how strongly agent j's consumption sways agent i.
-Every agent is swayed by someone (rows sum to one) and nobody sways
-themselves (zero diagonal).
+Every agent is swayed by someone (rows sum to one), nobody sways
+themselves (zero diagonal) and every weight is finite.
+
+A graph is checked once, when it is built: ``SocialGraph`` stores the
+list of invariant violations next to its read-only weights, so
+``validate_graph`` and ``require_valid`` only read that verdict.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+import numbers
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,10 +29,18 @@ class GraphValidationError(ValueError):
 
 @dataclass(frozen=True)
 class SocialGraph:
-    """Weighted directed influence graph on ``n`` agents."""
+    """Weighted directed influence graph on ``n`` agents.
+
+    Invalid weights still construct a graph; ``violations`` lists what is
+    wrong with them (empty for a valid graph), computed once here since
+    the weights are read-only.  ``netgame.centrality`` keeps its last
+    solve in a single slot on the graph.
+    """
 
     n: int
     weights: np.ndarray
+    violations: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    _centrality: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         w = np.array(self.weights, dtype=float, copy=True)
@@ -34,6 +48,7 @@ class SocialGraph:
             raise ValueError(f"weights shape {w.shape} does not match n={self.n}")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "violations", _violations(w))
 
     def to_dict(self) -> dict:
         i, j = np.nonzero(self.weights)
@@ -45,28 +60,69 @@ class SocialGraph:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SocialGraph":
+        """Build from ``{"n": n, "edges": [[i, j, weight], ...]}``.
+
+        Raises ``ValueError`` for a malformed entry, an index outside
+        ``[0, n)`` or a repeated ``(i, j)``, naming the first such entry.
+        The weights are not checked here; ``violations`` reports them.
+        """
         try:
             n = int(data["n"])
             edges = data["edges"]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"graph data must have 'n' and 'edges': {exc}") from exc
+        e = _edge_array(edges)
+        ij = e[:, :2]
+        outside = ~((ij > -1) & (ij < n)).all(axis=1)
+        if outside.any():
+            k = int(np.argmax(outside))
+            raise ValueError(f"edge ({int(ij[k, 0])}, {int(ij[k, 1])}) out of range for n={n}")
+        # indices truncate toward zero, as int() does
+        i, j = ij.astype(np.intp).T
+        _, first = np.unique(i * n + j, return_index=True)
+        repeated = np.ones(len(e), dtype=bool)
+        repeated[first] = False
+        if repeated.any():
+            k = int(np.argmax(repeated))
+            raise ValueError(f"duplicate edge ({i[k]}, {j[k]})")
         w = np.zeros((n, n))
-        seen = set()
-        for entry in edges:
-            if len(entry) != 3:
-                raise ValueError(f"edge entry {entry!r} is not [i, j, weight]")
-            i, j, wt = int(entry[0]), int(entry[1]), float(entry[2])
-            if not (0 <= i < n and 0 <= j < n):
-                raise ValueError(f"edge ({i}, {j}) out of range for n={n}")
-            if (i, j) in seen:
-                raise ValueError(f"duplicate edge ({i}, {j})")
-            seen.add((i, j))
-            w[i, j] = wt
+        w[i, j] = e[:, 2]
         return cls(n=n, weights=w)
 
     @classmethod
     def from_json(cls, text: str) -> "SocialGraph":
         return cls.from_dict(json.loads(text))
+
+
+def _is_edge(entry) -> bool:
+    return (
+        isinstance(entry, (list, tuple))
+        and len(entry) == 3
+        and all(isinstance(x, numbers.Real) for x in entry)
+        and math.isfinite(entry[0])
+        and math.isfinite(entry[1])
+    )
+
+
+def _edge_array(edges) -> np.ndarray:
+    """``edges`` as an (m, 3) float array; ``ValueError`` names the first malformed entry."""
+    if not isinstance(edges, (list, tuple)):
+        raise ValueError(f"graph 'edges' must be a list, got {edges!r}")
+    try:
+        e = np.array(edges)
+    except ValueError:  # ragged entries
+        e = None
+    if (
+        e is not None
+        and e.shape == (len(edges), 3)
+        and e.dtype.kind in "biuf"
+        and np.isfinite(e[:, :2]).all()
+    ):
+        return e.astype(float)
+    for entry in edges:
+        if not _is_edge(entry):
+            raise ValueError(f"edge entry {entry!r} is not [i, j, weight]")
+    return np.array(edges, dtype=float).reshape(-1, 3)
 
 
 def load_graph(path: str) -> SocialGraph:
@@ -82,29 +138,39 @@ def save_graph(g: SocialGraph, path: str) -> None:
         fh.write(g.to_json())
 
 
-def validate_graph(g: SocialGraph) -> list[str]:
-    """Return a list of invariant violations; empty means the graph is valid."""
+def _violations(w: np.ndarray) -> tuple[str, ...]:
+    """Every invariant the weights break, in a fixed order."""
+    n = w.shape[0]
+    if n < 2:
+        return (f"n {n} below minimum of 2",)
     violations = []
-    w = g.weights
-    if g.n < 2:
-        violations.append(f"n {g.n} below minimum of 2")
-        return violations
-    diag = np.diagonal(w)
-    for i in np.nonzero(diag != 0.0)[0]:
+    # the .all() tests spare a valid graph the slower index scans
+    if not np.isfinite(w).all():
+        for i, j in zip(*np.nonzero(~np.isfinite(w))):
+            violations.append(f"non-finite weight at ({i}, {j})")
+    for i in np.nonzero(np.diagonal(w) != 0.0)[0]:
         violations.append(f"nonzero diagonal at {i}")
-    neg_i, neg_j = np.nonzero(w < 0.0)
-    for i, j in zip(neg_i, neg_j):
-        violations.append(f"negative weight at ({i}, {j})")
+    if not (w >= 0.0).all():
+        for i, j in zip(*np.nonzero(w < 0.0)):
+            violations.append(f"negative weight at ({i}, {j})")
     sums = w.sum(axis=1)
     for i in np.nonzero(np.abs(sums - 1.0) > ROW_SUM_TOL)[0]:
         violations.append(f"row {i} sum {sums[i]:.6g}")
-    return violations
+    return tuple(violations)
+
+
+def validate_graph(g: SocialGraph) -> list[str]:
+    """Return a list of invariant violations; empty means the graph is valid.
+
+    The list was computed when ``g`` was built; this returns a copy.
+    """
+    return list(g.violations)
 
 
 def require_valid(g: SocialGraph) -> None:
-    violations = validate_graph(g)
-    if violations:
-        raise GraphValidationError("invalid graph: " + "; ".join(violations))
+    """Raise ``GraphValidationError`` if ``g`` broke an invariant when it was built."""
+    if g.violations:
+        raise GraphValidationError("invalid graph: " + "; ".join(g.violations))
 
 
 def generate(

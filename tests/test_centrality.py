@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -125,3 +127,56 @@ def test_closed_form_unknown_kind(example_params):
 def test_l_star_formula_rejects_bad_l(example_params):
     with pytest.raises(ValueError):
         l_star_centralities(15, 1, example_params)
+
+
+@pytest.fixture
+def count_solves(monkeypatch):
+    calls = []
+    solve = np.linalg.solve
+
+    def counted(a, b):
+        calls.append(a.shape)
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    return calls
+
+
+def test_second_call_reuses_the_solve(rng, count_solves):
+    p = draw_params(rng)
+    g = draw_graph(rng, 12)
+    first = centrality(g, p)
+    again = centrality(g, p)
+    unchecked = centrality(g, p, check=False)
+    assert len(count_solves) == 1
+    assert again is first and unchecked is first
+
+
+def test_other_params_solve_again_and_match_a_cold_solve(rng, count_solves):
+    g = draw_graph(rng, 12)
+    p, q = draw_params(rng), draw_params(rng)
+    centrality(g, p)
+    warm_q = centrality(g, q)
+    warm_p = centrality(g, p)
+    assert len(count_solves) == 3
+    for params, warm in ((q, warm_q), (p, warm_p)):
+        cold = centrality(SocialGraph(g.n, g.weights), params)
+        assert np.array_equal(warm.values, cold.values)
+        assert np.array_equal(warm.order, cold.order)
+
+
+def test_only_beta_and_delta_key_the_solve(example_params, count_solves):
+    g = generate("star", 6)
+    first = centrality(g, example_params)
+    other_eps = ModelParams(alpha=1.0, beta=1.0, delta=0.5, epsilon=1e-3)
+    assert centrality(g, other_eps) is first
+    assert len(count_solves) == 1
+
+
+def test_guards_run_on_cached_calls(example_params, monkeypatch):
+    g = generate("star", 6)
+    centrality(g, example_params, check=False)
+    module = sys.modules["netgame.centrality"]
+    monkeypatch.setattr(module, "_GUARD_TOL", -1.0)
+    with pytest.raises(ArithmeticError):
+        centrality(g, example_params)

@@ -242,3 +242,29 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "netgame" in capsys.readouterr().out
+
+
+def test_simulate_negative_horizon_exits_2(capsys):
+    code, _, err = _run(
+        capsys, "simulate", "--generate", "balanced", "--n", "4", "--qa", "2", "--qb", "1",
+        "--sa-total", "1", "--sb-total", "0.5", "--T", "-3",
+    )
+    assert code == EXIT_INVALID
+    assert "T must be nonnegative, got -3" in err
+
+
+@pytest.mark.parametrize(
+    "text, named",
+    [
+        ('{"n": 2, "edges": [[0, 1, NaN], [1, 0, 1.0]]}', "non-finite weight at (0, 1)"),
+        ('{"n": 2, "edges": [5]}', "edge entry 5 is not [i, j, weight]"),
+        ('{"n": 2, "edges": [[0, 1, null], [1, 0, 1.0]]}', "is not [i, j, weight]"),
+        ('{"n": 2, "edges": [[0, "one", 1.0], [1, 0, 1.0]]}', "is not [i, j, weight]"),
+    ],
+)
+def test_malformed_graph_file_exits_2(tmp_path, capsys, text, named):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, _, err = _run(capsys, "centrality", "--graph", str(path))
+    assert code == EXIT_INVALID
+    assert named in err

@@ -161,3 +161,13 @@ def test_report_serialization(example_params):
     assert set(d) == {"U_a", "U_b", "lambda", "breakdown", "mode", "horizon"}
     assert d["lambda"] == example_params.quality_weight(5)
     assert set(d["breakdown"]) == {"base", "seeding_a", "seeding_b", "quality"}
+
+
+def test_negative_horizon_is_refused(example_params):
+    g = generate("balanced", 4)
+    y0 = np.zeros(4)
+    for run in (simulate, trajectory_via_powers):
+        with pytest.raises(ValueError, match="T must be nonnegative, got -3"):
+            run(g, example_params, 2.0, 1.0, y0, -3)
+    with pytest.raises(ValueError, match="T must be nonnegative, got -1"):
+        discounted_utilities(g, example_params, 2.0, 1.0, y0, y0, mode="simulated", T=-1)

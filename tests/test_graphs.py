@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -164,3 +165,113 @@ def test_require_valid_message_joins_violations():
         require_valid(SocialGraph(2, w))
     msg = str(exc.value)
     assert "nonzero diagonal at 0" in msg and "row 1 sum 0.5" in msg
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_validation_reports_non_finite_weight(bad):
+    w = np.zeros((2, 2))
+    w[0, 1] = bad
+    w[1, 0] = 1.0
+    assert "non-finite weight at (0, 1)" in validate_graph(SocialGraph(2, w))
+
+
+def test_load_rejects_nan_weight(tmp_path):
+    path = tmp_path / "nan.json"
+    path.write_text('{"n": 2, "edges": [[0, 1, NaN], [1, 0, 1.0]]}')
+    with pytest.raises(GraphValidationError, match="non-finite weight at \\(0, 1\\)"):
+        load_graph(str(path))
+
+
+def test_verdict_is_fixed_at_construction():
+    g = generate("star", 5)
+    assert g.violations == ()
+    w = np.eye(2)
+    bad = SocialGraph(2, w)
+    listed = validate_graph(bad)
+    listed.clear()
+    assert validate_graph(bad) == list(bad.violations) != []
+
+
+@pytest.mark.parametrize(
+    "entry", [5, None, "a,b", [0, None, 1.0], [0, 1, None], ["x", 1, 1.0], [0, 1, "w"],
+              [float("nan"), 1, 1.0], {"i": 0, "j": 1, "w": 1.0}]
+)
+def test_from_dict_rejects_malformed_entry_types(entry):
+    edges = [[1, 0, 1.0], entry]
+    with pytest.raises(ValueError, match=f"edge entry {re.escape(repr(entry))} is not"):
+        SocialGraph.from_dict({"n": 2, "edges": edges})
+
+
+@pytest.mark.parametrize("edges", [5, None, "edges", {"0": [0, 1, 1.0]}])
+def test_from_dict_rejects_edges_that_are_not_a_list(edges):
+    with pytest.raises(ValueError, match="'edges' must be a list"):
+        SocialGraph.from_dict({"n": 2, "edges": edges})
+
+
+def from_dict_loop(data: dict) -> SocialGraph:
+    """Reference for ``SocialGraph.from_dict``: one edge at a time."""
+    try:
+        n = int(data["n"])
+        edges = data["edges"]
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"graph data must have 'n' and 'edges': {exc}") from exc
+    w = np.zeros((n, n))
+    seen = set()
+    for entry in edges:
+        if len(entry) != 3:
+            raise ValueError(f"edge entry {entry!r} is not [i, j, weight]")
+        i, j, wt = int(entry[0]), int(entry[1]), float(entry[2])
+        if not (0 <= i < n and 0 <= j < n):
+            raise ValueError(f"edge ({i}, {j}) out of range for n={n}")
+        if (i, j) in seen:
+            raise ValueError(f"duplicate edge ({i}, {j})")
+        seen.add((i, j))
+        w[i, j] = wt
+    return SocialGraph(n=n, weights=w)
+
+
+def _outcome(build, data):
+    try:
+        return build(data).weights
+    except ValueError as exc:
+        return str(exc)
+
+
+def _inject_fault(rng, edges: list, n: int) -> list:
+    """One fault at a random position: out of range, duplicate or short entry."""
+    edges = [list(e) for e in edges]
+    k = int(rng.integers(len(edges)))
+    fault = int(rng.integers(4))
+    if fault == 0:
+        edges[k][int(rng.integers(2))] = int(rng.choice([n, n + 3, -1, -4]))
+    elif fault == 1:
+        edges.insert(k + 1, list(edges[int(rng.integers(k + 1))]))
+    elif fault == 2:
+        edges[k] = edges[k][: int(rng.integers(3))]
+    else:
+        edges[k] = edges[k] + [1.0]
+    return edges
+
+
+def test_from_dict_matches_loop_reference():
+    rng = np.random.default_rng(5)
+    assert np.array_equal(
+        _outcome(SocialGraph.from_dict, {"n": 3, "edges": []}), np.zeros((3, 3))
+    )
+    faults = 0
+    for trial in range(300):
+        n = int(rng.integers(3, 25))
+        kind = ("random", "star", "l_star")[trial % 3]
+        g = generate(kind, n, l=int(rng.integers(2, n)), seed=trial)
+        edges = g.to_dict()["edges"]
+        rng.shuffle(edges)
+        if trial % 2:
+            edges = _inject_fault(rng, edges, n)
+        data = {"n": n, "edges": edges}
+        got, want = _outcome(SocialGraph.from_dict, data), _outcome(from_dict_loop, data)
+        if isinstance(want, str):
+            faults += 1
+            assert got == want
+        else:
+            assert np.array_equal(got, want)
+    assert faults == 150
