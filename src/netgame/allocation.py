@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .centrality import CentralityVector, balanced_centrality, star_centralities
+from .equilibrium import capped_fill
 from .params import ModelParams, require_qualities
 
 TIE_TOL = 1e-12
@@ -35,12 +36,13 @@ class PresetState:
 
     def __post_init__(self) -> None:
         y0 = np.array(self.y0, dtype=float, copy=True)
-        if np.abs(y0).max() > 0.5 + TIE_TOL:
+        # negated so that a NaN tilt fails the check
+        if not np.abs(y0).max() <= 0.5 + TIE_TOL:
             raise ValueError("preexisting tilts must lie in [-1/2, 1/2]")
         y0.setflags(write=False)
         object.__setattr__(self, "y0", y0)
-        if self.q_a <= 0.0 or self.q_b <= 0.0:
-            raise ValueError(f"qualities must be positive: {self.q_a}, {self.q_b}")
+        if not (0.0 < self.q_a < math.inf and 0.0 < self.q_b < math.inf):
+            raise ValueError(f"qualities must be positive and finite: {self.q_a}, {self.q_b}")
 
     @classmethod
     def neutral(cls, n: int, q_a: float, q_b: float) -> "PresetState":
@@ -90,6 +92,15 @@ def thresholds(
     return v_c_a, v_c_b
 
 
+def _seedable(
+    v: CentralityVector, state: PresetState, firm: str, p: ModelParams, c_s: float, c_q: float
+) -> tuple[float, np.ndarray]:
+    """The firm's threshold and the agents strictly above it, most central first."""
+    v_c_a, v_c_b = thresholds(state.q_a, state.q_b, p, len(v.values), c_s, c_q)
+    v_c = v_c_a if firm == "a" else v_c_b
+    return v_c, v.order[v.sorted_values > v_c + TIE_TOL]
+
+
 def allocate_budget(
     v: CentralityVector,
     state: PresetState,
@@ -105,24 +116,17 @@ def allocate_budget(
     order up to their remaining capacity; exact ties go to quality, as
     does whatever budget is left.
     """
-    if K < 0.0:
-        raise ValueError(f"budget must be nonnegative, got {K}")
-    if c_s <= 0.0 or c_q <= 0.0:
-        raise ValueError(f"costs must be positive: c_s={c_s}, c_q={c_q}")
+    if not 0.0 <= K < math.inf:
+        raise ValueError(f"budget must be nonnegative and finite, got {K}")
+    if not (0.0 < c_s < math.inf and 0.0 < c_q < math.inf):
+        raise ValueError(f"costs must be positive and finite: c_s={c_s}, c_q={c_q}")
     n = len(v.values)
-    v_c_a, v_c_b = thresholds(state.q_a, state.q_b, p, n, c_s, c_q)
-    v_c = v_c_a if firm == "a" else v_c_b
-    caps = state.capacities(firm)
+    v_c, agents = _seedable(v, state, firm, p, c_s, c_q)
+    caps = state.capacities(firm)[agents]
+    amount = K / c_s
     seeding = np.zeros(n)
-    remaining = K / c_s
-    for agent in v.order:
-        if remaining <= 0.0:
-            break
-        if v.values[agent] <= v_c + TIE_TOL:
-            break
-        give = min(caps[agent], remaining)
-        seeding[agent] = give
-        remaining -= give
+    seeding[agents] = capped_fill(amount, caps)
+    remaining = max(amount - caps.sum(), 0.0)
     delta_q = remaining * c_s / c_q
     q_opp = state.q_b if firm == "a" else state.q_a
     lam = p.quality_weight(n)
@@ -145,12 +149,8 @@ def seeding_capacity(
     c_q: float,
 ) -> float:
     """Total seeding the firm would buy with an unlimited budget."""
-    n = len(v.values)
-    v_c_a, v_c_b = thresholds(state.q_a, state.q_b, p, n, c_s, c_q)
-    v_c = v_c_a if firm == "a" else v_c_b
-    caps = state.capacities(firm)
-    above = v.values > v_c + TIE_TOL
-    return float(caps[above].sum())
+    _, agents = _seedable(v, state, firm, p, c_s, c_q)
+    return float(state.capacities(firm)[agents].sum())
 
 
 @dataclass(frozen=True)
@@ -169,14 +169,6 @@ class CapacityBound:
     max_capacity: float
     min_agent_count: int
     min_capacity: float
-
-    def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "max_capacity": self.max_capacity,
-            "min_agent_count": self.min_agent_count,
-            "min_capacity": self.min_capacity,
-        }
 
 
 def max_seeding_capacity_bound(
@@ -215,48 +207,37 @@ def max_seeding_capacity_bound(
     )
 
 
-def regime_classify(
-    n: int,
-    p: ModelParams,
-    v_c: float | None = None,
-    budget: float | None = None,
-    c_s: float = 1.0,
-) -> dict:
-    """Compare star vs. balanced seeding, by threshold or by budget.
+def regime_by_endpoints(context: str, value: float, endpoints: dict, regimes: tuple) -> dict:
+    """Place ``value`` among ``endpoints``, nondecreasing up to TIE_TOL.
 
-    Pass ``v_c`` to classify a marginal-allocation threshold against the
-    capacity intervals, or ``budget`` (= K) to classify a symmetric
-    equilibrium budget against the seeding-budget intervals.
+    Within TIE_TOL of an endpoint is "boundary"; otherwise the regime is
+    ``regimes[j]``, with j the number of endpoints below ``value``.
     """
-    if (v_c is None) == (budget is None):
-        raise ValueError("pass exactly one of v_c or budget")
-    if budget is not None:
-        from .extremal import budget_regime
+    if any(abs(value - e) <= TIE_TOL for e in endpoints.values()):
+        regime = "boundary"
+    else:
+        regime = regimes[sum(e <= value for e in endpoints.values())]
+    return {"context": context, "value": value, "endpoints": endpoints, "regime": regime}
 
-        return budget_regime(n, p, budget, c_s)
+
+def regime_classify(n: int, p: ModelParams, v_c: float) -> dict:
+    """Compare star vs. balanced seeding capacity at threshold ``v_c``.
+
+    ``netgame.extremal.budget_regime`` makes the same comparison for a
+    symmetric equilibrium budget.
+    """
     hub, peripheral = star_centralities(n, p)
-    v_bar = balanced_centrality(p)
     endpoints = {
         "all_agents": 1.0,
         "star_peripheral": peripheral,
-        "balanced": v_bar,
+        "balanced": balanced_centrality(p),
         "star_hub": hub,
     }
-    if any(abs(v_c - e) <= TIE_TOL for e in endpoints.values()):
-        regime = "boundary"
-    elif v_c < 1.0:
-        regime = "all_graphs_full_capacity"
-    elif v_c < peripheral:
-        regime = "star_balanced_equal_capacity"
-    elif v_c < v_bar:
-        regime = "balanced_over_star"
-    elif v_c < hub:
-        regime = "star_over_balanced"
-    else:
-        regime = "no_graph_seedable"
-    return {
-        "context": "threshold",
-        "value": v_c,
-        "endpoints": endpoints,
-        "regime": regime,
-    }
+    regimes = (
+        "all_graphs_full_capacity",
+        "star_balanced_equal_capacity",
+        "balanced_over_star",
+        "star_over_balanced",
+        "no_graph_seedable",
+    )
+    return regime_by_endpoints("threshold", v_c, endpoints, regimes)

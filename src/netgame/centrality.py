@@ -47,7 +47,7 @@ class CentralityVector:
         return float(self.values.sum())
 
 
-def centrality(g: SocialGraph, p: ModelParams, check: bool = True) -> CentralityVector:
+def centrality(g: SocialGraph, p: ModelParams) -> CentralityVector:
     """Solve the centrality system directly and order the agents.
 
     The solve reads only ``p.beta`` and ``p.delta``.  Its result stays in
@@ -55,10 +55,9 @@ def centrality(g: SocialGraph, p: ModelParams, check: bool = True) -> Centrality
     same two values returns it without solving again; a call with other
     values solves and takes the slot.
 
-    With ``check`` (default) the analytic guards are asserted on every
-    call, cached or not: every entry is at least 1, the total equals
-    2*beta*n/(2*beta - delta), and the maximum lies between the balanced
-    value and the star-hub value.
+    The analytic guards are asserted on every call, cached or not: every
+    entry is at least 1, the total equals 2*beta*n/(2*beta - delta), and
+    the maximum lies between the balanced value and the star-hub value.
     """
     require_valid(g)
     n = g.n
@@ -71,22 +70,15 @@ def centrality(g: SocialGraph, p: ModelParams, check: bool = True) -> Centrality
         slot = (key, CentralityVector(values=values, order=order))
         object.__setattr__(g, "_centrality", slot)
     cv = slot[1]
-    if check:
-        values = cv.values
-        expected_total = 2.0 * p.beta * n / (2.0 * p.beta - p.delta)
-        hub, _ = star_centralities(n, p)
-        if values.min() < 1.0 - _GUARD_TOL:
-            raise ArithmeticError(f"centrality below 1: {values.min()}")
-        if abs(values.sum() - expected_total) > _GUARD_TOL * max(1.0, expected_total):
-            raise ArithmeticError(
-                f"centrality total {values.sum()} != {expected_total}"
-            )
-        if not (
-            balanced_centrality(p) - _GUARD_TOL
-            <= values.max()
-            <= hub + _GUARD_TOL
-        ):
-            raise ArithmeticError(f"top centrality {values.max()} outside bounds")
+    values = cv.values
+    expected_total = 2.0 * p.beta * n / (2.0 * p.beta - p.delta)
+    hub, _ = star_centralities(n, p)
+    if values.min() < 1.0 - _GUARD_TOL:
+        raise ArithmeticError(f"centrality below 1: {values.min()}")
+    if abs(values.sum() - expected_total) > _GUARD_TOL * max(1.0, expected_total):
+        raise ArithmeticError(f"centrality total {values.sum()} != {expected_total}")
+    if not balanced_centrality(p) - _GUARD_TOL <= values.max() <= hub + _GUARD_TOL:
+        raise ArithmeticError(f"top centrality {values.max()} outside bounds")
     return cv
 
 
@@ -126,9 +118,13 @@ def star_centralities(n: int, p: ModelParams) -> tuple[float, float]:
 
 
 def l_star_centralities(n: int, l: int, p: ModelParams) -> tuple[float, float]:
-    """(hub, peripheral) centralities of the l-star on n agents (l >= 2)."""
-    if not 2 <= l <= n - 1:
-        raise ValueError(f"l_star requires 2 <= l <= n-1, got l={l}, n={n}")
+    """(hub, peripheral) centralities of the l-star on n agents (2 <= l <= n).
+
+    At l = n every agent is a hub (the complete graph), and the hub value
+    is the balanced one.
+    """
+    if not 2 <= l <= n:
+        raise ValueError(f"l_star requires 2 <= l <= n, got l={l}, n={n}")
     hub = n * p.delta / (l * (2.0 * p.beta - p.delta)) + 1.0
     return hub, 1.0
 

@@ -2,9 +2,10 @@
 
 Subcommands mirror the library: ``centrality``, ``simulate``, ``nash``,
 ``allocate``, ``extremal`` and ``reproduce``.  JSON reports carry a
-schema version and the resolved configuration, floats are serialized
-with 17 significant digits, and identical inputs give byte-identical
-output.  Set NETGAME_LOG (e.g. DEBUG) for diagnostics on stderr.
+schema version and the resolved configuration, floats are written as
+their shortest round-tripping repr (in ``simulate --format csv`` too),
+and identical inputs give byte-identical output.  Set NETGAME_LOG
+(e.g. DEBUG) for diagnostics on stderr.
 
 Exit codes: 0 success, 1 failed reproduce checks, 2 invalid input or
 usage, 3 solver failure.
@@ -16,7 +17,7 @@ import argparse
 import logging
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -40,9 +41,9 @@ from .equilibrium import (
 from .extremal import budget_regime, extremal_centrality, symmetric_seeding_extremes
 from .graphs import KINDS, GraphValidationError, generate, load_graph
 from .params import ModelParams
-from .reporting import format_float, to_json
+from .reporting import to_json
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -75,9 +76,8 @@ def _add_cost_args(sub: argparse.ArgumentParser) -> None:
     grp.add_argument("--cq", type=float, default=1.0, help="cost per quality unit")
 
 
-def _add_output_args(sub: argparse.ArgumentParser, default_format: str = "json") -> None:
+def _add_output_args(sub: argparse.ArgumentParser) -> None:
     grp = sub.add_argument_group("output")
-    grp.add_argument("--format", choices=("json", "csv"), default=default_format)
     grp.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
 
 
@@ -85,15 +85,6 @@ def _params(args) -> ModelParams:
     return ModelParams(
         alpha=args.alpha, beta=args.beta, delta=args.delta, epsilon=args.epsilon
     )
-
-
-def _param_config(args) -> dict:
-    return {
-        "alpha": args.alpha,
-        "beta": args.beta,
-        "delta": args.delta,
-        "epsilon": args.epsilon,
-    }
 
 
 def _resolve_graph(args):
@@ -143,7 +134,7 @@ def cmd_centrality(args) -> int:
         result["closed_form"] = closed_form_centrality(
             graph_cfg["kind"], g.n, p, l=graph_cfg.get("l")
         )
-    _report("centrality", {"graph": graph_cfg, "params": _param_config(args)}, result, args.out)
+    _report("centrality", {"graph": graph_cfg, "params": asdict(p)}, result, args.out)
     return EXIT_OK
 
 
@@ -157,7 +148,7 @@ def cmd_simulate(args) -> int:
     traj = simulate(g, p, args.qa, args.qb, s_a - s_b, T)
     config = {
         "graph": graph_cfg,
-        "params": _param_config(args),
+        "params": asdict(p),
         "q_a": args.qa,
         "q_b": args.qb,
         "sa_total": args.sa_total,
@@ -167,7 +158,7 @@ def cmd_simulate(args) -> int:
     if args.format == "csv":
         lines = ["t," + ",".join(f"y_{i + 1}" for i in range(g.n))]
         for t, row in enumerate(traj):
-            lines.append(str(t) + "," + ",".join(format_float(x) for x in row))
+            lines.append(str(t) + "," + ",".join(map(repr, row.tolist())))
         _emit("\n".join(lines) + "\n", args.out)
         return EXIT_OK
     report_sim = discounted_utilities(
@@ -190,14 +181,7 @@ def cmd_nash(args) -> int:
     g, graph_cfg = _resolve_graph(args)
     budget = BudgetSpec(K_a=args.Ka, K_b=args.Kb, c_s=args.cs, c_q=args.cq)
     outcome = solve_nash(g, p, budget)
-    config = {
-        "graph": graph_cfg,
-        "params": _param_config(args),
-        "K_a": args.Ka,
-        "K_b": args.Kb,
-        "c_s": args.cs,
-        "c_q": args.cq,
-    }
+    config = {"graph": graph_cfg, "params": asdict(p), **asdict(budget)}
     _report("nash", config, outcome.to_dict(), args.out)
     return EXIT_OK
 
@@ -216,7 +200,7 @@ def cmd_allocate(args) -> int:
     }
     config = {
         "graph": graph_cfg,
-        "params": _param_config(args),
+        "params": asdict(p),
         "q_a": args.qa,
         "q_b": args.qb,
         "budget": args.budget,
@@ -230,12 +214,13 @@ def cmd_allocate(args) -> int:
 
 def cmd_extremal(args) -> int:
     p = _params(args)
-    if args.n is None:
-        raise ValueError("--n is required")
-    levels = [extremal_centrality(l, args.n, p).to_dict() for l in range(1, args.n + 1)]
+    if args.n < 2:
+        raise ValueError(f"--n must be at least 2, got {args.n}")
+    levels = [asdict(extremal_centrality(l, args.n, p)) for l in range(1, args.n + 1)]
     result: dict = {"levels": levels}
-    config: dict = {"n": args.n, "params": _param_config(args)}
+    config: dict = {"n": args.n, "params": asdict(p)}
     if args.Ka is not None:
+        BudgetSpec(args.Ka, args.Ka, args.cs, args.cq)  # rejects NaN, infinity and bad costs
         result["seeding_extremes"] = symmetric_seeding_extremes(
             args.n, p, args.Ka, args.cs, args.cq
         ).to_dict()
@@ -399,6 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--sa-total", type=float, default=0.0, help="firm a seeding, water-filled")
     sub.add_argument("--sb-total", type=float, default=0.0, help="firm b seeding, water-filled")
     sub.add_argument("--T", type=int, default=None, help="steps (default: tail < 1e-10)")
+    sub.add_argument("--format", choices=("json", "csv"), default="json",
+                     help="csv writes the trajectory alone")
     _add_output_args(sub)
     sub.set_defaults(func=cmd_simulate)
 

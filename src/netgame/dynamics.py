@@ -123,42 +123,18 @@ def simulate(
     return traj
 
 
-def trajectory_via_powers(
-    g: SocialGraph,
-    p: ModelParams,
-    q_a: float,
-    q_b: float,
-    y0: np.ndarray,
-    T: int,
-) -> np.ndarray:
-    """Same trajectory from the unrolled form y(t) = W^t y0 + sum_k W^k u.
-
-    Kept as an independent route for cross-checking ``simulate``.
-    """
-    require_valid(g)
-    _require_horizon(T)
-    y0 = _require_state(y0, g.n)
-    w = g.weights / (2.0 * p.beta)
-    u = externality_drift(q_a, q_b, p) * np.ones(g.n)
-    traj = np.empty((T + 1, g.n))
-    power = y0.copy()
-    drift = np.zeros(g.n)
-    traj[0] = y0
-    for t in range(1, T + 1):
-        drift = w @ drift + u
-        power = w @ power
-        traj[t] = power + drift
-    return traj
-
-
 def stationary_state(
     g: SocialGraph, p: ModelParams, q_a: float, q_b: float
 ) -> np.ndarray:
-    """Unique fixed point of the update; the influence operator contracts."""
+    """Unique fixed point of the update; the influence operator contracts.
+
+    W is row-stochastic, so W 1 = 1 and the fixed point is the constant
+    tilt u * 2*beta / (2*beta - 1) on every agent (ModelParams keeps
+    beta >= 1, so the denominator is positive).
+    """
     require_valid(g)
     u = externality_drift(q_a, q_b, p)
-    w = g.weights / (2.0 * p.beta)
-    return np.linalg.solve(np.eye(g.n) - w, u * np.ones(g.n))
+    return np.full(g.n, u * 2.0 * p.beta / (2.0 * p.beta - 1.0))
 
 
 def horizon_for_tolerance(p: ModelParams, n: int, tol: float = 1e-10) -> int:

@@ -125,21 +125,32 @@ class NashOutcome:
         }
 
 
+def capped_fill(amount: float, caps: np.ndarray) -> np.ndarray:
+    """Hand ``amount`` out in the given order, each entry up to its cap.
+
+    Entry j gets min(cap_j, what the entries before it left over).  With
+    caps of 1/2 the running totals j/2 are exact, and so is amount - j/2
+    for amounts below 2**52, so this equals handing out 1/2 at a time.
+    """
+    before = np.concatenate(([0.0], np.cumsum(caps)[:-1]))
+    return np.clip(amount - before, 0.0, caps)
+
+
 def water_fill_seeding(v: CentralityVector, amount: float) -> tuple[np.ndarray, int]:
     """Spread ``amount`` over agents in centrality order, 1/2 each at most.
 
     Returns the per-agent seeding vector and the marginal index: the
     number of agents receiving any seed (the last of them may be
-    partial).  Rejects negative amounts and amounts above n/2.
+    partial).  Rejects non-finite and negative amounts and amounts above n/2.
     """
     n = len(v.values)
+    if not math.isfinite(amount):
+        raise ValueError(f"seeding amount {amount} is not finite")
     if amount < -COND_TOL:
         raise ValueError(f"seeding amount {amount} is negative")
     if amount > n / 2.0 + COND_TOL:
         raise ValueError(f"seeding amount {amount} exceeds capacity {n / 2.0}")
-    # amount - j/2 is exact for amounts below 2**52, so this equals
-    # handing out 1/2 at a time from the remaining amount
-    fill = np.clip(min(max(amount, 0.0), n / 2.0) - 0.5 * np.arange(n), 0.0, 0.5)
+    fill = capped_fill(min(max(amount, 0.0), n / 2.0), np.full(n, 0.5))
     seeding = np.zeros(n)
     seeding[v.order] = fill
     return seeding, int(np.count_nonzero(fill))
@@ -247,10 +258,9 @@ def solve_nash(g: SocialGraph, p: ModelParams, budget: BudgetSpec) -> NashOutcom
     """
     v = centrality(g, p)
     n = g.n
-    if budget.K_a < budget.c_q * p.epsilon - COND_TOL:
-        raise ValueError(f"K_a={budget.K_a} cannot afford minimum quality")
-    if budget.K_b < budget.c_q * p.epsilon - COND_TOL:
-        raise ValueError(f"K_b={budget.K_b} cannot afford minimum quality")
+    for name, K in (("K_a", budget.K_a), ("K_b", budget.K_b)):
+        if K < budget.c_q * p.epsilon - COND_TOL:
+            raise ValueError(f"{name}={K} cannot afford minimum quality")
     lam = p.quality_weight(n)
     ratio = budget.c_s / budget.c_q
     vd = v.sorted_values
@@ -464,7 +474,9 @@ def solve_symmetric_levels(
     Works on any descending centrality-like sequence (the actual sorted
     centralities, or an extremal envelope).  Returns (l, v~_l, case, q,
     s_l): the marginal position, marginal virtual centrality, case tag,
-    common equilibrium quality and the marginal agent's seed.
+    common equilibrium quality and the marginal agent's seed, so the
+    first l - 1 agents hold 1/2 each and agent l holds s_l (saturation
+    is l = n with s_l = 1/2).
     """
     if K < c_q * p.epsilon - COND_TOL:
         raise ValueError(f"budget {K} cannot afford minimum quality")
@@ -500,11 +512,7 @@ def symmetric_nash(
     v = centrality(g, p)
     n = g.n
     l, vt, case, q, s_l = solve_symmetric_levels(v.sorted_values, n, p, K, c_s, c_q)
-    if case == CASE_SATURATED:
-        seeding = _prefix_seeding(v.order, n, 0.5)
-    else:
-        seeding = _prefix_seeding(v.order, l, s_l)
-    strategy = FirmStrategy(seeding=seeding, quality=q)
+    strategy = FirmStrategy(seeding=_prefix_seeding(v.order, l, s_l), quality=q)
     base = n / (2.0 * (1.0 - p.delta))
     return NashOutcome(
         strategy_a=strategy,

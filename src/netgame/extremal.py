@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .allocation import regime_by_endpoints
 from .centrality import (
     balanced_centrality,
     l_star_centralities,
@@ -30,7 +31,6 @@ from .graphs import SocialGraph, generate
 from .params import ModelParams
 
 VERIFY_TOL = 1e-9
-_BOUNDARY_TOL = 1e-12
 
 
 def max_level_centrality(l: int, n: int, p: ModelParams) -> float:
@@ -39,7 +39,7 @@ def max_level_centrality(l: int, n: int, p: ModelParams) -> float:
         raise ValueError(f"level l={l} outside 1..{n}")
     if l == 1:
         return star_centralities(n, p)[0]
-    return n * p.delta / (l * (2.0 * p.beta - p.delta)) + 1.0
+    return l_star_centralities(n, l, p)[0]
 
 
 def min_level_centrality(l: int, n: int, p: ModelParams) -> float:
@@ -58,9 +58,6 @@ class ExtremalCentrality:
     l: int
     v_max: float
     v_min: float
-
-    def to_dict(self) -> dict:
-        return {"l": self.l, "v_max": self.v_max, "v_min": self.v_min}
 
 
 def extremal_centrality(l: int, n: int, p: ModelParams) -> ExtremalCentrality:
@@ -117,18 +114,7 @@ class SeedingExtreme:
     discrepancy: float
 
     def to_dict(self) -> dict:
-        return {
-            "level": self.level,
-            "v_tilde": self.v_tilde,
-            "case": self.case,
-            "quality": self.quality,
-            "seeding_total": self.seeding_total,
-            "witness_kind": self.witness_kind,
-            "witness_l": self.witness_l,
-            "witness": self.witness.to_dict(),
-            "verified": self.verified,
-            "discrepancy": self.discrepancy,
-        }
+        return {**vars(self), "witness": self.witness.to_dict()}
 
 
 @dataclass(frozen=True)
@@ -156,10 +142,7 @@ def symmetric_seeding_extremes(
         ("minimum", min_centrality_sequence(n, p), _min_witness_kind),
     ):
         l, vt, case, q, s_l = solve_symmetric_levels(sequence, n, p, K, c_s, c_q)
-        if case == CASE_SATURATED:
-            total = n / 2.0
-        else:
-            total = (l - 1) / 2.0 + s_l
+        total = (l - 1) / 2.0 + s_l
         kind, witness_l = pick_witness(l, case, n)
         witness = generate(kind, n, l=witness_l)
         check = symmetric_nash(witness, p, K, c_s, c_q)
@@ -198,21 +181,11 @@ def budget_regime(n: int, p: ModelParams, K: float, c_s: float = 1.0) -> dict:
         "star_balanced_saturated": n / 2.0 + lam / (2.0 * peripheral),
         "all_graphs_saturated": n / 2.0 + lam / 2.0,
     }
-    if any(abs(spend - e) <= _BOUNDARY_TOL for e in endpoints.values()):
-        regime = "boundary"
-    elif spend < endpoints["star_seedable"]:
-        regime = "no_graph_seedable"
-    elif spend < endpoints["balanced_overtakes"]:
-        regime = "star_over_balanced"
-    elif spend < endpoints["star_balanced_saturated"]:
-        regime = "balanced_over_star"
-    elif spend < endpoints["all_graphs_saturated"]:
-        regime = "star_balanced_saturated_equal"
-    else:
-        regime = "all_graphs_saturated"
-    return {
-        "context": "budget",
-        "value": spend,
-        "endpoints": endpoints,
-        "regime": regime,
-    }
+    regimes = (
+        "no_graph_seedable",
+        "star_over_balanced",
+        "balanced_over_star",
+        "star_balanced_saturated_equal",
+        "all_graphs_saturated",
+    )
+    return regime_by_endpoints("budget", spend, endpoints, regimes)

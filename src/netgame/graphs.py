@@ -62,8 +62,9 @@ class SocialGraph:
     def from_dict(cls, data: dict) -> "SocialGraph":
         """Build from ``{"n": n, "edges": [[i, j, weight], ...]}``.
 
-        Raises ``ValueError`` for a malformed entry, an index outside
-        ``[0, n)`` or a repeated ``(i, j)``, naming the first such entry.
+        Raises ``ValueError`` for a negative ``n``, and for a malformed
+        entry, an index outside ``[0, n)`` or a repeated ``(i, j)``, naming
+        the first such entry.
         The weights are not checked here; ``violations`` reports them.
         """
         try:
@@ -71,6 +72,8 @@ class SocialGraph:
             edges = data["edges"]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"graph data must have 'n' and 'edges': {exc}") from exc
+        if n < 0:
+            raise ValueError(f"graph 'n' must be nonnegative, got {n}")
         e = _edge_array(edges)
         ij = e[:, :2]
         outside = ~((ij > -1) & (ij < n)).all(axis=1)

@@ -55,8 +55,9 @@ class ModelParams:
 
 
 def require_qualities(p: ModelParams, q_a: float, q_b: float) -> None:
-    """Reject qualities below the admissible floor."""
-    if q_a < p.epsilon or q_b < p.epsilon:
+    """Reject qualities below the admissible floor, NaN and infinity."""
+    if not (p.epsilon <= q_a < math.inf and p.epsilon <= q_b < math.inf):
         raise ValueError(
-            f"qualities must be at least epsilon={p.epsilon}: got q_a={q_a}, q_b={q_b}"
+            f"qualities must be finite and at least epsilon={p.epsilon}: "
+            f"got q_a={q_a}, q_b={q_b}"
         )

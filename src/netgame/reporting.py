@@ -1,48 +1,26 @@
 """Deterministic report serialization.
 
-Floats are written with 17 significant digits so every double
-round-trips exactly and identical inputs produce byte-identical output.
+Reports go through ``json.dumps``, which writes each float as its
+shortest repr: the shortest string that parses back to the same double.
+So every double round-trips exactly, key order is kept, and identical
+inputs produce byte-identical output.
 """
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 
 
-def format_float(x: float) -> str:
-    if x != x:
-        return "NaN"
-    if x in (float("inf"), float("-inf")):
-        return '"Infinity"' if x > 0 else '"-Infinity"'
-    return format(float(x), ".17g")
-
-
-def to_json(obj, indent: int = 2, _level: int = 0) -> str:
-    """Serialize nested dicts/lists/scalars; key order is preserved."""
-    pad = " " * (indent * (_level + 1))
-    close_pad = " " * (indent * _level)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [
-            f'{pad}"{key}": {to_json(val, indent, _level + 1)}'
-            for key, val in obj.items()
-        ]
-        return "{\n" + ",\n".join(items) + "\n" + close_pad + "}"
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        seq = list(obj)
-        if not seq:
-            return "[]"
-        items = [f"{pad}{to_json(val, indent, _level + 1)}" for val in seq]
-        return "[\n" + ",\n".join(items) + "\n" + close_pad + "]"
-    if isinstance(obj, bool) or isinstance(obj, np.bool_):
-        return "true" if obj else "false"
-    if obj is None:
-        return "null"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return format_float(float(obj))
-    if isinstance(obj, str):
-        return '"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"'
+def _plain(obj):
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, np.generic):
+        return obj.item()
     raise TypeError(f"cannot serialize {type(obj)!r}")
+
+
+def to_json(obj) -> str:
+    """Serialize nested dicts/lists/scalars, numpy arrays and scalars included."""
+    return json.dumps(obj, indent=2, default=_plain)

@@ -13,7 +13,6 @@ from netgame import (
     thresholds,
 )
 from netgame.allocation import PresetState, TIE_TOL
-from netgame.extremal import budget_regime
 
 from conftest import draw_costs, draw_graph, draw_params, random_seeding
 
@@ -231,14 +230,82 @@ def test_threshold_regimes(example_params):
     assert out["endpoints"]["star_hub"] == pytest.approx(hub)
 
 
-def test_budget_regime_delegation(example_params):
-    direct = budget_regime(15, example_params, 5.0)
-    via = regime_classify(15, example_params, budget=5.0)
-    assert via == direct
+def allocate_loop(v, state, firm, K, c_s, c_q, p):
+    """Per-agent greedy fill: the oracle for ``allocate_budget``'s water-fill.
+
+    Returns (seeding, quality_improvement, threshold, marginal_utility).
+    """
+    n = len(v.values)
+    v_c_a, v_c_b = thresholds(state.q_a, state.q_b, p, n, c_s, c_q)
+    v_c = v_c_a if firm == "a" else v_c_b
+    caps = state.capacities(firm)
+    seeding = np.zeros(n)
+    remaining = K / c_s
+    for agent in v.order:
+        if remaining <= 0.0:
+            break
+        if v.values[agent] <= v_c + TIE_TOL:
+            break
+        give = min(caps[agent], remaining)
+        seeding[agent] = give
+        remaining -= give
+    delta_q = remaining * c_s / c_q
+    q_opp = state.q_b if firm == "a" else state.q_a
+    rate = 2.0 * p.quality_weight(n) * q_opp / (state.q_a + state.q_b) ** 2
+    return seeding, delta_q, v_c, float(v.values @ seeding) + rate * delta_q
 
 
-def test_regime_classify_needs_exactly_one_input(example_params):
-    with pytest.raises(ValueError, match="exactly one"):
-        regime_classify(15, example_params)
-    with pytest.raises(ValueError, match="exactly one"):
-        regime_classify(15, example_params, v_c=2.0, budget=1.0)
+def _draw_allocation(rng, neutral):
+    n = int(rng.integers(2, 30))
+    p = draw_params(rng)
+    v = centrality(draw_graph(rng, n), p)
+    c_s, c_q = draw_costs(rng)
+    q_a, q_b = float(rng.uniform(0.05, 3.0)), float(rng.uniform(0.05, 3.0))
+    y0 = np.zeros(n) if neutral else rng.uniform(-0.5, 0.5, size=n)
+    # budgets from nothing to past every agent's capacity
+    K = float(rng.choice([0.0, rng.uniform(0.0, 1.2 * c_s * n)]))
+    return v, PresetState(q_a=q_a, q_b=q_b, y0=y0), str(rng.choice(["a", "b"])), K, c_s, c_q, p
+
+
+def test_allocation_equals_loop_oracle_on_neutral_states(rng):
+    for _ in range(400):
+        args = _draw_allocation(rng, neutral=True)
+        out = allocate_budget(*args)
+        seeding, delta_q, v_c, gain = allocate_loop(*args)
+        assert np.array_equal(out.seeding, seeding)
+        assert (out.quality_improvement, out.threshold, out.marginal_utility) == (
+            delta_q, v_c, gain
+        )
+
+
+def test_allocation_matches_loop_oracle_on_random_tilts(rng):
+    for _ in range(400):
+        args = _draw_allocation(rng, neutral=False)
+        out = allocate_budget(*args)
+        seeding, delta_q, v_c, gain = allocate_loop(*args)
+        assert np.abs(out.seeding - seeding).max() <= 1e-12
+        assert out.quality_improvement == pytest.approx(delta_q, rel=0, abs=1e-12)
+        assert out.threshold == v_c
+        assert out.marginal_utility == pytest.approx(gain, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "K, c_s, c_q",
+    [(float("nan"), 1.0, 1.0), (float("inf"), 1.0, 1.0), (-1.0, 1.0, 1.0),
+     (1.0, float("nan"), 1.0), (1.0, 1.0, float("nan")), (1.0, float("inf"), 1.0)],
+)
+def test_allocation_rejects_non_finite_or_negative_inputs(example_params, K, c_s, c_q):
+    v = centrality(generate("star", 6), example_params)
+    state = PresetState.neutral(6, 1.0, 1.0)
+    with pytest.raises(ValueError):
+        allocate_budget(v, state, "a", K, c_s, c_q, example_params)
+
+
+@pytest.mark.parametrize(
+    "q_a, q_b, y0",
+    [(float("nan"), 1.0, 0.0), (1.0, float("inf"), 0.0), (1.0, 1.0, float("nan")),
+     (0.0, 1.0, 0.0)],
+)
+def test_preset_state_rejects_non_finite_values(q_a, q_b, y0):
+    with pytest.raises(ValueError):
+        PresetState(q_a=q_a, q_b=q_b, y0=np.full(4, y0))

@@ -147,9 +147,8 @@ def test_second_call_reuses_the_solve(rng, count_solves):
     g = draw_graph(rng, 12)
     first = centrality(g, p)
     again = centrality(g, p)
-    unchecked = centrality(g, p, check=False)
     assert len(count_solves) == 1
-    assert again is first and unchecked is first
+    assert again is first
 
 
 def test_other_params_solve_again_and_match_a_cold_solve(rng, count_solves):
@@ -175,7 +174,7 @@ def test_only_beta_and_delta_key_the_solve(example_params, count_solves):
 
 def test_guards_run_on_cached_calls(example_params, monkeypatch):
     g = generate("star", 6)
-    centrality(g, example_params, check=False)
+    centrality(g, example_params)
     module = sys.modules["netgame.centrality"]
     monkeypatch.setattr(module, "_GUARD_TOL", -1.0)
     with pytest.raises(ArithmeticError):

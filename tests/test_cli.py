@@ -25,7 +25,7 @@ def test_centrality_json_envelope(capsys):
     code, out, _ = _run(capsys, "centrality", "--generate", "star", "--n", "15")
     assert code == EXIT_OK
     doc = json.loads(out)
-    assert doc["schema"] == 1
+    assert doc["schema"] == 2
     assert doc["command"] == "centrality"
     assert doc["config"]["graph"]["kind"] == "star"
     assert doc["result"]["sorted_values"][0] == pytest.approx(4.8, abs=1e-9)
@@ -260,6 +260,7 @@ def test_simulate_negative_horizon_exits_2(capsys):
         ('{"n": 2, "edges": [5]}', "edge entry 5 is not [i, j, weight]"),
         ('{"n": 2, "edges": [[0, 1, null], [1, 0, 1.0]]}', "is not [i, j, weight]"),
         ('{"n": 2, "edges": [[0, "one", 1.0], [1, 0, 1.0]]}', "is not [i, j, weight]"),
+        ('{"n": -2, "edges": []}', "graph 'n' must be nonnegative, got -2"),
     ],
 )
 def test_malformed_graph_file_exits_2(tmp_path, capsys, text, named):
@@ -268,3 +269,49 @@ def test_malformed_graph_file_exits_2(tmp_path, capsys, text, named):
     code, _, err = _run(capsys, "centrality", "--graph", str(path))
     assert code == EXIT_INVALID
     assert named in err
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["simulate", "--qa", "nan", "--qb", "1"], "qualities must be finite"),
+        (["simulate", "--qa", "2", "--qb", "1", "--sa-total", "nan"], "seeding amount nan is not finite"),
+        (["allocate", "--qa", "1", "--qb", "1", "--budget", "nan", "--firm", "a"], "budget must be nonnegative and finite"),
+        (["allocate", "--qa", "inf", "--qb", "1", "--budget", "2", "--firm", "a"], "qualities must be positive and finite"),
+    ],
+)
+def test_non_finite_qualities_and_amounts_exit_2(capsys, argv, named):
+    code, out, err = _run(capsys, *argv, "--generate", "star", "--n", "15")
+    assert code == EXIT_INVALID
+    assert named in err and out == ""
+
+
+@pytest.mark.parametrize("n", ["1", "0", "-4"])
+def test_extremal_below_two_agents_exits_2(capsys, n):
+    code, out, err = _run(capsys, "extremal", "--n", n)
+    assert code == EXIT_INVALID
+    assert f"--n must be at least 2, got {n}" in err and out == ""
+
+
+@pytest.mark.parametrize("flag, value", [("--Ka", "nan"), ("--Ka", "inf"), ("--cs", "nan")])
+def test_extremal_non_finite_budget_or_cost_exits_2(capsys, flag, value):
+    args = {"--Ka": "2", flag: value}
+    code, out, err = _run(capsys, "extremal", "--n", "15", *(f"{k}={v}" for k, v in args.items()))
+    assert code == EXIT_INVALID
+    assert "must be finite" in err and out == ""
+
+
+@pytest.mark.parametrize("command", ["centrality", "nash", "allocate", "extremal", "reproduce"])
+def test_format_is_a_simulate_option_only(capsys, command):
+    argv = {
+        "centrality": ["--generate", "star", "--n", "5"],
+        "nash": ["--generate", "star", "--n", "5", "--Ka", "2", "--Kb", "1"],
+        "allocate": ["--generate", "star", "--n", "5", "--qa", "1", "--qb", "1",
+                     "--budget", "2", "--firm", "a"],
+        "extremal": ["--n", "5"],
+        "reproduce": ["all"],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *argv, "--format", "csv"])
+    assert exc.value.code == EXIT_INVALID
+    assert "unrecognized arguments: --format csv" in capsys.readouterr().err

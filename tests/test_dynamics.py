@@ -12,7 +12,6 @@ from netgame import (
     simulate,
     stationary_state,
     step,
-    trajectory_via_powers,
 )
 
 from conftest import bounded_argmax, draw_graph, draw_params, draw_seedings
@@ -78,6 +77,31 @@ def test_state_invariant_preserved(n, seed):
     assert np.abs(traj).max() <= 0.5 + 1e-9
 
 
+def trajectory_via_powers(g, p, q_a, q_b, y0, T):
+    """The trajectory from the unrolled form y(t) = W^t y0 + sum_k W^k u.
+
+    The oracle for ``simulate``'s step-by-step recursion.
+    """
+    w = g.weights / (2.0 * p.beta)
+    u = externality_drift(q_a, q_b, p) * np.ones(g.n)
+    traj = np.empty((T + 1, g.n))
+    power = np.array(y0, dtype=float)
+    drift = np.zeros(g.n)
+    traj[0] = power
+    for t in range(1, T + 1):
+        drift = w @ drift + u
+        power = w @ power
+        traj[t] = power + drift
+    return traj
+
+
+def stationary_state_dense(g, p, q_a, q_b):
+    """The fixed point from a dense solve of (I - W/(2*beta)) y = u * 1."""
+    u = externality_drift(q_a, q_b, p)
+    w = g.weights / (2.0 * p.beta)
+    return np.linalg.solve(np.eye(g.n) - w, u * np.ones(g.n))
+
+
 def test_simulate_matches_unrolled_powers(rng):
     for _ in range(5):
         p = draw_params(rng)
@@ -97,6 +121,17 @@ def test_stationary_state_is_fixed_point(rng):
     # long simulations converge to it
     traj = simulate(g, p, 2.5, 1.0, np.zeros(9), 200)
     assert np.allclose(traj[-1], y_star, atol=1e-12)
+
+
+def test_stationary_state_matches_dense_solve(rng):
+    graphs = [draw_graph(rng, int(n)) for n in rng.integers(2, 40, size=20)]
+    for n in (2, 3, 15, 40):
+        graphs += [generate(kind, n) for kind in ("star", "balanced", "near_star_one_bidirectional")]
+    for g in graphs:
+        p = draw_params(rng)
+        q_a, q_b = float(rng.uniform(0.01, 5.0)), float(rng.uniform(0.01, 5.0))
+        closed = stationary_state(g, p, q_a, q_b)
+        assert np.abs(closed - stationary_state_dense(g, p, q_a, q_b)).max() <= 1e-12
 
 
 def test_horizon_bound(example_params):
@@ -166,8 +201,7 @@ def test_report_serialization(example_params):
 def test_negative_horizon_is_refused(example_params):
     g = generate("balanced", 4)
     y0 = np.zeros(4)
-    for run in (simulate, trajectory_via_powers):
-        with pytest.raises(ValueError, match="T must be nonnegative, got -3"):
-            run(g, example_params, 2.0, 1.0, y0, -3)
+    with pytest.raises(ValueError, match="T must be nonnegative, got -3"):
+        simulate(g, example_params, 2.0, 1.0, y0, -3)
     with pytest.raises(ValueError, match="T must be nonnegative, got -1"):
         discounted_utilities(g, example_params, 2.0, 1.0, y0, y0, mode="simulated", T=-1)

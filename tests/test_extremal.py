@@ -7,6 +7,7 @@ from netgame import (
     generate,
     max_centrality_sequence,
     min_centrality_sequence,
+    regime_classify,
     symmetric_nash,
     symmetric_seeding_extremes,
 )
@@ -152,3 +153,32 @@ def test_regime_matches_seeding_comparison(example_params):
             assert s > b - 1e-12
         else:
             assert b > s - 1e-12
+
+
+def _first_endpoint_above(value, out, regimes):
+    """The regime as a chain of ``value < endpoint`` tests, in endpoint order."""
+    for e, regime in zip(out["endpoints"].values(), regimes):
+        if value < e:
+            return regime
+    return regimes[-1]
+
+
+def test_both_regime_classifiers_match_the_comparison_chain(rng):
+    budget_regimes = ("no_graph_seedable", "star_over_balanced", "balanced_over_star",
+                      "star_balanced_saturated_equal", "all_graphs_saturated")
+    threshold_regimes = ("all_graphs_full_capacity", "star_balanced_equal_capacity",
+                         "balanced_over_star", "star_over_balanced", "no_graph_seedable")
+    for _ in range(300):
+        n, p = int(rng.integers(2, 60)), draw_params(rng)
+        endpoints = list(budget_regime(n, p, 1.0)["endpoints"].values())
+        assert np.diff(endpoints).min() >= -1e-12  # at n=2 the star's peripheral is balanced
+        spend = float(rng.uniform(0.0, 1.1 * endpoints[-1]))
+        out = budget_regime(n, p, spend)
+        if out["regime"] != "boundary":
+            assert out["regime"] == _first_endpoint_above(spend, out, budget_regimes)
+        endpoints = list(regime_classify(n, p, 1.0)["endpoints"].values())
+        assert np.diff(endpoints).min() >= -1e-12  # at n=2 the star's peripheral is balanced
+        v_c = float(rng.uniform(0.5, 1.1 * endpoints[-1]))
+        out = regime_classify(n, p, v_c)
+        if out["regime"] != "boundary":
+            assert out["regime"] == _first_endpoint_above(v_c, out, threshold_regimes)

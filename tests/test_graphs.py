@@ -152,6 +152,11 @@ def test_from_dict_rejects_malformed_entry():
         SocialGraph.from_dict({"n": 2, "edges": [[0, 1]]})
 
 
+def test_from_dict_rejects_negative_n():
+    with pytest.raises(ValueError, match="graph 'n' must be nonnegative, got -2"):
+        SocialGraph.from_dict({"n": -2, "edges": []})
+
+
 def test_from_dict_rejects_missing_keys():
     with pytest.raises(ValueError, match="'n' and 'edges'"):
         SocialGraph.from_dict({"edges": []})
