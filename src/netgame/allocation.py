@@ -212,7 +212,10 @@ def regime_by_endpoints(context: str, value: float, endpoints: dict, regimes: tu
 
     Within TIE_TOL of an endpoint is "boundary"; otherwise the regime is
     ``regimes[j]``, with j the number of endpoints below ``value``.
+    A NaN or infinite ``value`` raises ``ValueError``.
     """
+    if not math.isfinite(value):
+        raise ValueError(f"{context} must be finite, got {value}")
     if any(abs(value - e) <= TIE_TOL for e in endpoints.values()):
         regime = "boundary"
     else:

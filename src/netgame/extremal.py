@@ -11,6 +11,7 @@ explicit witnesses.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -167,10 +168,11 @@ def budget_regime(n: int, p: ModelParams, K: float, c_s: float = 1.0) -> dict:
 
     The interval endpoints are where the star becomes seedable at all,
     where the balanced graph overtakes it, where both are fully seeded,
-    and where every graph saturates.
+    and where every graph saturates.  A NaN or infinite ``K`` or ``c_s``
+    raises ``ValueError``.
     """
-    if c_s <= 0.0:
-        raise ValueError(f"c_s must be positive, got {c_s}")
+    if not 0.0 < c_s < math.inf:
+        raise ValueError(f"c_s must be positive and finite, got {c_s}")
     lam = p.quality_weight(n)
     hub, peripheral = star_centralities(n, p)
     v_bar = balanced_centrality(p)

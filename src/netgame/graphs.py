@@ -4,9 +4,12 @@
 Every agent is swayed by someone (rows sum to one), nobody sways
 themselves (zero diagonal) and every weight is finite.
 
-A graph is checked once, when it is built: ``SocialGraph`` stores the
-list of invariant violations next to its read-only weights, so
-``validate_graph`` and ``require_valid`` only read that verdict.
+A graph is stored sparse, as compressed rows (CSR) of its nonzero
+weights, and built from a JSON edge list with no n x n intermediate.
+It is checked once, when it is built, in O(n + m) for m edges:
+``SocialGraph`` stores the list of invariant violations next to its
+read-only arrays, so ``validate_graph`` and ``require_valid`` only read
+that verdict.
 """
 
 from __future__ import annotations
@@ -27,33 +30,62 @@ class GraphValidationError(ValueError):
     """Raised when an operation requires a valid graph and gets violations."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class SocialGraph:
-    """Weighted directed influence graph on ``n`` agents.
+    """Weighted directed influence graph on ``n`` agents, stored as CSR.
+
+    Agent i's influencers are ``indices[indptr[i]:indptr[i + 1]]`` in
+    increasing order, with their weights in the same slice of ``data``.
+    Only nonzero weights are stored, so a graph with m edges takes
+    O(n + m) memory.  ``SocialGraph(n, weights)`` builds one from a dense
+    matrix, and ``weights`` returns that dense view.
 
     Invalid weights still construct a graph; ``violations`` lists what is
     wrong with them (empty for a valid graph), computed once here since
-    the weights are read-only.  ``netgame.centrality`` keeps its last
+    the arrays are read-only.  ``netgame.centrality`` keeps its last
     solve in a single slot on the graph.
     """
 
     n: int
-    weights: np.ndarray
-    violations: tuple[str, ...] = field(init=False, repr=False, compare=False)
-    _centrality: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    violations: tuple[str, ...] = field(repr=False)
+    _centrality: tuple | None = field(default=None, repr=False)
 
-    def __post_init__(self) -> None:
-        w = np.array(self.weights, dtype=float, copy=True)
-        if w.shape != (self.n, self.n):
-            raise ValueError(f"weights shape {w.shape} does not match n={self.n}")
+    def __init__(self, n: int, weights: np.ndarray) -> None:
+        w = np.asarray(weights, dtype=float)
+        if w.shape != (n, n):
+            raise ValueError(f"weights shape {w.shape} does not match n={n}")
+        rows, cols = np.nonzero(w)
+        self._store(n, rows, cols, w[rows, cols])
+
+    def _store(self, n: int, rows: np.ndarray, cols: np.ndarray, data: np.ndarray) -> None:
+        """Keep fresh arrays of the nonzero entries, sorted by row and then column, as CSR."""
+        indptr = np.zeros(n + 1, dtype=np.intp)
+        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+        for name, a in (("indptr", indptr), ("indices", cols), ("data", data)):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "violations", _violations(n, rows, cols, data))
+        object.__setattr__(self, "_centrality", None)
+
+    def rows(self) -> np.ndarray:
+        """The row (influenced agent) of each stored weight, aligned with ``indices``."""
+        return np.repeat(np.arange(self.n), np.diff(self.indptr))
+
+    @property
+    def weights(self) -> np.ndarray:
+        """The dense read-only n x n weights, built on each access in O(n^2)."""
+        w = np.zeros((self.n, self.n))
+        w[self.rows(), self.indices] = self.data
         w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "violations", _violations(w))
+        return w
 
     def to_dict(self) -> dict:
-        i, j = np.nonzero(self.weights)
-        edges = [[int(a), int(b), float(self.weights[a, b])] for a, b in zip(i, j)]
-        return {"n": self.n, "edges": edges}
+        edges = zip(self.rows().tolist(), self.indices.tolist(), self.data.tolist())
+        return {"n": self.n, "edges": [list(e) for e in edges]}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())
@@ -82,15 +114,18 @@ class SocialGraph:
             raise ValueError(f"edge ({int(ij[k, 0])}, {int(ij[k, 1])}) out of range for n={n}")
         # indices truncate toward zero, as int() does
         i, j = ij.astype(np.intp).T
+        # first occurrence of each distinct (i, j), in row-major order
         _, first = np.unique(i * n + j, return_index=True)
-        repeated = np.ones(len(e), dtype=bool)
-        repeated[first] = False
-        if repeated.any():
+        if len(first) < len(e):
+            repeated = np.ones(len(e), dtype=bool)
+            repeated[first] = False
             k = int(np.argmax(repeated))
             raise ValueError(f"duplicate edge ({i[k]}, {j[k]})")
-        w = np.zeros((n, n))
-        w[i, j] = e[:, 2]
-        return cls(n=n, weights=w)
+        i, j, w = i[first], j[first], e[first, 2]
+        nonzero = w != 0.0  # an explicit zero weight is no edge, as in a dense matrix
+        g = cls.__new__(cls)
+        g._store(n, i[nonzero], j[nonzero], w[nonzero])
+        return g
 
     @classmethod
     def from_json(cls, text: str) -> "SocialGraph":
@@ -121,7 +156,7 @@ def _edge_array(edges) -> np.ndarray:
         and e.dtype.kind in "biuf"
         and np.isfinite(e[:, :2]).all()
     ):
-        return e.astype(float)
+        return e.astype(float, copy=False)
     for entry in edges:
         if not _is_edge(entry):
             raise ValueError(f"edge entry {entry!r} is not [i, j, weight]")
@@ -141,25 +176,23 @@ def save_graph(g: SocialGraph, path: str) -> None:
         fh.write(g.to_json())
 
 
-def _violations(w: np.ndarray) -> tuple[str, ...]:
-    """Every invariant the weights break, in a fixed order."""
-    n = w.shape[0]
+def _violations(n: int, rows: np.ndarray, cols: np.ndarray, w: np.ndarray) -> tuple[str, ...]:
+    """Every invariant the stored weights break, in a fixed order, in O(n + m).
+
+    The entries are sorted by row and then column, so each kind of
+    violation is listed in the order a row-by-row scan of the dense
+    matrix meets it.
+    """
     if n < 2:
         return (f"n {n} below minimum of 2",)
-    violations = []
-    # the .all() tests spare a valid graph the slower index scans
-    if not np.isfinite(w).all():
-        for i, j in zip(*np.nonzero(~np.isfinite(w))):
-            violations.append(f"non-finite weight at ({i}, {j})")
-    for i in np.nonzero(np.diagonal(w) != 0.0)[0]:
-        violations.append(f"nonzero diagonal at {i}")
-    if not (w >= 0.0).all():
-        for i, j in zip(*np.nonzero(w < 0.0)):
-            violations.append(f"negative weight at ({i}, {j})")
-    sums = w.sum(axis=1)
-    for i in np.nonzero(np.abs(sums - 1.0) > ROW_SUM_TOL)[0]:
-        violations.append(f"row {i} sum {sums[i]:.6g}")
-    return tuple(violations)
+    violations = [
+        f"non-finite weight at ({rows[k]}, {cols[k]})" for k in np.nonzero(~np.isfinite(w))[0]
+    ]
+    violations += [f"nonzero diagonal at {rows[k]}" for k in np.nonzero(rows == cols)[0]]
+    violations += [f"negative weight at ({rows[k]}, {cols[k]})" for k in np.nonzero(w < 0.0)[0]]
+    sums = np.bincount(rows, w, minlength=n)
+    bad_rows = np.nonzero(np.abs(sums - 1.0) > ROW_SUM_TOL)[0]
+    return tuple(violations + [f"row {i} sum {sums[i]:.6g}" for i in bad_rows])
 
 
 def validate_graph(g: SocialGraph) -> list[str]:

@@ -11,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from netgame import BudgetSpec, ModelParams, SocialGraph, centrality, solve_nash
+from netgame import BudgetSpec, ModelParams, SocialGraph, centrality, generate, solve_nash
 from netgame.equilibrium import SolverError, best_response_quality
 
 EXAMPLE_N = 15
@@ -46,6 +46,18 @@ def draw_graph(rng: np.random.Generator, n: int, density: float | None = None) -
         sums = w.sum(axis=1)
         if np.all(sums > 0.0):
             return SocialGraph(n, w / sums[:, None])
+
+
+def oracle_graphs(rng: np.random.Generator, count: int = 20, n_max: int = 40) -> list:
+    """Random graphs of varied density plus every named graph at a few sizes up to ``n_max``."""
+    graphs = [
+        draw_graph(rng, int(n), density=float(rng.uniform(0.1, 1.0)))
+        for n in rng.integers(2, n_max + 1, size=count)
+    ]
+    for n in (2, 3, 15, n_max):
+        graphs += [generate(kind, n) for kind in ("balanced", "star", "near_star_one_bidirectional")]
+        graphs += [generate("l_star", n, l=l) for l in {2, n - 1} if 2 <= l <= n - 1]
+    return graphs
 
 
 def draw_costs(rng: np.random.Generator) -> tuple[float, float]:

@@ -11,14 +11,22 @@ from netgame import (
     SocialGraph,
     balanced_centrality,
     centrality,
-    centrality_series,
     closed_form_centrality,
     generate,
     l_star_centralities,
     star_centralities,
 )
 
-from conftest import draw_graph, draw_params
+from conftest import draw_graph, draw_params, oracle_graphs
+
+
+def centrality_dense(g, p):
+    """The centralities from a dense solve of (I - delta * W^T / (2*beta)) v = 1.
+
+    The oracle for ``centrality``'s sparse series: O(n^2) memory, O(n^3) time.
+    """
+    w_t = g.weights.T / (2.0 * p.beta)
+    return np.linalg.solve(np.eye(g.n) - p.delta * w_t, np.ones(g.n))
 
 
 def test_balanced_value_example(example_params):
@@ -81,9 +89,32 @@ def test_rejects_invalid_graph(example_params):
 def test_direct_solve_matches_power_series(n, seed, pseed):
     p = draw_params(np.random.default_rng(pseed))
     g = generate("random", n, seed=seed)
-    direct = centrality(g, p).values
-    series = centrality_series(g, p, tol=1e-14)
+    direct = centrality_dense(g, p)
+    series = centrality(g, p).values
     assert np.allclose(direct, series, atol=1e-11)
+
+
+def test_series_matches_dense_solve_oracle(rng):
+    graphs = oracle_graphs(rng) + [draw_graph(rng, 500, density=0.02) for _ in range(3)]
+    for g in graphs:
+        p = draw_params(rng)
+        dense = centrality_dense(g, p)
+        assert np.abs(centrality(g, p).values / dense - 1.0).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n", [3, 15, 40, 201])
+def test_symmetric_agents_tie_exactly_and_order_by_index(rng, n):
+    # the star's peripherals and the l-star's hubs are interchangeable, so
+    # their centralities are equal and the tie rule orders them by index
+    for p in (ModelParams(alpha=1.0, beta=1.0, delta=0.5), draw_params(rng)):
+        v = centrality(generate("star", n), p)
+        assert len(set(v.values[1:].tolist())) == 1
+        assert v.order.tolist() == list(range(n))
+        for l in sorted({2, min(3, n - 1), n - 1}):
+            v = centrality(generate("l_star", n, l=l), p)
+            assert len(set(v.values[:l].tolist())) == 1
+            assert set(v.values[l:].tolist()) == {1.0}
+            assert v.order.tolist() == list(range(n))
 
 
 @settings(max_examples=80, deadline=None)
@@ -132,13 +163,14 @@ def test_l_star_formula_rejects_bad_l(example_params):
 @pytest.fixture
 def count_solves(monkeypatch):
     calls = []
-    solve = np.linalg.solve
+    module = sys.modules["netgame.centrality"]
+    series = module._series
 
-    def counted(a, b):
-        calls.append(a.shape)
-        return solve(a, b)
+    def counted(g, r):
+        calls.append(g.n)
+        return series(g, r)
 
-    monkeypatch.setattr(np.linalg, "solve", counted)
+    monkeypatch.setattr(module, "_series", counted)
     return calls
 
 

@@ -14,7 +14,7 @@ from netgame import (
     step,
 )
 
-from conftest import bounded_argmax, draw_graph, draw_params, draw_seedings
+from conftest import bounded_argmax, draw_graph, draw_params, draw_seedings, oracle_graphs
 
 
 def test_drift_value(example_params):
@@ -41,6 +41,43 @@ def test_step_is_the_linear_update(rng):
     u = externality_drift(q_a, q_b, p)
     expected = g.weights @ y / (2.0 * p.beta) + u
     assert np.allclose(step(g, p, q_a, q_b, y), expected, atol=1e-15)
+
+
+def test_sparse_rows_match_dense_matvec(rng):
+    # a sum of n terms of size at most 1/2 is off by at most n * eps / 2
+    for g in oracle_graphs(rng, n_max=60):
+        p = draw_params(rng)
+        y = rng.uniform(-0.5, 0.5, size=g.n)
+        q_a, q_b = float(rng.uniform(0.5, 3.0)), float(rng.uniform(0.5, 3.0))
+        dense = g.weights @ y / (2.0 * p.beta) + externality_drift(q_a, q_b, p)
+        assert np.abs(step(g, p, q_a, q_b, y) - dense).max() <= g.n * np.finfo(float).eps
+        i, y_i = int(rng.integers(g.n)), float(rng.uniform(-0.5, 0.5))
+        row = g.weights[i]
+        dense_payoff = (
+            (q_a + q_b) * (p.alpha / 2.0 - p.beta / 4.0 - p.beta * y_i**2)
+            + (q_a - q_b) * (p.alpha - p.beta) * y_i
+            + q_a * row @ ((0.5 + y_i) * (0.5 + y))
+            + q_b * row @ ((0.5 - y_i) * (0.5 - y))
+        )
+        assert agent_utility(g, p, q_a, q_b, i, y_i, y) == pytest.approx(dense_payoff, rel=1e-13)
+
+
+def test_nan_state_or_seeding_is_refused(example_params):
+    p, g = example_params, generate("star", 5)
+    nan_state = np.array([0.1, np.nan, 0.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="state outside"):
+        step(g, p, 2.0, 1.0, nan_state)
+    with pytest.raises(ValueError, match="state outside"):
+        simulate(g, p, 2.0, 1.0, nan_state, 3)
+    with pytest.raises(ValueError, match="state outside"):
+        agent_utility(g, p, 2.0, 1.0, 0, 0.1, nan_state)
+    with pytest.raises(ValueError, match="y_i=nan outside"):
+        agent_utility(g, p, 2.0, 1.0, 0, float("nan"), np.zeros(5))
+    zero, nan_seeding = np.zeros(5), np.array([0.0, 0.2, np.nan, 0.0, 0.0])
+    for mode in ("closed_form", "simulated"):
+        for s_a, s_b in ((nan_seeding, zero), (zero, nan_seeding)):
+            with pytest.raises(ValueError, match="seeding outside"):
+                discounted_utilities(g, p, 2.0, 1.0, s_a, s_b, mode=mode)
 
 
 def test_step_rejects_state_outside_range(example_params):

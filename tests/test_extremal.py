@@ -155,6 +155,16 @@ def test_regime_matches_seeding_comparison(example_params):
             assert b > s - 1e-12
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_regime_classifiers_refuse_non_finite_values(example_params, bad):
+    with pytest.raises(ValueError, match="threshold must be finite"):
+        regime_classify(15, example_params, bad)
+    with pytest.raises(ValueError, match="budget must be finite"):
+        budget_regime(15, example_params, bad)
+    with pytest.raises(ValueError, match="c_s must be positive and finite"):
+        budget_regime(15, example_params, 2.0, c_s=abs(bad))
+
+
 def _first_endpoint_above(value, out, regimes):
     """The regime as a chain of ``value < endpoint`` tests, in endpoint order."""
     for e, regime in zip(out["endpoints"].values(), regimes):

@@ -280,3 +280,59 @@ def test_from_dict_matches_loop_reference():
         else:
             assert np.array_equal(got, want)
     assert faults == 150
+
+
+def violations_dense(w: np.ndarray) -> list[str]:
+    """Reference for ``SocialGraph.violations``: a scan of the dense matrix."""
+    n = w.shape[0]
+    if n < 2:
+        return [f"n {n} below minimum of 2"]
+    violations = [f"non-finite weight at ({i}, {j})" for i, j in zip(*np.nonzero(~np.isfinite(w)))]
+    violations += [f"nonzero diagonal at {i}" for i in np.nonzero(np.diagonal(w) != 0.0)[0]]
+    violations += [f"negative weight at ({i}, {j})" for i, j in zip(*np.nonzero(w < 0.0))]
+    with np.errstate(invalid="ignore"):  # inf + -inf in one row
+        sums = w.sum(axis=1)
+    violations += [f"row {i} sum {sums[i]:.6g}" for i in np.nonzero(np.abs(sums - 1.0) > 1e-9)[0]]
+    return violations
+
+
+def _faulty_weights(rng, n: int) -> np.ndarray:
+    """A random graph's weights with a few NaN, infinite, negative, diagonal or zeroed entries."""
+    w = draw_graph(rng, n).weights.copy()
+    for _ in range(int(rng.integers(0, 4))):
+        i, j = (int(x) for x in rng.integers(n, size=2))
+        w[i, j] = rng.choice([np.nan, np.inf, -np.inf, -0.3, 0.0, 0.7])
+    if rng.random() < 0.3:
+        w[int(rng.integers(n))] = 0.0
+    return w
+
+
+def test_violations_match_dense_scan():
+    rng = np.random.default_rng(9)
+    for n in rng.integers(1, 30, size=300):
+        w = _faulty_weights(rng, int(n)) if n > 1 else np.zeros((1, 1))
+        edges = [[int(i), int(j), float(w[i, j])] for i, j in zip(*np.nonzero(w))]
+        rng.shuffle(edges)
+        assert list(SocialGraph(int(n), w).violations) == violations_dense(w)
+        assert list(SocialGraph.from_dict({"n": int(n), "edges": edges}).violations) == violations_dense(w)
+
+
+def test_csr_holds_the_dense_nonzero_pattern():
+    rng = np.random.default_rng(3)
+    for trial in range(100):
+        n = int(rng.integers(2, 30))
+        w = _faulty_weights(rng, n)
+        edges = [[i, j, float(w[i, j])] for i in range(n) for j in range(n) if rng.random() < 0.5 or w[i, j]]
+        rng.shuffle(edges)
+        g = SocialGraph.from_dict({"n": n, "edges": edges})
+        rows, cols = np.nonzero(w)
+        assert np.array_equal(g.indptr, np.concatenate([[0], np.cumsum(np.count_nonzero(w, axis=1))]))
+        assert np.array_equal(g.rows(), rows) and np.array_equal(g.indices, cols)
+        assert np.array_equal(g.data, w[rows, cols], equal_nan=True)
+        assert np.array_equal(g.weights, w, equal_nan=True)
+        dense = SocialGraph(n, w)
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(g, name), getattr(dense, name), equal_nan=True)
+    # an explicit zero weight, either sign, is no edge
+    g = SocialGraph.from_dict({"n": 2, "edges": [[0, 1, 1.0], [1, 0, 1.0], [0, 0, -0.0], [1, 1, 0]]})
+    assert g.indices.tolist() == [1, 0] and g.to_dict()["edges"] == [[0, 1, 1.0], [1, 0, 1.0]]
