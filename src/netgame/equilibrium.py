@@ -11,15 +11,17 @@ equilibrium qualities through
 
 Each firm's marginal agent is interior (partially seeded), boundary_zero
 (unseeded after a full prefix) or saturated (everyone fully seeded).
-``solve_nash`` walks firm a's candidates in order and, for each, brackets
-firm b's marginal index by bisection, since b's conditions are monotone
-in that index; ``solve_nash_iterative`` reaches the same point by
-alternating exact best responses and is kept as an independent route.
+Both conditions read v~ * q = w for the one number w = 2*lam*(c_s/c_q)*u,
+u = q_a*q_b/(q_a + q_b)^2, and each firm's quality is an increasing
+piecewise-linear function of w.  ``solve_nash`` builds both curves in
+O(n), brackets the root of 2*lam*(c_s/c_q)*u(Q_a(w), Q_b(w)) = w between
+their breakpoints, and finishes with one closed-form solve per case
+pair there; equal qualities put the root at w = lam*(c_s/c_q)/2, which
+is the whole symmetric solve.
 """
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import logging
 import math
@@ -221,40 +223,93 @@ def _pin(K: float, c_s: float, c_q: float, idx: int, case: str) -> float | None:
     return (K - c_s * full / 2.0) / c_q
 
 
-def _firm_cases(K: float, c_s: float, c_q: float, eps: float, n: int) -> dict:
-    """Per case tag, the marginal indices (ascending) a firm can take.
+@dataclass(frozen=True)
+class _QualityCurve:
+    """One firm's equilibrium quality Q(w) as a function of w = v~ * q.
 
-    Pinned qualities must reach the floor and fall as the index grows, so
-    the boundary indices are a prefix; index n + 1 stands for saturation.
+    Both marginal conditions read v~ * q = w with w = 2*lam*r*u and
+    u = q_a*q_b/(q_a + q_b)^2, so given w each firm's quality is fixed by
+    its own budget alone.  With kinks q_j = (K - c_s*j/2)/c_q (j agents
+    fully seeded), Q is w/v_j on [v_j*q_j, v_j*q_(j-1)] (interior, index
+    j) and flat at q_j on [v_(j+1)*q_j, v_j*q_j] (boundary_zero, index
+    j + 1).  Left of the first breakpoint Q is flat at the saturation
+    quality, or at epsilon once the kinks fall below it (``floor``).
     """
-    def unaffordable(idx):
-        return _pin(K, c_s, c_q, idx, CASE_BOUNDARY) < eps - COND_TOL
 
-    short = bisect.bisect_left(range(1, n + 2), True, key=unaffordable)
-    return {
-        CASE_INTERIOR: range(1, n + 1),
-        CASE_BOUNDARY: range(1, min(short, n) + 1),
-        CASE_SATURATED: range(n, n + 1) if short > n else range(0),
-    }
+    w: np.ndarray
+    q: np.ndarray
+    depth: int
+    floor: bool
+
+    @classmethod
+    def build(cls, vd: np.ndarray, K: float, c_s: float, c_q: float, eps: float):
+        n = len(vd)
+        kinks = (K - c_s * np.arange(n + 1) / 2.0) / c_q
+        depth = min(n, int(np.count_nonzero(kinks[1:] >= eps - COND_TOL)) + 1)
+        q = np.maximum(kinks[: depth + 1], eps)
+        v = vd[:depth]
+        w = np.column_stack((v * q[1:], v * q[:-1]))[::-1].ravel()
+        q = np.column_stack((q[1:], q[:-1]))[::-1].ravel()
+        return cls(w, q, depth, bool(kinks[depth] < eps - COND_TOL))
+
+    def __call__(self, w):
+        return np.interp(w, self.w, self.q)
+
+    def cases_near(self, lo: float, hi: float) -> list[tuple[int, int, str]]:
+        """(index, case rank, case) of each piece within reach of [lo, hi], sorted.
+
+        Piece t lies between breakpoints t - 1 and t: t = 0 is the left
+        tail, odd t interior and even t boundary_zero.  One piece either
+        side is added, so ties at a breakpoint are all tried.
+        """
+        slack = 64.0 * COND_TOL * (1.0 + hi)
+        first = max(int(np.searchsorted(self.w, lo - slack, "left")) - 1, 0)
+        last = min(int(np.searchsorted(self.w, hi + slack, "right")) + 1, len(self.w))
+        cases = []
+        for t in range(first, last + 1):
+            if t % 2:
+                cases.append((self.depth - t // 2, CASE_INTERIOR))
+            elif t:
+                cases.append((self.depth - t // 2 + 1, CASE_BOUNDARY))
+            elif not self.floor:
+                cases.append((self.depth, CASE_SATURATED))
+        return sorted((idx, _CASE_RANK[case], case) for idx, case in cases)
+
+
+def _root_bracket(a: _QualityCurve, b: _QualityCurve, scale: float) -> tuple[float, float]:
+    """Interval [lo, hi] of w holding the first root of scale*u(Q_a, Q_b) - w.
+
+    Since u <= 1/4, the root is at most the fold w = scale/4, where equal
+    qualities put it.  It lies in the gap before the first breakpoint of
+    either curve, or the fold, where the map has turned nonpositive.
+    """
+    hi = scale / 4.0
+    for own, rival in ((a, b), (b, a)):
+        q_rival = rival(own.w)
+        phi = scale * own.q * q_rival / (own.q + q_rival) ** 2 - own.w
+        hit = int(np.argmax(phi <= 0.0))
+        if phi[hit] <= 0.0:
+            hi = min(hi, float(own.w[hit]))
+    lo = 0.0
+    for c in (a, b):
+        i = int(np.searchsorted(c.w, hi))
+        if i:
+            lo = max(lo, float(c.w[i - 1]))
+    return lo, hi
 
 
 def solve_nash(g: SocialGraph, p: ModelParams, budget: BudgetSpec) -> NashOutcome:
     """Unique equilibrium of the budget game from the marginal conditions.
 
-    For every pair of marginal positions and case tags the two marginal
-    conditions reduce to a closed-form solve for (q_a, q_b); a candidate
-    is accepted iff every characterization condition holds within 1e-9,
-    and ties between accepted candidates (degenerate centralities, exact
-    boundaries) resolve to the lexicographically smallest (k, l, case).
-
-    Firm a's candidates are taken by ascending k, so the search stops at
-    the first k with an accepted candidate.  For each one, firm b's
-    conditions are monotone in l within each of b's cases: interior
-    seeds fall by at least 1/2 per step, a boundary case's v~_l rises
-    while the centrality bracket falls, and saturation has the single
-    index n.  Bisection finds the few l that pass them, so the search
-    costs O(n log n) candidate solves instead of the O(n^2) of trying
-    every pair, with the same result.
+    Each firm's quality is an increasing piecewise-linear function of w
+    (``_QualityCurve``), so the equilibrium is the root of
+    2*lam*r*u(Q_a(w), Q_b(w)) = w: O(n) numpy work builds both curves and
+    brackets the root between breakpoints.  The pieces there give each
+    firm's case tag and marginal position; every pair of them gets the
+    closed-form solve for (q_a, q_b) and is accepted iff every
+    characterization condition holds within 1e-9.  Ties between accepted
+    candidates (degenerate centralities, exact boundaries) resolve to the
+    lexicographically smallest (k, l, case), as trying every pair would.
     """
     v = centrality(g, p)
     n = g.n
@@ -264,48 +319,29 @@ def solve_nash(g: SocialGraph, p: ModelParams, budget: BudgetSpec) -> NashOutcom
     lam = p.quality_weight(n)
     ratio = budget.c_s / budget.c_q
     vd = v.sorted_values
-    K_b, c_s, c_q = budget.K_b, budget.c_s, budget.c_q
-    cases_a = _firm_cases(budget.K_a, c_s, c_q, p.epsilon, n)
-    cases_b = _firm_cases(K_b, c_s, c_q, p.epsilon, n)
-
-    def rival_window(k, ca, cb):
-        """Firm b's indices in case ``cb`` that pass its monotone conditions."""
-        qa_pin = _pin(budget.K_a, c_s, c_q, k, ca)
-
-        def solve(l):
-            return _solve_case(lam, ratio, vd, k, l, ca, cb, qa_pin, _pin(K_b, c_s, c_q, l, cb))
-
-        def side(l):
-            sol = solve(l)
-            return -1 if sol is None else _side(K_b, c_s, c_q, vd, sol[1], sol[3], l, cb)
-
-        ls = cases_b[cb]
-        for l in itertools.takewhile(
-            lambda l: side(l) == 0, ls[bisect.bisect_left(ls, 0, key=side):]
-        ):
-            yield (l, *solve(l))
-
-    best = None
-    for k in range(1, n + 1):
-        for ca, cb in itertools.product(cases_a, cases_b):
-            if k not in cases_a[ca]:
-                continue
-            for l, q_a, q_b, vt_k, vt_l in rival_window(k, ca, cb):
-                cand = (k, l, _CASE_RANK[ca], _CASE_RANK[cb], q_a, q_b, vt_k, vt_l, ca, cb)
-                if (best is None or cand[:4] < best[:4]) and _conditions_ok(
-                    budget, p, vd, n, q_a, q_b, vt_k, vt_l, k, l, ca, cb
-                ):
-                    best = cand
-        if best is not None:
-            break
-    if best is None:
+    c_s, c_q = budget.c_s, budget.c_q
+    a, b = (_QualityCurve.build(vd, K, c_s, c_q, p.epsilon) for K in (budget.K_a, budget.K_b))
+    lo, hi = _root_bracket(a, b, 2.0 * lam * ratio)
+    for (k, rank_a, ca), (l, rank_b, cb) in sorted(
+        itertools.product(a.cases_near(lo, hi), b.cases_near(lo, hi)),
+        key=lambda pair: (pair[0][0], pair[1][0], pair[0][1], pair[1][1]),
+    ):
+        qa_pin, qb_pin = _pin(budget.K_a, c_s, c_q, k, ca), _pin(budget.K_b, c_s, c_q, l, cb)
+        sol = _solve_case(lam, ratio, vd, k, l, ca, cb, qa_pin, qb_pin)
+        if sol is not None and _conditions_ok(budget, p, vd, n, *sol, k, l, ca, cb):
+            log.debug("chose k=%d l=%d (%s, %s)", k, l, ca, cb)
+            return _build_outcome(g, p, v, budget, *sol, k, l, ca, cb)
+    floored = [name for name, c in (("a", a), ("b", b)) if c.floor and hi <= c.w[0]]
+    if floored:
         raise SolverError(
-            f"no equilibrium candidate satisfied the conditions "
-            f"(n={n}, K_a={budget.K_a}, K_b={budget.K_b}, lam={lam})"
+            f"firm {' and '.join(floored)}'s equilibrium quality sits at the floor "
+            f"epsilon={p.epsilon}, outside the interior, boundary_zero and saturated "
+            f"cases (K_a={budget.K_a}, K_b={budget.K_b})"
         )
-    k, l, _, _, q_a, q_b, vt_k, vt_l, ca, cb = best
-    log.debug("chose k=%d l=%d (%s, %s)", k, l, ca, cb)
-    return _build_outcome(g, p, v, budget, q_a, q_b, vt_k, vt_l, k, l, ca, cb)
+    raise SolverError(
+        f"no equilibrium candidate satisfied the conditions "
+        f"(n={n}, K_a={budget.K_a}, K_b={budget.K_b}, lam={lam})"
+    )
 
 
 def _solve_case(lam, ratio, vd, k, l, case_a, case_b, qa_pin, qb_pin):
@@ -338,39 +374,28 @@ def _marginal_seed(K, c_s, c_q, idx, q):
     return K / c_s - (idx - 1) / 2.0 - (c_q / c_s) * q
 
 
-def _side(K, c_s, c_q, vd, q, vt, idx, case):
-    """Where index ``idx`` lies against the window its firm's conditions allow.
-
-    -1 below it, 0 inside, +1 above.  These are the conditions that are
-    monotone in the index for a fixed rival candidate, so bisection on
-    this sign brackets the window; the rest are left to _conditions_ok.
-    """
-    if case == CASE_INTERIOR:
-        s_marginal = _marginal_seed(K, c_s, c_q, idx, q)
-        return -1 if s_marginal > 0.5 + COND_TOL else int(s_marginal < -COND_TOL)
-    if case == CASE_BOUNDARY:
-        if vt < vd[idx - 1] - COND_TOL:
-            return -1
-        return int(idx > 1 and vt > vd[idx - 2] + COND_TOL)
-    return 0
-
-
 def _conditions_ok(budget, p, vd, n, q_a, q_b, vt_k, vt_l, k, l, case_a, case_b):
+    """Whether a solved candidate meets every characterization condition within 1e-9."""
     if q_a < p.epsilon - COND_TOL or q_b < p.epsilon - COND_TOL:
         return False
     for q, vt, idx, case, K in (
         (q_a, vt_k, k, case_a, budget.K_a),
         (q_b, vt_l, l, case_b, budget.K_b),
     ):
-        if _side(K, budget.c_s, budget.c_q, vd, q, vt, idx, case) != 0:
-            return False
-        if case == CASE_SATURATED:
-            spend = K / budget.c_s - (budget.c_q / budget.c_s) * q
-            if abs(spend - n / 2.0) > COND_TOL or vt > vd[n - 1] + COND_TOL:
-                return False
+        seed = _marginal_seed(K, budget.c_s, budget.c_q, idx, q)
+        if case == CASE_INTERIOR:
+            ok = -COND_TOL <= seed <= 0.5 + COND_TOL
         elif case == CASE_BOUNDARY:
-            if abs(_marginal_seed(K, budget.c_s, budget.c_q, idx, q)) > COND_TOL:
-                return False
+            ok = (
+                abs(seed) <= COND_TOL
+                and vt >= vd[idx - 1] - COND_TOL
+                and (idx == 1 or vt <= vd[idx - 2] + COND_TOL)
+            )
+        else:
+            spend = K / budget.c_s - (budget.c_q / budget.c_s) * q
+            ok = abs(spend - n / 2.0) <= COND_TOL and vt <= vd[n - 1] + COND_TOL
+        if not ok:
+            return False
     return True
 
 
@@ -402,68 +427,8 @@ def _build_outcome(g, p, v, budget, q_a, q_b, vt_k, vt_l, k, l, case_a, case_b):
     )
 
 
-def solve_nash_iterative(
-    g: SocialGraph,
-    p: ModelParams,
-    budget: BudgetSpec,
-    move_tol: float = 1e-10,
-    max_iter: int = 1000,
-) -> NashOutcome:
-    """Reach the equilibrium by alternating exact best responses.
-
-    Started from a small grid of quality pairs; raises SolverError when no
-    start settles within ``max_iter`` rounds.  Kept deliberately separate
-    from the case search in ``solve_nash`` so the two can cross-check
-    each other.
-    """
-    v = centrality(g, p)
-    starts = [p.epsilon, budget.K_a / (2 * budget.c_q), budget.K_a / budget.c_q]
-    starts_b = [p.epsilon, budget.K_b / (2 * budget.c_q), budget.K_b / budget.c_q]
-    for qa0, qb0 in itertools.product(starts, starts_b):
-        q_a, q_b = max(qa0, p.epsilon), max(qb0, p.epsilon)
-        for _ in range(max_iter):
-            q_a_new, _, _ = best_response_quality(
-                v, p, budget.K_a, budget.c_s, budget.c_q, q_b
-            )
-            q_b_new, _, _ = best_response_quality(
-                v, p, budget.K_b, budget.c_s, budget.c_q, q_a_new
-            )
-            moved = max(abs(q_a_new - q_a), abs(q_b_new - q_b))
-            q_a, q_b = q_a_new, q_b_new
-            if moved < move_tol:
-                return _outcome_from_qualities(g, p, v, budget, q_a, q_b)
-        log.debug("best-response iteration did not settle from start (%g, %g)", qa0, qb0)
-    raise SolverError(
-        f"best-response iteration did not converge within {max_iter} rounds"
-    )
-
-
-def _outcome_from_qualities(g, p, v, budget, q_a, q_b):
-    """Label a converged quality pair with the characterization bookkeeping."""
-    n = g.n
-    lam = p.quality_weight(n)
-    ratio = budget.c_s / budget.c_q
-    total = (q_a + q_b) ** 2
-    vt_k = 2 * lam * ratio * q_b / total
-    vt_l = 2 * lam * ratio * q_a / total
-
-    def classify(q, K):
-        spend = (K - budget.c_q * q) / budget.c_s
-        if spend >= n / 2.0 - COND_TOL:
-            return CASE_SATURATED, n
-        full_levels = int(round(spend * 2.0))
-        if abs(spend - full_levels / 2.0) <= COND_TOL and full_levels < n:
-            return CASE_BOUNDARY, full_levels + 1
-        return CASE_INTERIOR, math.ceil(spend * 2.0 - COND_TOL)
-
-    case_a, k = classify(q_a, budget.K_a)
-    case_b, l = classify(q_b, budget.K_b)
-    return _build_outcome(g, p, v, budget, q_a, q_b, vt_k, vt_l, max(k, 1), max(l, 1), case_a, case_b)
-
-
 def solve_symmetric_levels(
     values_desc: np.ndarray,
-    n: int,
     p: ModelParams,
     K: float,
     c_s: float,
@@ -472,34 +437,37 @@ def solve_symmetric_levels(
     """Shared single-firm level search for the symmetric game.
 
     Works on any descending centrality-like sequence (the actual sorted
-    centralities, or an extremal envelope).  Returns (l, v~_l, case, q,
-    s_l): the marginal position, marginal virtual centrality, case tag,
-    common equilibrium quality and the marginal agent's seed, so the
-    first l - 1 agents hold 1/2 each and agent l holds s_l (saturation
-    is l = n with s_l = 1/2).
+    centralities, or an extremal envelope).  Equal qualities put the root
+    at the fold w = lam*r/2, so the level is the quality curve's piece
+    there.  Returns (l, v~_l, case, q, s_l): the marginal position,
+    marginal virtual centrality, case tag, common equilibrium quality and
+    the marginal agent's seed, so the first l - 1 agents hold 1/2 each and
+    agent l holds s_l (saturation is l = n with s_l = 1/2).
     """
     if K < c_q * p.epsilon - COND_TOL:
         raise ValueError(f"budget {K} cannot afford minimum quality")
+    vd = np.asarray(values_desc, dtype=float)
+    n = len(vd)
     lam = p.quality_weight(n)
     ratio = c_s / c_q
-    vd = np.asarray(values_desc, dtype=float)
-    for l in range(1, n + 1):
-        vt = vd[l - 1]
-        q = lam / 2.0 * ratio / vt
-        s_l = K / c_s - (l - 1) / 2.0 - (c_q / c_s) * q
-        if q >= p.epsilon - COND_TOL and -COND_TOL <= s_l <= 0.5 + COND_TOL:
-            return l, vt, CASE_INTERIOR, q, min(max(s_l, 0.0), 0.5)
-        q = (K - c_s * (l - 1) / 2.0) / c_q
-        if q >= p.epsilon - COND_TOL:
-            vt = lam / 2.0 * ratio / q
-            upper = math.inf if l == 1 else vd[l - 2] + COND_TOL
-            if vd[l - 1] - COND_TOL <= vt <= upper:
-                return l, vt, CASE_BOUNDARY, q, 0.0
-    q = (K - c_s * n / 2.0) / c_q
-    if q >= p.epsilon - COND_TOL:
-        vt = lam / 2.0 * ratio / q
-        if vt <= vd[n - 1] + COND_TOL:
-            return n, vt, CASE_SATURATED, q, 0.5
+    w = lam / 2.0 * ratio
+    for l, _, case in _QualityCurve.build(vd, K, c_s, c_q, p.epsilon).cases_near(w, w):
+        if case == CASE_INTERIOR:
+            vt = vd[l - 1]
+            q = w / vt
+            s_l = K / c_s - (l - 1) / 2.0 - (c_q / c_s) * q
+            if q >= p.epsilon - COND_TOL and -COND_TOL <= s_l <= 0.5 + COND_TOL:
+                return l, vt, CASE_INTERIOR, q, min(max(s_l, 0.0), 0.5)
+            continue
+        q = _pin(K, c_s, c_q, l, case)
+        if q < p.epsilon - COND_TOL:
+            continue
+        vt = w / q
+        if case == CASE_SATURATED:
+            if vt <= vd[n - 1] + COND_TOL:
+                return n, vt, CASE_SATURATED, q, 0.5
+        elif vd[l - 1] - COND_TOL <= vt <= (math.inf if l == 1 else vd[l - 2] + COND_TOL):
+            return l, vt, CASE_BOUNDARY, q, 0.0
     raise SolverError(
         f"no symmetric equilibrium level accepted (n={n}, K={K}, lam={lam})"
     )
@@ -511,7 +479,7 @@ def symmetric_nash(
     """Equilibrium when both firms have the same budget: both play alike."""
     v = centrality(g, p)
     n = g.n
-    l, vt, case, q, s_l = solve_symmetric_levels(v.sorted_values, n, p, K, c_s, c_q)
+    l, vt, case, q, s_l = solve_symmetric_levels(v.sorted_values, p, K, c_s, c_q)
     strategy = FirmStrategy(seeding=_prefix_seeding(v.order, l, s_l), quality=q)
     base = n / (2.0 * (1.0 - p.delta))
     return NashOutcome(

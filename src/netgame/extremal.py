@@ -142,7 +142,7 @@ def symmetric_seeding_extremes(
         ("maximum", max_centrality_sequence(n, p), _max_witness_kind),
         ("minimum", min_centrality_sequence(n, p), _min_witness_kind),
     ):
-        l, vt, case, q, s_l = solve_symmetric_levels(sequence, n, p, K, c_s, c_q)
+        l, vt, case, q, s_l = solve_symmetric_levels(sequence, p, K, c_s, c_q)
         total = (l - 1) / 2.0 + s_l
         kind, witness_l = pick_witness(l, case, n)
         witness = generate(kind, n, l=witness_l)

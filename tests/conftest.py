@@ -6,13 +6,23 @@ case characterization applies; see draw_instance.
 """
 from __future__ import annotations
 
+import itertools
+import math
 import sys
 
 import numpy as np
 import pytest
 
 from netgame import BudgetSpec, ModelParams, SocialGraph, centrality, generate, solve_nash
-from netgame.equilibrium import SolverError, best_response_quality
+from netgame.equilibrium import (
+    CASE_BOUNDARY,
+    CASE_INTERIOR,
+    CASE_SATURATED,
+    COND_TOL,
+    SolverError,
+    _build_outcome,
+    best_response_quality,
+)
 
 EXAMPLE_N = 15
 
@@ -87,6 +97,65 @@ def _assert_quality_floor_binds(
         f"case search failed away from the quality floor "
         f"(q_a={q_a}, q_b={q_b}, eps={p.epsilon}): solver bug"
     )
+
+
+def solve_nash_iterative(
+    g: SocialGraph,
+    p: ModelParams,
+    budget: BudgetSpec,
+    move_tol: float = 1e-10,
+    max_iter: int = 1000,
+):
+    """Oracle for solve_nash: alternate exact best responses until they settle.
+
+    Started from a small grid of quality pairs; raises SolverError when no
+    start settles within ``max_iter`` rounds.  It shares nothing with the
+    case characterization except the final bookkeeping, and it is not
+    total: on some instances the best responses cycle (see
+    test_best_response_iteration_cycles_where_solve_nash_does_not).
+    """
+    v = centrality(g, p)
+    starts = [p.epsilon, budget.K_a / (2 * budget.c_q), budget.K_a / budget.c_q]
+    starts_b = [p.epsilon, budget.K_b / (2 * budget.c_q), budget.K_b / budget.c_q]
+    for qa0, qb0 in itertools.product(starts, starts_b):
+        q_a, q_b = max(qa0, p.epsilon), max(qb0, p.epsilon)
+        for _ in range(max_iter):
+            q_a_new, _, _ = best_response_quality(
+                v, p, budget.K_a, budget.c_s, budget.c_q, q_b
+            )
+            q_b_new, _, _ = best_response_quality(
+                v, p, budget.K_b, budget.c_s, budget.c_q, q_a_new
+            )
+            moved = max(abs(q_a_new - q_a), abs(q_b_new - q_b))
+            q_a, q_b = q_a_new, q_b_new
+            if moved < move_tol:
+                return _outcome_from_qualities(g, p, v, budget, q_a, q_b)
+    raise SolverError(
+        f"best-response iteration did not converge within {max_iter} rounds"
+    )
+
+
+def _outcome_from_qualities(g, p, v, budget, q_a, q_b):
+    """Label a converged quality pair with the characterization bookkeeping."""
+    n = g.n
+    lam = p.quality_weight(n)
+    ratio = budget.c_s / budget.c_q
+    total = (q_a + q_b) ** 2
+    vt_k = 2 * lam * ratio * q_b / total
+    vt_l = 2 * lam * ratio * q_a / total
+
+    def classify(q, K):
+        spend = (K - budget.c_q * q) / budget.c_s
+        if spend >= n / 2.0 - COND_TOL:
+            return CASE_SATURATED, n
+        full_levels = int(round(spend * 2.0))
+        if abs(spend - full_levels / 2.0) <= COND_TOL and full_levels < n:
+            return CASE_BOUNDARY, full_levels + 1
+        return CASE_INTERIOR, math.ceil(spend * 2.0 - COND_TOL)
+
+    case_a, k = classify(q_a, budget.K_a)
+    case_b, l = classify(q_b, budget.K_b)
+    return _build_outcome(g, p, v, budget, q_a, q_b, vt_k, vt_l, max(k, 1), max(l, 1), case_a, case_b)
 
 
 def draw_instance(

@@ -31,7 +31,6 @@ from netgame import (
     max_seeding_capacity_bound,
     min_centrality_sequence,
     solve_nash,
-    solve_nash_iterative,
     star_centralities,
     step,
     symmetric_nash,
@@ -50,6 +49,7 @@ from conftest import (
     draw_instance,
     draw_params,
     draw_seedings,
+    solve_nash_iterative,
 )
 
 RESULTS: list[str] = []

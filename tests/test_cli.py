@@ -7,6 +7,7 @@ from netgame.cli import (
     Check,
     EXIT_INVALID,
     EXIT_OK,
+    EXIT_SOLVER,
     example1_checks,
     example2_checks,
     main,
@@ -154,6 +155,16 @@ def test_nash_budget_below_floor_exits_2(capsys):
         capsys, "nash", "--generate", "balanced", "--n", "4", "--Ka", "0", "--Kb", "1"
     )
     assert code == EXIT_INVALID
+
+
+def test_nash_floor_corner_exits_3_naming_the_floored_firm(capsys):
+    # firm a seeds all 15 agents and buys quality with the rest; firm b's
+    # best quality is the floor epsilon, a corner solve_nash refuses
+    code, out, err = _run(
+        capsys, "nash", "--generate", "star", "--n", "15", "--Ka", "20", "--Kb", "0.01"
+    )
+    assert code == EXIT_SOLVER and out == ""
+    assert "firm b's equilibrium quality sits at the floor epsilon=1e-06" in err
 
 
 @pytest.mark.parametrize(

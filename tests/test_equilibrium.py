@@ -7,12 +7,13 @@ import pytest
 from netgame import (
     BudgetSpec,
     SocialGraph,
+    max_centrality_sequence,
+    min_centrality_sequence,
     best_response_quality,
     centrality,
     discounted_utilities,
     generate,
     solve_nash,
-    solve_nash_iterative,
     symmetric_nash,
     water_fill_seeding,
 )
@@ -23,9 +24,11 @@ from netgame.equilibrium import (
     COND_TOL,
     SolverError,
     _CASE_RANK,
+    _QualityCurve,
     _build_outcome,
     _conditions_ok,
     _solve_case,
+    solve_symmetric_levels,
 )
 
 from conftest import (
@@ -35,6 +38,7 @@ from conftest import (
     draw_instance,
     draw_params,
     random_seeding,
+    solve_nash_iterative,
 )
 
 
@@ -161,6 +165,55 @@ def test_symmetric_matches_general_solver(rng):
         assert gen.strategy_a.seeding_total == pytest.approx(
             sym.strategy_a.seeding_total, abs=1e-9
         )
+
+
+def _symmetric_levels_loop(vd, p, K, c_s, c_q):
+    """Reference level search: try each level l in order, then saturation."""
+    n = len(vd)
+    lam = p.quality_weight(n)
+    ratio = c_s / c_q
+    for l in range(1, n + 1):
+        vt = vd[l - 1]
+        q = lam / 2.0 * ratio / vt
+        s_l = K / c_s - (l - 1) / 2.0 - (c_q / c_s) * q
+        if q >= p.epsilon - COND_TOL and -COND_TOL <= s_l <= 0.5 + COND_TOL:
+            return l, vt, CASE_INTERIOR, q, min(max(s_l, 0.0), 0.5)
+        q = (K - c_s * (l - 1) / 2.0) / c_q
+        if q >= p.epsilon - COND_TOL:
+            vt = lam / 2.0 * ratio / q
+            upper = math.inf if l == 1 else vd[l - 2] + COND_TOL
+            if vd[l - 1] - COND_TOL <= vt <= upper:
+                return l, vt, CASE_BOUNDARY, q, 0.0
+    q = (K - c_s * n / 2.0) / c_q
+    if q >= p.epsilon - COND_TOL:
+        vt = lam / 2.0 * ratio / q
+        if vt <= vd[n - 1] + COND_TOL:
+            return n, vt, CASE_SATURATED, q, 0.5
+    raise SolverError("no symmetric equilibrium level accepted")
+
+
+def test_symmetric_levels_match_loop_reference(rng):
+    # sorted centralities, both extremal envelopes and all-tied sequences;
+    # budgets on a 1/8 grid land exactly on level boundaries
+    cases_seen = set()
+    for _ in range(150):
+        n = int(rng.integers(2, 31))
+        p = draw_params(rng)
+        c_s, c_q = (1.0, 1.0) if rng.random() < 0.5 else draw_costs(rng)
+        sequences = (
+            centrality(draw_graph(rng, n), p).sorted_values,
+            max_centrality_sequence(n, p),
+            min_centrality_sequence(n, p),
+            np.full(n, float(rng.uniform(1.0, 3.0))),
+        )
+        top = 1.2 * (c_s * n / 2.0 + c_q)
+        budgets = [float(rng.uniform(0.01, top)) for _ in range(4)]
+        budgets += [float(k) for k in rng.choice(np.arange(1, int(8 * top)) / 8.0, size=4)]
+        for vd, K in itertools.product(sequences, budgets):
+            want = _symmetric_levels_loop(vd, p, K, c_s, c_q)
+            assert solve_symmetric_levels(vd, p, K, c_s, c_q) == want
+            cases_seen.add(want[2])
+    assert cases_seen == set(_CASE_RANK)
 
 
 def test_asymmetric_three_star_pinned(example_params):
@@ -361,6 +414,54 @@ def test_floor_corner_is_refused_while_iteration_settles(example_params):
     assert out.strategy_b.quality == pytest.approx(example_params.epsilon, abs=1e-15)
     assert out.strategy_a.quality == pytest.approx(12.5, abs=1e-9)
     assert out.case_a == CASE_SATURATED
+
+
+@pytest.mark.parametrize("budgets, firm", [((20.0, 0.01), "b"), ((0.01, 20.0), "a")])
+def test_floor_refusal_names_the_floored_firm(example_params, budgets, firm):
+    g = generate("star", 15)
+    budget = BudgetSpec(*budgets, 1.0, 1.0)
+    with pytest.raises(SolverError) as err:
+        solve_nash(g, example_params, budget)
+    message = str(err.value)
+    assert f"firm {firm}'s equilibrium quality sits at the floor epsilon=1e-06" in message
+    assert f"K_a={budget.K_a}, K_b={budget.K_b}" in message
+    # the iteration confirms it: that firm's best quality is the floor
+    out = solve_nash_iterative(g, example_params, budget)
+    floored = out.strategy_b if firm == "b" else out.strategy_a
+    assert floored.quality == pytest.approx(example_params.epsilon, abs=1e-15)
+
+
+def test_best_response_iteration_cycles_where_solve_nash_does_not(example_params):
+    # The iteration is no total oracle: on this star its best responses
+    # alternate between two quality pairs, while solve_nash's answer is a
+    # fixed point of best_response_quality.
+    g = generate("star", 30)
+    budget = BudgetSpec(2.894, 0.343, 1.0, 1.0)
+    out = solve_nash(g, example_params, budget)
+    q_a, q_b = out.strategy_a.quality, out.strategy_b.quality
+    assert (q_a, q_b) == (pytest.approx(1.8045, abs=1e-4), pytest.approx(0.2206, abs=1e-4))
+    v = centrality(g, example_params)
+    best_a, _, _ = best_response_quality(v, example_params, budget.K_a, 1.0, 1.0, q_b)
+    best_b, _, _ = best_response_quality(v, example_params, budget.K_b, 1.0, 1.0, q_a)
+    assert abs(best_a - q_a) <= 1e-9 and abs(best_b - q_b) <= 1e-9
+    with pytest.raises(SolverError, match="did not converge"):
+        solve_nash_iterative(g, example_params, budget)
+
+
+def test_quality_curve_inverts_best_response(rng):
+    # Against any rival quality, the best reply q* solves v~ * q = w at
+    # w = 2*lam*r*u(q*, q_opp), so the curve must map that w back to q*.
+    for _ in range(300):
+        n = int(rng.integers(2, 30))
+        p = draw_params(rng)
+        v = centrality(draw_graph(rng, n), p)
+        c_s, c_q = draw_costs(rng)
+        K = float(rng.uniform(0.01, 1.2 * (c_s * n / 2.0 + c_q)))
+        q_opp = float(np.exp(rng.uniform(-4.0, 3.0)))
+        q, _, _ = best_response_quality(v, p, K, c_s, c_q, q_opp)
+        w = 2.0 * p.quality_weight(n) * (c_s / c_q) * q * q_opp / (q + q_opp) ** 2
+        curve = _QualityCurve.build(v.sorted_values, K, c_s, c_q, p.epsilon)
+        assert curve(w) == pytest.approx(q, rel=1e-9, abs=1e-12)
 
 
 def test_saturated_case_reached(example_params):
