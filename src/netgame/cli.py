@@ -14,6 +14,7 @@ usage, 3 solver failure.
 from __future__ import annotations
 
 import argparse
+import gc
 import logging
 import os
 import sys
@@ -55,7 +56,7 @@ log = logging.getLogger("netgame.cli")
 
 def _add_graph_args(sub: argparse.ArgumentParser) -> None:
     grp = sub.add_argument_group("graph source")
-    grp.add_argument("--graph", metavar="PATH", help="graph JSON file")
+    grp.add_argument("--graph", metavar="PATH", help="graph file, .json or .npz")
     grp.add_argument("--generate", metavar="KIND", choices=KINDS, help="named generator")
     grp.add_argument("--n", type=int, help="number of agents (with --generate)")
     grp.add_argument("--l", type=int, help="hub count for l_star")
@@ -426,6 +427,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    if argv is None:
+        # netgame runs as its own process (``python -m netgame.cli`` or the
+        # ``netgame`` script): move every object made while importing out of
+        # the collector's reach, so the collections at interpreter shutdown
+        # skip them.  An in-process ``main(argv)`` leaves the caller's
+        # collector alone.
+        gc.freeze()
     level = os.environ.get("NETGAME_LOG")
     if level:
         logging.basicConfig(

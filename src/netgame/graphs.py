@@ -1,11 +1,12 @@
-"""Row-stochastic influence graphs: validation, generators and JSON round-trip.
+"""Row-stochastic influence graphs: validation, generators and file round-trip.
 
 ``weights[i, j]`` is how strongly agent j's consumption sways agent i.
 Every agent is swayed by someone (rows sum to one), nobody sways
 themselves (zero diagonal) and every weight is finite.
 
 A graph is stored sparse, as compressed rows (CSR) of its nonzero
-weights, and built from a JSON edge list with no n x n intermediate.
+weights, and built from a JSON edge list, from CSR arrays (a ``.npz``
+graph file) or by a named generator, with no n x n intermediate.
 It is checked once, when it is built, in O(n + m) for m edges:
 ``SocialGraph`` stores the list of invariant violations next to its
 read-only arrays, so ``validate_graph`` and ``require_valid`` only read
@@ -17,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,7 +63,13 @@ class SocialGraph:
         self._store(n, rows, cols, w[rows, cols])
 
     def _store(self, n: int, rows: np.ndarray, cols: np.ndarray, data: np.ndarray) -> None:
-        """Keep fresh arrays of the nonzero entries, sorted by row and then column, as CSR."""
+        """Keep fresh arrays of the entries, sorted by row and then column, as CSR.
+
+        An explicit zero weight, of either sign, is no edge, as in a dense matrix.
+        """
+        nonzero = data != 0.0
+        if not nonzero.all():
+            rows, cols, data = rows[nonzero], cols[nonzero], data[nonzero]
         indptr = np.zeros(n + 1, dtype=np.intp)
         np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
         for name, a in (("indptr", indptr), ("indices", cols), ("data", data)):
@@ -121,15 +129,71 @@ class SocialGraph:
             repeated[first] = False
             k = int(np.argmax(repeated))
             raise ValueError(f"duplicate edge ({i[k]}, {j[k]})")
-        i, j, w = i[first], j[first], e[first, 2]
-        nonzero = w != 0.0  # an explicit zero weight is no edge, as in a dense matrix
         g = cls.__new__(cls)
-        g._store(n, i[nonzero], j[nonzero], w[nonzero])
+        g._store(n, i[first], j[first], e[first, 2])
         return g
 
     @classmethod
     def from_json(cls, text: str) -> "SocialGraph":
         return cls.from_dict(json.loads(text))
+
+    @classmethod
+    def from_csr(cls, n, indptr, indices, data) -> "SocialGraph":
+        """Build from compressed rows: row i's influencers are ``indices[indptr[i]:indptr[i + 1]]``.
+
+        The structure is checked in O(n + m): ``n`` is a nonnegative
+        integer, ``indptr`` and ``indices`` are 1-d integer arrays and
+        ``data`` a 1-d real one, ``indptr`` runs monotone from 0 to
+        ``m = len(indices) = len(data)``, and each row's indices lie in
+        ``[0, n)`` and strictly increase.  ``ValueError`` names the first
+        fault.  An explicit zero weight is no edge, as in ``from_dict``.
+        The weights are not checked here; ``violations`` reports them.
+        """
+        n = np.asarray(n)
+        if n.shape != () or n.dtype.kind not in "iu":
+            raise ValueError(f"graph 'n' must be an integer, got {n!r}")
+        n = int(n)
+        if n < 0:
+            raise ValueError(f"graph 'n' must be nonnegative, got {n}")
+        indptr, indices, data = (np.asarray(a) for a in (indptr, indices, data))
+        for name, a, kinds, kind_name in (
+            ("indptr", indptr, "iu", "integer"),
+            ("indices", indices, "iu", "integer"),
+            ("data", data, "iuf", "real"),
+        ):
+            if a.ndim != 1 or a.dtype.kind not in kinds:
+                raise ValueError(
+                    f"graph '{name}' must be a 1-d {kind_name} array, "
+                    f"got shape {a.shape} and dtype {a.dtype}"
+                )
+        # copies: the graph makes its arrays read-only, the caller's stay writable
+        indptr, cols, w = indptr.astype(np.intp), indices.astype(np.intp), data.astype(float)
+        m = len(cols)
+        if len(w) != m:
+            raise ValueError(f"graph 'data' has {len(w)} entries, 'indices' has {m}")
+        if len(indptr) != n + 1:
+            raise ValueError(f"graph 'indptr' has {len(indptr)} entries, n + 1 = {n + 1}")
+        if indptr[0] != 0 or indptr[-1] != m:
+            raise ValueError(
+                f"graph 'indptr' must run from 0 to m={m}, got {indptr[0]} to {indptr[-1]}"
+            )
+        counts = np.diff(indptr)
+        if (counts < 0).any():
+            i = int(np.argmax(counts < 0))
+            raise ValueError(f"graph 'indptr' decreases at row {i}")
+        rows = np.repeat(np.arange(n), counts)
+        outside = (cols < 0) | (cols >= n)
+        if outside.any():
+            k = int(np.argmax(outside))
+            raise ValueError(f"edge ({rows[k]}, {cols[k]}) out of range for n={n}")
+        # with every index in range, row-major keys rise iff each row's indices do
+        unsorted = np.diff(rows * n + cols) <= 0
+        if unsorted.any():
+            i = rows[int(np.argmax(unsorted)) + 1]
+            raise ValueError(f"graph row {i} has unsorted or repeated indices")
+        g = cls.__new__(cls)
+        g._store(n, rows, cols, w)
+        return g
 
 
 def _is_edge(entry) -> bool:
@@ -163,15 +227,54 @@ def _edge_array(edges) -> np.ndarray:
     return np.array(edges, dtype=float).reshape(-1, 3)
 
 
+_CSR_KEYS = ("n", "indptr", "indices", "data")
+
+
+def _is_npz(path: str) -> bool:
+    return str(path).endswith(".npz")
+
+
+def _read_npz(path: str) -> SocialGraph:
+    """The graph in a ``.npz`` file of CSR arrays; ``ValueError`` says what is wrong with it."""
+    with open(path, "rb") as fh:
+        try:
+            if not zipfile.is_zipfile(fh):
+                raise ValueError("it is not a zip archive")
+            fh.seek(0)
+            with np.load(fh, allow_pickle=False) as f:
+                missing = [k for k in _CSR_KEYS if k not in f.files]
+                if missing:
+                    raise ValueError("it has no " + ", ".join(f"'{k}'" for k in missing))
+                arrays = [f[k] for k in _CSR_KEYS]
+        except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+            raise ValueError(f"graph file {path} is not a CSR .npz graph: {exc}") from exc
+    return SocialGraph.from_csr(*arrays)
+
+
 def load_graph(path: str) -> SocialGraph:
-    """Load a graph file, validating the influence-structure invariants."""
-    with open(path, "r", encoding="utf-8") as fh:
-        g = SocialGraph.from_json(fh.read())
+    """Load a graph file, validating the influence-structure invariants.
+
+    A path ending in ``.npz`` is read as CSR arrays (see ``save_graph``),
+    any other path as JSON.
+    """
+    if _is_npz(path):
+        g = _read_npz(path)
+    else:
+        with open(path, "r", encoding="utf-8") as fh:
+            g = SocialGraph.from_json(fh.read())
     require_valid(g)
     return g
 
 
 def save_graph(g: SocialGraph, path: str) -> None:
+    """Write ``g`` as JSON, or, for a path ending in ``.npz``, as CSR arrays.
+
+    The ``.npz`` file holds ``n`` (a 0-d integer array) and ``g``'s
+    ``indptr``, ``indices`` and ``data``, written by ``np.savez``.
+    """
+    if _is_npz(path):
+        np.savez(path, n=np.int64(g.n), indptr=g.indptr, indices=g.indices, data=g.data)
+        return
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(g.to_json())
 
@@ -236,24 +339,33 @@ def generate(
     """
     if n < 2:
         raise ValueError(f"need at least 2 agents, got n={n}")
-    w = np.zeros((n, n))
+    # each kind lists its rows' influencer counts, then the influencers and
+    # their weights row by row, in increasing index within each row
+    ones = np.ones(n - 1)
     if kind == "balanced":
-        for i in range(n):
-            w[i, (i + 1) % n] = 1.0
+        counts = np.ones(n, dtype=np.intp)
+        cols = (np.arange(n) + 1) % n
+        w = np.ones(n)
     elif kind == "star":
-        w[1:, 0] = 1.0
-        w[0, 1:] = 1.0 / (n - 1)
+        counts = np.r_[n - 1, np.ones(n - 1, dtype=np.intp)]
+        cols = np.r_[np.arange(1, n), np.zeros(n - 1, dtype=np.intp)]
+        w = np.r_[np.full(n - 1, 1.0 / (n - 1)), ones]
     elif kind == "l_star":
         if l is None or not 2 <= l <= n - 1:
             raise ValueError(f"l_star requires 2 <= l <= n-1, got l={l}, n={n}")
-        w[:l, :l] = 1.0 / (l - 1)
-        np.fill_diagonal(w[:l, :l], 0.0)
-        w[l:, :l] = 1.0 / l
+        hubs = np.arange(l)
+        hub_cols = np.tile(hubs, l).reshape(l, l)[~np.eye(l, dtype=bool)]
+        counts = np.r_[np.full(l, l - 1), np.full(n - l, l)]
+        cols = np.r_[hub_cols, np.tile(hubs, n - l)]
+        w = np.r_[np.full(l * (l - 1), 1.0 / (l - 1)), np.full((n - l) * l, 1.0 / l)]
     elif kind == "near_star_one_bidirectional":
-        w[1:, 0] = 1.0
-        w[0, 1] = 1.0
+        counts = np.ones(n, dtype=np.intp)
+        cols = np.r_[1, np.zeros(n - 1, dtype=np.intp)]
+        w = np.r_[1.0, ones]
     elif kind == "random":
         rng = np.random.default_rng(seed)
+        counts = np.empty(n, dtype=np.intp)
+        row_cols, row_w = [], []
         for i in range(n):
             while True:
                 mask = rng.random(n) < density
@@ -262,9 +374,13 @@ def generate(
                     break
             row = np.zeros(n)
             row[mask] = rng.uniform(0.1, 1.0, size=int(mask.sum()))
-            w[i] = row / row.sum()
+            (nz,) = np.nonzero(mask)
+            counts[i] = len(nz)
+            row_cols.append(nz)
+            row_w.append(row[nz] / row.sum())
+        cols, w = np.concatenate(row_cols), np.concatenate(row_w)
     else:
         raise ValueError(f"unknown graph kind {kind!r}; choose from {KINDS}")
-    g = SocialGraph(n=n, weights=w)
+    g = SocialGraph.from_csr(n, np.r_[0, np.cumsum(counts)], cols, w)
     require_valid(g)
     return g

@@ -1,4 +1,9 @@
+import gc
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +19,8 @@ from netgame.cli import (
     render_checks,
 )
 from netgame.equilibrium import BudgetSpec
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def _run(capsys, *argv):
@@ -326,3 +333,42 @@ def test_format_is_a_simulate_option_only(capsys, command):
         main([command, *argv, "--format", "csv"])
     assert exc.value.code == EXIT_INVALID
     assert "unrecognized arguments: --format csv" in capsys.readouterr().err
+
+
+def _own_process(*args: str, code: str | None = None) -> subprocess.CompletedProcess:
+    """Run netgame as its own process, with this checkout's package first on the path."""
+    env = {k: v for k, v in os.environ.items() if k != "NETGAME_LOG"}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    argv = ["-c", code, *args] if code else ["-m", "netgame.cli", *args]
+    return subprocess.run([sys.executable, *argv], capture_output=True, env=env, timeout=120)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("reproduce", "all"),
+        ("nash", "--generate", "l_star", "--n", "15", "--l", "3", "--Ka", "2", "--Kb", "1"),
+        ("nash", "--generate", "star", "--n", "15", "--Ka", "nan", "--Kb", "1"),
+    ],
+)
+def test_own_process_prints_what_in_process_main_prints(capsys, argv):
+    code, out, err = _run(capsys, *argv)
+    proc = _own_process(*argv)
+    assert proc.returncode == code
+    assert proc.stdout == out.encode() and proc.stderr == err.encode()
+
+
+def test_only_an_own_process_freezes_the_collector(capsys):
+    before = gc.get_freeze_count()
+    assert main(["reproduce", "all"]) == EXIT_OK
+    capsys.readouterr()
+    assert gc.get_freeze_count() == before
+    # the console script calls main() with no argv; it then freezes the import-time objects
+    script = (
+        "import gc, sys\n"
+        "from netgame.cli import main\n"
+        "rc = main()\n"
+        "print(rc, gc.get_freeze_count() > 0, file=sys.stderr)\n"
+    )
+    proc = _own_process("reproduce", "example2", code=script)
+    assert proc.returncode == 0 and proc.stderr == b"0 True\n"

@@ -6,7 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netgame import KINDS, GraphValidationError, SocialGraph, generate, load_graph, save_graph, validate_graph
+from netgame import (
+    KINDS,
+    BudgetSpec,
+    GraphValidationError,
+    SocialGraph,
+    centrality,
+    generate,
+    load_graph,
+    save_graph,
+    solve_nash,
+    validate_graph,
+)
+from netgame.cli import main
 from netgame.graphs import require_valid
 
 from conftest import draw_graph
@@ -336,3 +348,139 @@ def test_csr_holds_the_dense_nonzero_pattern():
     # an explicit zero weight, either sign, is no edge
     g = SocialGraph.from_dict({"n": 2, "edges": [[0, 1, 1.0], [1, 0, 1.0], [0, 0, -0.0], [1, 1, 0]]})
     assert g.indices.tolist() == [1, 0] and g.to_dict()["edges"] == [[0, 1, 1.0], [1, 0, 1.0]]
+
+
+def generate_dense(kind: str, n: int, l: int | None = None, seed: int | None = None,
+                   density: float = 0.5) -> SocialGraph:
+    """Reference for ``generate``: fill the dense n x n matrix, then compress it."""
+    w = np.zeros((n, n))
+    if kind == "balanced":
+        for i in range(n):
+            w[i, (i + 1) % n] = 1.0
+    elif kind == "star":
+        w[1:, 0] = 1.0
+        w[0, 1:] = 1.0 / (n - 1)
+    elif kind == "l_star":
+        w[:l, :l] = 1.0 / (l - 1)
+        np.fill_diagonal(w[:l, :l], 0.0)
+        w[l:, :l] = 1.0 / l
+    elif kind == "near_star_one_bidirectional":
+        w[1:, 0] = 1.0
+        w[0, 1] = 1.0
+    else:
+        rng = np.random.default_rng(seed)
+        for i in range(n):
+            while True:
+                mask = rng.random(n) < density
+                mask[i] = False
+                if mask.any():
+                    break
+            row = np.zeros(n)
+            row[mask] = rng.uniform(0.1, 1.0, size=int(mask.sum()))
+            w[i] = row / row.sum()
+    return SocialGraph(n, w)
+
+
+def _same_csr(a: SocialGraph, b: SocialGraph) -> bool:
+    return a.n == b.n and all(
+        getattr(a, k).dtype == getattr(b, k).dtype
+        and getattr(a, k).tobytes() == getattr(b, k).tobytes()
+        for k in ("indptr", "indices", "data")
+    )
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("n", [2, 3, 4, 7, 15, 40])
+def test_generate_matches_dense_builder_bit_for_bit(kind, n):
+    for seed in range(3):
+        for l in (range(2, n) if kind == "l_star" else [None]):
+            for density in ((0.05, 0.5, 0.9) if kind == "random" else (0.5,)):
+                got = generate(kind, n, l=l, seed=seed, density=density)
+                assert _same_csr(got, generate_dense(kind, n, l=l, seed=seed, density=density))
+
+
+def test_from_csr_keeps_the_callers_arrays_writable():
+    indptr, indices, data = np.array([0, 1, 2]), np.array([1, 0]), np.array([1.0, 1.0])
+    g = SocialGraph.from_csr(2, indptr, indices, data)
+    data[0] = 0.5
+    assert g.data.tolist() == [1.0, 1.0] and not g.data.flags.writeable
+
+
+def test_from_csr_drops_explicit_zeros_as_from_dict_does():
+    edges = [[0, 1, 1.0], [1, 0, 1.0], [0, 0, -0.0], [1, 1, 0]]
+    csr = SocialGraph.from_csr(2, [0, 2, 4], [0, 1, 0, 1], [-0.0, 1.0, 1.0, 0.0])
+    assert _same_csr(csr, SocialGraph.from_dict({"n": 2, "edges": edges}))
+    assert csr.indptr.tolist() == [0, 1, 2]
+
+
+@pytest.mark.parametrize("kind", ["random", "l_star", "star"])
+def test_npz_round_trip_matches_json_route(tmp_path, kind, example_params):
+    g = generate(kind, 15, l=3, seed=4, density=0.3)
+    save_graph(g, str(tmp_path / "g.npz"))
+    save_graph(g, str(tmp_path / "g.json"))
+    from_npz, from_json = load_graph(str(tmp_path / "g.npz")), load_graph(str(tmp_path / "g.json"))
+    assert _same_csr(from_npz, g) and _same_csr(from_json, g)
+    v_npz, v_json = centrality(from_npz, example_params), centrality(from_json, example_params)
+    assert v_npz.values.tobytes() == v_json.values.tobytes()
+    assert v_npz.order.tolist() == v_json.order.tolist()
+    budget = BudgetSpec(K_a=2.0, K_b=1.0, c_s=1.0, c_q=1.0)
+    out_npz = solve_nash(from_npz, example_params, budget).to_dict()
+    assert json.dumps(out_npz) == json.dumps(solve_nash(from_json, example_params, budget).to_dict())
+
+
+def test_npz_file_holds_the_csr_arrays(tmp_path):
+    g = generate("star", 4)
+    save_graph(g, str(tmp_path / "g.npz"))
+    with np.load(tmp_path / "g.npz", allow_pickle=False) as f:
+        assert sorted(f.files) == ["data", "indices", "indptr", "n"]
+        assert f["n"].shape == () and int(f["n"]) == 4
+        assert f["indptr"].tolist() == [0, 3, 4, 5, 6]
+
+
+def _valid_csr() -> dict:
+    """A valid 3-agent graph's CSR arrays, to break one at a time."""
+    return {
+        "n": np.int64(3),
+        "indptr": np.array([0, 2, 3, 4]),
+        "indices": np.array([1, 2, 0, 1]),
+        "data": np.array([0.5, 0.5, 1.0, 1.0]),
+    }
+
+
+@pytest.mark.parametrize(
+    "fault, named",
+    [
+        ({"indices": None}, "it has no 'indices'"),
+        ({"n": np.array([3])}, "graph 'n' must be an integer"),
+        ({"n": np.float64(3.0)}, "graph 'n' must be an integer"),
+        ({"n": np.int64(-1)}, "graph 'n' must be nonnegative, got -1"),
+        ({"indptr": np.array([0, 2, 3])}, "graph 'indptr' has 3 entries, n \\+ 1 = 4"),
+        ({"indptr": np.array([[0, 2, 3, 4]])}, "graph 'indptr' must be a 1-d integer array"),
+        ({"indices": np.array([1.0, 2.0, 0.0, 1.0])}, "graph 'indices' must be a 1-d integer array"),
+        ({"data": np.array(["a", "b", "c", "d"])}, "graph 'data' must be a 1-d real array"),
+        ({"data": np.array([0.5, 0.5, 1.0])}, "graph 'data' has 3 entries, 'indices' has 4"),
+        ({"indptr": np.array([1, 2, 3, 4])}, "must run from 0 to m=4, got 1 to 4"),
+        ({"indptr": np.array([0, 3, 2, 4])}, "graph 'indptr' decreases at row 1"),
+        ({"indices": np.array([1, 3, 0, 1])}, "edge \\(0, 3\\) out of range for n=3"),
+        ({"indices": np.array([1, 2, -1, 1])}, "edge \\(1, -1\\) out of range for n=3"),
+        ({"indices": np.array([2, 1, 0, 1])}, "graph row 0 has unsorted or repeated indices"),
+        ({"indices": np.array([1, 1, 0, 1])}, "graph row 0 has unsorted or repeated indices"),
+        ({"data": np.array([0.5, np.nan, 1.0, 1.0])}, "non-finite weight at \\(0, 2\\)"),
+        ({"data": np.array([0.5, 0.5, 1.0, 1.0], dtype=object)}, "is not a CSR .npz graph"),
+    ],
+)
+def test_npz_structural_faults_exit_2_with_a_netgame_message(tmp_path, capsys, fault, named):
+    arrays = {**_valid_csr(), **fault}
+    path = tmp_path / "bad.npz"
+    np.savez(path, **{k: a for k, a in arrays.items() if a is not None})
+    assert main(["centrality", "--graph", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and re.search(named, err), err
+
+
+@pytest.mark.parametrize("content", [b"", b"not a zip", b"PK\x03\x04 truncated"])
+def test_npz_file_that_is_no_archive_exits_2(tmp_path, capsys, content):
+    path = tmp_path / "bad.npz"
+    path.write_bytes(content)
+    assert main(["centrality", "--graph", str(path)]) == 2
+    assert "is not a CSR .npz graph" in capsys.readouterr().err

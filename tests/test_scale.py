@@ -1,8 +1,9 @@
 """A graph far beyond dense reach: n = 10^5 agents with 10 influencers each.
 
 A dense weight matrix would take 8 * n^2 = 80 GB; the sparse graph, its
-centrality series, the utilities, a few spread steps and the equilibrium
-solve stay O(n + m).
+centrality series, the utilities, a few spread steps, the equilibrium
+solve, a ``.npz`` graph file's round trip and a generated star stay
+O(n + m).
 """
 
 import tracemalloc
@@ -17,6 +18,9 @@ from netgame import (
     best_response_quality,
     centrality,
     discounted_utilities,
+    generate,
+    load_graph,
+    save_graph,
     simulate,
     solve_nash,
     water_fill_seeding,
@@ -88,3 +92,35 @@ def test_solve_nash_at_n_1e5_with_deep_budgets(scale_graphs, kind, K_a, K_b):
         assert best - value <= 1e-9
     assert out.utility_a + out.utility_b == pytest.approx(n / (1.0 - p.delta), rel=1e-12)
     assert out.k > 10_000
+
+
+def test_npz_graph_file_at_n_1e5_round_trips_in_linear_memory(scale_graphs, tmp_path):
+    g = scale_graphs["tied"]
+    p = ModelParams(alpha=1.0, beta=1.0, delta=0.5)
+    budget = BudgetSpec(100.0, 60.0, 1.0, 1.0)
+    path = str(tmp_path / "g.npz")
+    tracemalloc.start()
+    try:
+        save_graph(g, path)
+        back = load_graph(path)
+        out = solve_nash(back, p, budget)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    for name in ("indptr", "indices", "data"):
+        assert getattr(back, name).tobytes() == getattr(g, name).tobytes()
+    assert out.to_dict() == solve_nash(g, p, budget).to_dict()
+    assert peak < 256 * (g.n + len(g.data))
+
+
+def test_generated_star_at_n_1e5_takes_linear_memory():
+    n = 100_000
+    tracemalloc.start()
+    try:
+        g = generate("star", n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.violations == () and len(g.data) == 2 * (n - 1)
+    assert g.indptr[:3].tolist() == [0, n - 1, n] and g.data[0] == 1.0 / (n - 1)
+    assert peak < 256 * (n + len(g.data))
