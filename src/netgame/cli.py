@@ -221,7 +221,6 @@ def cmd_extremal(args) -> int:
     result: dict = {"levels": levels}
     config: dict = {"n": args.n, "params": asdict(p)}
     if args.Ka is not None:
-        BudgetSpec(args.Ka, args.Ka, args.cs, args.cq)  # rejects NaN, infinity and bad costs
         result["seeding_extremes"] = symmetric_seeding_extremes(
             args.n, p, args.Ka, args.cs, args.cq
         ).to_dict()

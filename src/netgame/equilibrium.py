@@ -16,8 +16,8 @@ u = q_a*q_b/(q_a + q_b)^2, and each firm's quality is an increasing
 piecewise-linear function of w.  ``solve_nash`` builds both curves in
 O(n), brackets the root of 2*lam*(c_s/c_q)*u(Q_a(w), Q_b(w)) = w between
 their breakpoints, and finishes with one closed-form solve per case
-pair there; equal qualities put the root at w = lam*(c_s/c_q)/2, which
-is the whole symmetric solve.
+pair there.  The symmetric game is the same solve with K_a = K_b, and
+the extremal envelopes run it on their own descending sequences.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import itertools
 import logging
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -161,7 +162,7 @@ def water_fill_seeding(v: CentralityVector, amount: float) -> tuple[np.ndarray, 
 def _prefix_seeding(order: np.ndarray, k: int, s_k: float) -> np.ndarray:
     """Prefix seeding: full up to position k-1, ``s_k`` at position k."""
     seeding = np.zeros(len(order))
-    seeding[order[:k]] = np.append(np.full(k - 1, 0.5), min(max(s_k, 0.0), 0.5))
+    seeding[order[:k]] = np.append(np.full(k - 1, 0.5), s_k)
     return seeding
 
 
@@ -298,6 +299,26 @@ def _root_bracket(a: _QualityCurve, b: _QualityCurve, scale: float) -> tuple[flo
     return lo, hi
 
 
+class _Solution(NamedTuple):
+    """Both firms' equilibrium on one descending centrality sequence.
+
+    ``seed_k``/``seed_l`` are the marginal agents' seeds, already clipped
+    to [0, 1/2]: the first k - 1 agents hold 1/2 each and agent k holds
+    ``seed_k`` (saturation is k = n with 1/2).
+    """
+
+    q_a: float
+    q_b: float
+    vt_k: float
+    vt_l: float
+    k: int
+    l: int
+    case_a: str
+    case_b: str
+    seed_k: float
+    seed_l: float
+
+
 def solve_nash(g: SocialGraph, p: ModelParams, budget: BudgetSpec) -> NashOutcome:
     """Unique equilibrium of the budget game from the marginal conditions.
 
@@ -312,13 +333,21 @@ def solve_nash(g: SocialGraph, p: ModelParams, budget: BudgetSpec) -> NashOutcom
     lexicographically smallest (k, l, case), as trying every pair would.
     """
     v = centrality(g, p)
-    n = g.n
+    return _build_outcome(p, v, *_solve_sequence(v.sorted_values, p, budget))
+
+
+def _solve_sequence(vd: np.ndarray, p: ModelParams, budget: BudgetSpec) -> _Solution:
+    """``solve_nash`` on a descending centrality-like sequence ``vd``.
+
+    The sequence may be a graph's sorted centralities or an extremal
+    envelope; the quality weight is that of n = len(vd) agents.
+    """
+    n = len(vd)
     for name, K in (("K_a", budget.K_a), ("K_b", budget.K_b)):
         if K < budget.c_q * p.epsilon - COND_TOL:
             raise ValueError(f"{name}={K} cannot afford minimum quality")
     lam = p.quality_weight(n)
     ratio = budget.c_s / budget.c_q
-    vd = v.sorted_values
     c_s, c_q = budget.c_s, budget.c_q
     a, b = (_QualityCurve.build(vd, K, c_s, c_q, p.epsilon) for K in (budget.K_a, budget.K_b))
     lo, hi = _root_bracket(a, b, 2.0 * lam * ratio)
@@ -330,7 +359,9 @@ def solve_nash(g: SocialGraph, p: ModelParams, budget: BudgetSpec) -> NashOutcom
         sol = _solve_case(lam, ratio, vd, k, l, ca, cb, qa_pin, qb_pin)
         if sol is not None and _conditions_ok(budget, p, vd, n, *sol, k, l, ca, cb):
             log.debug("chose k=%d l=%d (%s, %s)", k, l, ca, cb)
-            return _build_outcome(g, p, v, budget, *sol, k, l, ca, cb)
+            seed_k = _clipped_seed(budget.K_a, c_s, c_q, k, sol[0], ca)
+            seed_l = _clipped_seed(budget.K_b, c_s, c_q, l, sol[1], cb)
+            return _Solution(*sol, k, l, ca, cb, seed_k, seed_l)
     floored = [name for name, c in (("a", a), ("b", b)) if c.floor and hi <= c.w[0]]
     if floored:
         raise SolverError(
@@ -374,6 +405,13 @@ def _marginal_seed(K, c_s, c_q, idx, q):
     return K / c_s - (idx - 1) / 2.0 - (c_q / c_s) * q
 
 
+def _clipped_seed(K, c_s, c_q, idx, q, case):
+    """The marginal agent's seed in [0, 1/2]; saturation seeds everyone fully."""
+    if case == CASE_SATURATED:
+        return 0.5
+    return min(max(_marginal_seed(K, c_s, c_q, idx, q), 0.0), 0.5)
+
+
 def _conditions_ok(budget, p, vd, n, q_a, q_b, vt_k, vt_l, k, l, case_a, case_b):
     """Whether a solved candidate meets every characterization condition within 1e-9."""
     if q_a < p.epsilon - COND_TOL or q_b < p.epsilon - COND_TOL:
@@ -399,16 +437,10 @@ def _conditions_ok(budget, p, vd, n, q_a, q_b, vt_k, vt_l, k, l, case_a, case_b)
     return True
 
 
-def _build_outcome(g, p, v, budget, q_a, q_b, vt_k, vt_l, k, l, case_a, case_b):
-    n = g.n
-
-    def seeding_for(q, idx, case, K):
-        if case == CASE_SATURATED:
-            return _prefix_seeding(v.order, n, 0.5)
-        return _prefix_seeding(v.order, idx, _marginal_seed(K, budget.c_s, budget.c_q, idx, q))
-
-    s_a = seeding_for(q_a, k, case_a, budget.K_a)
-    s_b = seeding_for(q_b, l, case_b, budget.K_b)
+def _build_outcome(p, v, q_a, q_b, vt_k, vt_l, k, l, case_a, case_b, seed_k, seed_l):
+    n = len(v.values)
+    s_a = _prefix_seeding(v.order, k, seed_k)
+    s_b = _prefix_seeding(v.order, l, seed_l)
     base = n / (2.0 * (1.0 - p.delta))
     lam = p.quality_weight(n)
     gap = lam * (q_a - q_b) / (q_a + q_b)
@@ -427,70 +459,8 @@ def _build_outcome(g, p, v, budget, q_a, q_b, vt_k, vt_l, k, l, case_a, case_b):
     )
 
 
-def solve_symmetric_levels(
-    values_desc: np.ndarray,
-    p: ModelParams,
-    K: float,
-    c_s: float,
-    c_q: float,
-) -> tuple[int, float, str, float, float]:
-    """Shared single-firm level search for the symmetric game.
-
-    Works on any descending centrality-like sequence (the actual sorted
-    centralities, or an extremal envelope).  Equal qualities put the root
-    at the fold w = lam*r/2, so the level is the quality curve's piece
-    there.  Returns (l, v~_l, case, q, s_l): the marginal position,
-    marginal virtual centrality, case tag, common equilibrium quality and
-    the marginal agent's seed, so the first l - 1 agents hold 1/2 each and
-    agent l holds s_l (saturation is l = n with s_l = 1/2).
-    """
-    if K < c_q * p.epsilon - COND_TOL:
-        raise ValueError(f"budget {K} cannot afford minimum quality")
-    vd = np.asarray(values_desc, dtype=float)
-    n = len(vd)
-    lam = p.quality_weight(n)
-    ratio = c_s / c_q
-    w = lam / 2.0 * ratio
-    for l, _, case in _QualityCurve.build(vd, K, c_s, c_q, p.epsilon).cases_near(w, w):
-        if case == CASE_INTERIOR:
-            vt = vd[l - 1]
-            q = w / vt
-            s_l = K / c_s - (l - 1) / 2.0 - (c_q / c_s) * q
-            if q >= p.epsilon - COND_TOL and -COND_TOL <= s_l <= 0.5 + COND_TOL:
-                return l, vt, CASE_INTERIOR, q, min(max(s_l, 0.0), 0.5)
-            continue
-        q = _pin(K, c_s, c_q, l, case)
-        if q < p.epsilon - COND_TOL:
-            continue
-        vt = w / q
-        if case == CASE_SATURATED:
-            if vt <= vd[n - 1] + COND_TOL:
-                return n, vt, CASE_SATURATED, q, 0.5
-        elif vd[l - 1] - COND_TOL <= vt <= (math.inf if l == 1 else vd[l - 2] + COND_TOL):
-            return l, vt, CASE_BOUNDARY, q, 0.0
-    raise SolverError(
-        f"no symmetric equilibrium level accepted (n={n}, K={K}, lam={lam})"
-    )
-
-
 def symmetric_nash(
     g: SocialGraph, p: ModelParams, K: float, c_s: float, c_q: float
 ) -> NashOutcome:
-    """Equilibrium when both firms have the same budget: both play alike."""
-    v = centrality(g, p)
-    n = g.n
-    l, vt, case, q, s_l = solve_symmetric_levels(v.sorted_values, p, K, c_s, c_q)
-    strategy = FirmStrategy(seeding=_prefix_seeding(v.order, l, s_l), quality=q)
-    base = n / (2.0 * (1.0 - p.delta))
-    return NashOutcome(
-        strategy_a=strategy,
-        strategy_b=strategy,
-        k=l,
-        l=l,
-        v_tilde_k=vt,
-        v_tilde_l=vt,
-        case_a=case,
-        case_b=case,
-        utility_a=base,
-        utility_b=base,
-    )
+    """Equilibrium when both firms have the same budget: ``solve_nash`` with K_a = K_b."""
+    return solve_nash(g, p, BudgetSpec(K, K, c_s, c_q))

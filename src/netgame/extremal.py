@@ -4,9 +4,9 @@ Holding the population and budget fixed, the symmetric equilibrium
 seeding depends on the graph only through its sorted centralities, and
 those are bracketed level by level: the l-th largest centrality is at
 most the l-star hub value and at least the matching floor (balanced
-value, star peripheral, then 1).  Running the level search on these
-envelope sequences yields the extremes, and the bracketing graphs are
-explicit witnesses.
+value, star peripheral, then 1).  Running ``solve_nash``'s solve with
+K_a = K_b on these envelope sequences yields the extremes, and the
+bracketing graphs are explicit witnesses.
 """
 
 from __future__ import annotations
@@ -22,12 +22,7 @@ from .centrality import (
     l_star_centralities,
     star_centralities,
 )
-from .equilibrium import (
-    CASE_INTERIOR,
-    CASE_SATURATED,
-    solve_symmetric_levels,
-    symmetric_nash,
-)
+from .equilibrium import CASE_INTERIOR, CASE_SATURATED, BudgetSpec, _solve_sequence, solve_nash
 from .graphs import SocialGraph, generate
 from .params import ModelParams
 
@@ -132,27 +127,29 @@ def symmetric_seeding_extremes(
 ) -> SeedingExtremes:
     """Range of equilibrium seeding over all graphs, with verified witnesses.
 
-    Each side runs the symmetric level search on the corresponding
-    centrality envelope, builds the bracketing graph, and re-solves the
-    actual equilibrium on it; ``verified`` records whether the witness
-    reproduces the reported extreme within 1e-9.
+    Each side runs ``solve_nash``'s solve with K_a = K_b on the
+    corresponding centrality envelope, builds the bracketing graph, and
+    re-solves the actual equilibrium on it; ``verified`` records whether
+    the witness reproduces the reported extreme within 1e-9.  Budgets and
+    costs are checked as ``BudgetSpec`` checks them.
     """
+    budget = BudgetSpec(K, K, c_s, c_q)
     results = {}
     for side, sequence, pick_witness in (
         ("maximum", max_centrality_sequence(n, p), _max_witness_kind),
         ("minimum", min_centrality_sequence(n, p), _min_witness_kind),
     ):
-        l, vt, case, q, s_l = solve_symmetric_levels(sequence, p, K, c_s, c_q)
-        total = (l - 1) / 2.0 + s_l
-        kind, witness_l = pick_witness(l, case, n)
+        sol = _solve_sequence(sequence, p, budget)
+        total = (sol.k - 1) / 2.0 + sol.seed_k
+        kind, witness_l = pick_witness(sol.k, sol.case_a, n)
         witness = generate(kind, n, l=witness_l)
-        check = symmetric_nash(witness, p, K, c_s, c_q)
+        check = solve_nash(witness, p, budget)
         discrepancy = abs(check.strategy_a.seeding_total - total)
         results[side] = SeedingExtreme(
-            level=l,
-            v_tilde=vt,
-            case=case,
-            quality=q,
+            level=sol.k,
+            v_tilde=sol.vt_k,
+            case=sol.case_a,
+            quality=sol.q_a,
             seeding_total=total,
             witness_kind=kind,
             witness_l=witness_l,

@@ -21,6 +21,7 @@ from netgame.equilibrium import (
     COND_TOL,
     SolverError,
     _build_outcome,
+    _clipped_seed,
     best_response_quality,
 )
 
@@ -155,7 +156,10 @@ def _outcome_from_qualities(g, p, v, budget, q_a, q_b):
 
     case_a, k = classify(q_a, budget.K_a)
     case_b, l = classify(q_b, budget.K_b)
-    return _build_outcome(g, p, v, budget, q_a, q_b, vt_k, vt_l, max(k, 1), max(l, 1), case_a, case_b)
+    k, l = max(k, 1), max(l, 1)
+    seed_k = _clipped_seed(budget.K_a, budget.c_s, budget.c_q, k, q_a, case_a)
+    seed_l = _clipped_seed(budget.K_b, budget.c_s, budget.c_q, l, q_b, case_b)
+    return _build_outcome(p, v, q_a, q_b, vt_k, vt_l, k, l, case_a, case_b, seed_k, seed_l)
 
 
 def draw_instance(

@@ -26,9 +26,10 @@ from netgame.equilibrium import (
     _CASE_RANK,
     _QualityCurve,
     _build_outcome,
+    _clipped_seed,
     _conditions_ok,
     _solve_case,
-    solve_symmetric_levels,
+    _solve_sequence,
 )
 
 from conftest import (
@@ -151,20 +152,15 @@ def test_symmetric_star_example(example_params):
     assert out.v_tilde_k == pytest.approx(5.0 / 3.0, abs=1e-12)
 
 
-def test_symmetric_matches_general_solver(rng):
-    for _ in range(6):
-        n = int(rng.integers(2, 10))
-        p = draw_params(rng)
-        g = draw_graph(rng, n)
-        c_s, c_q = draw_costs(rng)
-        K = float(rng.uniform(0.5, c_s * n / 2.0 + c_q))
-        sym = symmetric_nash(g, p, K, c_s, c_q)
-        gen = solve_nash(g, p, BudgetSpec(K, K, c_s, c_q))
-        assert gen.strategy_a.quality == pytest.approx(sym.strategy_a.quality, abs=1e-9)
-        assert gen.strategy_b.quality == pytest.approx(sym.strategy_a.quality, abs=1e-9)
-        assert gen.strategy_a.seeding_total == pytest.approx(
-            sym.strategy_a.seeding_total, abs=1e-9
-        )
+def test_symmetric_matches_general_solver(example_params):
+    # every budget on the 1/8 grid up to n/2, so many land exactly on level
+    # boundaries, where the (k, l, case) tie-break decides
+    for kind, n in itertools.product(("balanced", "star", "l_star"), (4, 9, 15)):
+        g = generate(kind, n, l=3 if kind == "l_star" else None)
+        for K in np.arange(1, 4 * n + 1) / 8.0:
+            want = enumerate_nash(g, example_params, BudgetSpec(K, K, 1.0, 1.0))
+            got = symmetric_nash(g, example_params, float(K), 1.0, 1.0)
+            assert got.to_dict() == want.to_dict()
 
 
 def _symmetric_levels_loop(vd, p, K, c_s, c_q):
@@ -192,9 +188,19 @@ def _symmetric_levels_loop(vd, p, K, c_s, c_q):
     raise SolverError("no symmetric equilibrium level accepted")
 
 
+def _refusal_or(solve, *args):
+    """``solve``'s result, or SolverError itself when it refuses."""
+    try:
+        return solve(*args)
+    except SolverError:
+        return SolverError
+
+
 def test_symmetric_levels_match_loop_reference(rng):
     # sorted centralities, both extremal envelopes and all-tied sequences;
-    # budgets on a 1/8 grid land exactly on level boundaries
+    # budgets on a 1/8 grid land exactly on level boundaries.  The solve
+    # equals the pair enumeration in every field; its level, case and
+    # refusals equal the symmetric level loop's.
     cases_seen = set()
     for _ in range(150):
         n = int(rng.integers(2, 31))
@@ -210,8 +216,14 @@ def test_symmetric_levels_match_loop_reference(rng):
         budgets = [float(rng.uniform(0.01, top)) for _ in range(4)]
         budgets += [float(k) for k in rng.choice(np.arange(1, int(8 * top)) / 8.0, size=4)]
         for vd, K in itertools.product(sequences, budgets):
-            want = _symmetric_levels_loop(vd, p, K, c_s, c_q)
-            assert solve_symmetric_levels(vd, p, K, c_s, c_q) == want
+            budget = BudgetSpec(K, K, c_s, c_q)
+            got = _refusal_or(_solve_sequence, vd, p, budget)
+            assert got == _refusal_or(enumerate_sequence, vd, p, budget)
+            want = _refusal_or(_symmetric_levels_loop, vd, p, K, c_s, c_q)
+            if want is SolverError:
+                assert got is SolverError
+                continue
+            assert (got.k, got.case_a) == (got.l, got.case_b) == (want[0], want[2])
             cases_seen.add(want[2])
     assert cases_seen == set(_CASE_RANK)
 
@@ -310,17 +322,16 @@ def _enumerated_cases(K, c_s, c_q, eps, n):
     return cases
 
 
-def enumerate_nash(g, p, budget):
-    """Oracle for solve_nash: try every (case, k) x (case, l) pair.
+def enumerate_sequence(vd, p, budget):
+    """Oracle for _solve_sequence: try every (case, k) x (case, l) pair.
 
-    O(n^2) closed-form solves; keeps the lexicographically smallest
-    accepted (k, l, case_a, case_b), the tie-break solve_nash promises.
+    O(n^2) closed-form solves on the descending sequence ``vd``; keeps the
+    lexicographically smallest accepted (k, l, case_a, case_b), the
+    tie-break solve_nash promises.
     """
-    v = centrality(g, p)
-    n = g.n
+    n = len(vd)
     lam = p.quality_weight(n)
     ratio = budget.c_s / budget.c_q
-    vd = v.sorted_values
     accepted = []
     for (ca, k, qa_pin), (cb, l, qb_pin) in itertools.product(
         _enumerated_cases(budget.K_a, budget.c_s, budget.c_q, p.epsilon, n),
@@ -332,7 +343,15 @@ def enumerate_nash(g, p, budget):
     if not accepted:
         raise SolverError("no candidate pair satisfied the conditions")
     k, l, _, _, q_a, q_b, vt_k, vt_l, ca, cb = min(accepted, key=lambda c: c[:4])
-    return _build_outcome(g, p, v, budget, q_a, q_b, vt_k, vt_l, k, l, ca, cb)
+    seed_k = _clipped_seed(budget.K_a, budget.c_s, budget.c_q, k, q_a, ca)
+    seed_l = _clipped_seed(budget.K_b, budget.c_s, budget.c_q, l, q_b, cb)
+    return q_a, q_b, vt_k, vt_l, k, l, ca, cb, seed_k, seed_l
+
+
+def enumerate_nash(g, p, budget):
+    """Oracle for solve_nash: the pair enumeration on g's sorted centralities."""
+    v = centrality(g, p)
+    return _build_outcome(p, v, *enumerate_sequence(v.sorted_values, p, budget))
 
 
 def _oracle_graph(rng, n):
@@ -359,12 +378,7 @@ def _assert_matches_oracle(g, p, budget):
             solve_nash(g, p, budget)
         return None
     got = solve_nash(g, p, budget)
-    assert (got.k, got.l, got.case_a, got.case_b) == (want.k, want.l, want.case_a, want.case_b)
-    assert got.strategy_a.quality == want.strategy_a.quality
-    assert got.strategy_b.quality == want.strategy_b.quality
-    assert np.array_equal(got.strategy_a.seeding, want.strategy_a.seeding)
-    assert np.array_equal(got.strategy_b.seeding, want.strategy_b.seeding)
-    assert (got.utility_a, got.utility_b) == (want.utility_a, want.utility_b)
+    assert got.to_dict() == want.to_dict()
     return got
 
 

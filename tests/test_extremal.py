@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -101,6 +103,26 @@ def test_extremes_bracket_random_graphs(rng):
             total = symmetric_nash(g, p, K, c_s, c_q).strategy_a.seeding_total
             assert total <= ext.maximum.seeding_total + 1e-9
             assert total >= ext.minimum.seeding_total - 1e-9
+
+
+_SYMMETRIC_ENTRY_POINTS = {
+    "symmetric_nash": lambda p, *budget: symmetric_nash(generate("star", 15), p, *budget),
+    "symmetric_seeding_extremes": lambda p, *budget: symmetric_seeding_extremes(15, p, *budget),
+}
+
+
+@pytest.mark.parametrize(
+    "K, c_s, c_q",
+    [(math.nan, 1.0, 1.0), (math.inf, 1.0, 1.0), (-1.0, 1.0, 1.0)]
+    + [(1.0, bad, 1.0) for bad in (0.0, math.nan, math.inf)]
+    + [(1.0, 1.0, bad) for bad in (0.0, math.nan, math.inf)],
+)
+@pytest.mark.parametrize("entry", sorted(_SYMMETRIC_ENTRY_POINTS))
+def test_symmetric_entry_points_reject_bad_budgets(example_params, entry, K, c_s, c_q):
+    # refused before any solve: unchecked, an infinite budget gives infinite
+    # quality, a NaN one a SolverError and a zero cost a ZeroDivisionError
+    with pytest.raises(ValueError, match="budgets|costs"):
+        _SYMMETRIC_ENTRY_POINTS[entry](example_params, K, c_s, c_q)
 
 
 def test_seeding_extremes_serialization(example_params):
