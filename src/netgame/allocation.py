@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .centrality import CentralityVector, balanced_centrality, star_centralities
+from .centrality import CentralityVector, balanced_centrality, dot, star_centralities
 from .equilibrium import capped_fill
 from .params import ModelParams, require_qualities
 
@@ -131,7 +131,7 @@ def allocate_budget(
     q_opp = state.q_b if firm == "a" else state.q_a
     lam = p.quality_weight(n)
     rate = 2.0 * lam * q_opp / (state.q_a + state.q_b) ** 2
-    gain = float(v.values @ seeding) + rate * delta_q
+    gain = dot(v.values, seeding) + rate * delta_q
     return AllocationResult(
         seeding=seeding,
         quality_improvement=delta_q,

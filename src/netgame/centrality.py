@@ -7,9 +7,10 @@ with which seeding that agent enters a firm's discounted utility, and
 it is Katz-Bonacich centrality with attenuation delta/(2*beta) on the
 transposed weights.
 
-The vector is summed as its Neumann series, one sparse matvec per term
-at O(m) for m edges.  The ratio delta/(2*beta) is at most 1/2, so a few
-dozen terms reach machine precision.
+The vector is the series sum_k r^k b_k in r = delta/(2*beta) < 1/2 over
+the powers b_k = (W^T)^k 1, one sparse matvec each at O(m) for m edges.
+A graph keeps the K it has used, K*n floats with K <= about 64, so another
+(beta, delta) costs one Horner evaluation of K length-n multiply-adds.
 """
 
 from __future__ import annotations
@@ -55,12 +56,13 @@ class CentralityVector:
 
 
 def centrality(g: SocialGraph, p: ModelParams) -> CentralityVector:
-    """Sum the centrality series and order the agents.
+    """Evaluate the centrality series from the graph's powers and order the agents.
 
-    The sum reads only ``p.beta`` and ``p.delta``.  Its result stays in
-    a single slot on ``g``, so a later call on the same graph with the
-    same two values returns it without summing again; a call with other
-    values sums again and takes the slot.
+    The evaluation reads only ``p.beta`` and ``p.delta``.  A single slot
+    on ``g`` holds the powers b_k computed so far and the last result, so
+    a later call on the same graph with the same two values returns that
+    result, and one with other values adds powers only when its ratio
+    needs more terms than any before.
 
     The analytic guards are asserted on every call, cached or not: every
     entry is at least 1, the total equals 2*beta*n/(2*beta - delta), and
@@ -70,12 +72,21 @@ def centrality(g: SocialGraph, p: ModelParams) -> CentralityVector:
     n = g.n
     key = (p.beta, p.delta)
     slot = g._centrality  # read once: another thread may replace it
-    if slot is None or slot[0] != key:
-        values = _series(g, p.delta / (2.0 * p.beta))
+    if slot is None or slot[1] != key:
+        r = p.delta / (2.0 * p.beta)
+        powers = () if slot is None else slot[0]
+        terms = _term_count(n, r) + 1
+        if len(powers) < terms:
+            powers = _powers(g, powers, terms)
+        values = powers[terms - 1].copy()
+        for b in reversed(powers[: terms - 1]):  # Horner's rule, highest power first
+            values *= r
+            values += b
         order = np.argsort(-values, kind="stable")
-        slot = (key, CentralityVector(values=values, order=order))
+        # a new tuple each time: a published slot is never changed in place
+        slot = (powers, key, CentralityVector(values=values, order=order))
         object.__setattr__(g, "_centrality", slot)
-    cv = slot[1]
+    cv = slot[2]
     values = cv.values
     expected_total = 2.0 * p.beta * n / (2.0 * p.beta - p.delta)
     hub, _ = star_centralities(n, p)
@@ -88,24 +99,35 @@ def centrality(g: SocialGraph, p: ModelParams) -> CentralityVector:
     return cv
 
 
-def _series(g: SocialGraph, r: float) -> np.ndarray:
-    """sum_k r^k (W^T)^k 1, the centralities for attenuation ``r`` < 1.
+def _term_count(n: int, r: float) -> int:
+    """Powers past b_0 that the series for attenuation ``r`` < 1 sums.
 
-    Each term is ``r * W^T`` times the last, one pass over the edges.
-    The terms are nonnegative and W is row-stochastic, so term k sums
-    to n * r^k: once n * r^(k+1) / (1 - r), the sum of all later terms,
-    drops under _TAIL_TOL, no entry is off by more than that.
+    r^k b_k sums to n * r^k, so once the tail n * r^(k+1) / (1 - r) drops
+    under _TAIL_TOL, so does every entry's error.
+    """
+    k, tail = 0, n * r / (1.0 - r)
+    while tail >= _TAIL_TOL:
+        k, tail = k + 1, tail * r
+    return k
+
+
+def _powers(g: SocialGraph, powers: tuple, count: int) -> tuple:
+    """``powers`` extended to b_0 .. b_(count-1), b_k = (W^T)^k 1, as a new tuple.
+
+    Each new power is W^T times the last, one pass over the edges.
     """
     rows = g.rows()
-    r_data = r * g.data
-    term = np.ones(g.n)
-    acc = term.copy()
-    tail = g.n * r / (1.0 - r)
-    while tail >= _TAIL_TOL:
-        term = np.bincount(g.indices, r_data * term[rows], minlength=g.n)
-        acc += term
-        tail *= r
-    return acc
+    out = list(powers) or [np.ones(g.n)]
+    while len(out) < count:
+        out.append(np.bincount(g.indices, g.data * out[-1][rows], minlength=g.n))
+    for b in out[len(powers) :]:
+        b.setflags(write=False)
+    return tuple(out)
+
+
+def dot(x: np.ndarray, y: np.ndarray) -> float:
+    """sum_i x_i * y_i, summed by numpy: BLAS would let its thread count change the last bit."""
+    return float(np.multiply(x, y).sum())
 
 
 def balanced_centrality(p: ModelParams) -> float:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .centrality import centrality
+from .centrality import centrality, dot
 from .graphs import SocialGraph, require_valid
 from .params import ModelParams, require_qualities
 
@@ -232,8 +232,8 @@ def discounted_utilities(
     lam = p.quality_weight(n)
     v = centrality(g, p).values
     base = n / (2.0 * (1.0 - p.delta))
-    seed_a = float(v @ s_a)
-    seed_b = float(v @ s_b)
+    seed_a = dot(v, s_a)
+    seed_b = dot(v, s_b)
     quality = lam * (q_a - q_b) / (q_a + q_b)
     if mode == "closed_form":
         u_a = base + seed_a - seed_b + quality

@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .centrality import CentralityVector, centrality
+from .centrality import CentralityVector, centrality, dot
 from .graphs import SocialGraph
 from .params import ModelParams
 
@@ -209,7 +209,7 @@ def best_response_quality(
 
     spend = (K - c_q * best_q) / c_s
     seeding, _ = water_fill_seeding(v, min(spend, n / 2.0))
-    value = float(v.values @ seeding) + lam * (best_q - q_opp) / (best_q + q_opp)
+    value = dot(v.values, seeding) + lam * (best_q - q_opp) / (best_q + q_opp)
     return best_q, seeding, value
 
 
@@ -285,7 +285,7 @@ def _root_bracket(a: _QualityCurve, b: _QualityCurve, scale: float) -> tuple[flo
     either curve, or the fold, where the map has turned nonpositive.
     """
     hi = scale / 4.0
-    for own, rival in ((a, b), (b, a)):
+    for own, rival in ((a, b),) if a is b else ((a, b), (b, a)):
         q_rival = rival(own.w)
         phi = scale * own.q * q_rival / (own.q + q_rival) ** 2 - own.w
         hit = int(np.argmax(phi <= 0.0))
@@ -349,7 +349,8 @@ def _solve_sequence(vd: np.ndarray, p: ModelParams, budget: BudgetSpec) -> _Solu
     lam = p.quality_weight(n)
     ratio = budget.c_s / budget.c_q
     c_s, c_q = budget.c_s, budget.c_q
-    a, b = (_QualityCurve.build(vd, K, c_s, c_q, p.epsilon) for K in (budget.K_a, budget.K_b))
+    a = _QualityCurve.build(vd, budget.K_a, c_s, c_q, p.epsilon)
+    b = a if budget.K_b == budget.K_a else _QualityCurve.build(vd, budget.K_b, c_s, c_q, p.epsilon)
     lo, hi = _root_bracket(a, b, 2.0 * lam * ratio)
     for (k, rank_a, ca), (l, rank_b, cb) in sorted(
         itertools.product(a.cases_near(lo, hi), b.cases_near(lo, hi)),
@@ -444,7 +445,7 @@ def _build_outcome(p, v, q_a, q_b, vt_k, vt_l, k, l, case_a, case_b, seed_k, see
     base = n / (2.0 * (1.0 - p.delta))
     lam = p.quality_weight(n)
     gap = lam * (q_a - q_b) / (q_a + q_b)
-    swing = float(v.values @ (s_a - s_b))
+    swing = dot(v.values, s_a - s_b)
     return NashOutcome(
         strategy_a=FirmStrategy(seeding=s_a, quality=q_a),
         strategy_b=FirmStrategy(seeding=s_b, quality=q_b),

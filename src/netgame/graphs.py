@@ -44,8 +44,9 @@ class SocialGraph:
 
     Invalid weights still construct a graph; ``violations`` lists what is
     wrong with them (empty for a valid graph), computed once here since
-    the arrays are read-only.  ``netgame.centrality`` keeps its last
-    solve in a single slot on the graph.
+    the arrays are read-only.  ``netgame.centrality`` keeps its powers
+    (W^T)^k 1 and last result in the slot ``_centrality``, a tuple that is
+    replaced whole, never changed in place.
     """
 
     n: int

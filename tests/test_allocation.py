@@ -13,6 +13,7 @@ from netgame import (
     thresholds,
 )
 from netgame.allocation import PresetState, TIE_TOL
+from netgame.centrality import dot
 
 from conftest import draw_costs, draw_graph, draw_params, random_seeding
 
@@ -252,7 +253,7 @@ def allocate_loop(v, state, firm, K, c_s, c_q, p):
     delta_q = remaining * c_s / c_q
     q_opp = state.q_b if firm == "a" else state.q_a
     rate = 2.0 * p.quality_weight(n) * q_opp / (state.q_a + state.q_b) ** 2
-    return seeding, delta_q, v_c, float(v.values @ seeding) + rate * delta_q
+    return seeding, delta_q, v_c, dot(v.values, seeding) + rate * delta_q
 
 
 def _draw_allocation(rng, neutral):

@@ -1,4 +1,5 @@
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from netgame import (
     l_star_centralities,
     star_centralities,
 )
+from netgame.centrality import _term_count
 
 from conftest import draw_graph, draw_params, oracle_graphs
 
@@ -161,47 +163,124 @@ def test_l_star_formula_rejects_bad_l(example_params):
 
 
 @pytest.fixture
-def count_solves(monkeypatch):
+def count_matvecs(monkeypatch):
+    """The new powers, one edge pass each, of every extension of a graph's basis."""
     calls = []
     module = sys.modules["netgame.centrality"]
-    series = module._series
+    powers = module._powers
 
-    def counted(g, r):
-        calls.append(g.n)
-        return series(g, r)
+    def counted(g, basis, count):
+        out = powers(g, basis, count)
+        calls.append(len(out) - max(len(basis), 1))
+        return out
 
-    monkeypatch.setattr(module, "_series", counted)
+    monkeypatch.setattr(module, "_powers", counted)
     return calls
 
 
-def test_second_call_reuses_the_solve(rng, count_solves):
+def _ratio(p):
+    return p.delta / (2.0 * p.beta)
+
+
+def test_second_call_reuses_the_solve(rng, count_matvecs):
     p = draw_params(rng)
     g = draw_graph(rng, 12)
     first = centrality(g, p)
     again = centrality(g, p)
-    assert len(count_solves) == 1
+    assert len(count_matvecs) == 1
     assert again is first
 
 
-def test_other_params_solve_again_and_match_a_cold_solve(rng, count_solves):
+def test_other_params_solve_again_and_match_a_cold_solve(rng, count_matvecs):
     g = draw_graph(rng, 12)
     p, q = draw_params(rng), draw_params(rng)
     centrality(g, p)
     warm_q = centrality(g, q)
     warm_p = centrality(g, p)
-    assert len(count_solves) == 3
+    # the basis grows to the larger ratio's term count once, and only then
+    terms = max(_term_count(g.n, _ratio(p)), _term_count(g.n, _ratio(q)))
+    assert sum(count_matvecs) == terms
     for params, warm in ((q, warm_q), (p, warm_p)):
         cold = centrality(SocialGraph(g.n, g.weights), params)
         assert np.array_equal(warm.values, cold.values)
         assert np.array_equal(warm.order, cold.order)
 
 
-def test_only_beta_and_delta_key_the_solve(example_params, count_solves):
+def test_only_beta_and_delta_key_the_solve(example_params, count_matvecs):
     g = generate("star", 6)
     first = centrality(g, example_params)
     other_eps = ModelParams(alpha=1.0, beta=1.0, delta=0.5, epsilon=1e-3)
     assert centrality(g, other_eps) is first
-    assert len(count_solves) == 1
+    assert len(count_matvecs) == 1
+
+
+def test_warm_basis_makes_no_new_matvecs_up_to_its_ratio(rng, count_matvecs):
+    g = draw_graph(rng, 40, density=0.2)
+    draws = sorted((draw_params(rng) for _ in range(30)), key=_ratio)
+    centrality(g, draws[-1])
+    assert count_matvecs == [_term_count(g.n, _ratio(draws[-1]))]
+    for p in draws[:-1]:
+        centrality(g, p)
+    assert len(count_matvecs) == 1
+    # a larger ratio than any before adds only the powers it lacks
+    wider = ModelParams(alpha=1.0, beta=1.0, delta=0.95)
+    centrality(g, wider)
+    assert count_matvecs[1:] == [_term_count(g.n, _ratio(wider)) - count_matvecs[0]]
+    assert count_matvecs[1] > 0
+
+
+def _basis_graph(rng):
+    n = int(rng.integers(3, 41))
+    kind = ("random", "star", "l_star")[int(rng.integers(3))]
+    if kind == "random":
+        return draw_graph(rng, n)
+    return generate(kind, n, l=int(rng.integers(2, n)) if kind == "l_star" else None)
+
+
+def test_basis_order_does_not_change_any_bit(rng):
+    # each (beta, delta) reads the same prefix of the powers whatever came
+    # before it, so a graph that has served any sequence gives a cold
+    # graph's vector; repeats and ratios above and below the last are drawn
+    for _ in range(200):
+        g = _basis_graph(rng)
+        draws = [draw_params(rng) for _ in range(4)]
+        for p in draws + [draws[int(rng.integers(4))]]:
+            warm = centrality(g, p)
+            cold = centrality(SocialGraph(g.n, g.weights), p)
+            assert np.array_equal(warm.values, cold.values)
+            assert np.array_equal(warm.order, cold.order)
+
+
+def test_threads_sharing_a_graph_get_cold_vectors(rng):
+    # each thread publishes its own slot; a basis extended in place by two
+    # threads at once would hold a duplicated power and corrupt later ones
+    g = draw_graph(rng, 60, density=0.2)
+    # rising ratios make each call extend the basis by a few powers
+    draws = sorted((draw_params(rng) for _ in range(12)), key=_ratio)
+    cold = [centrality(SocialGraph(g.n, g.weights), p).values for p in draws]
+    wrong = []
+    start = threading.Barrier(6)
+
+    def work(shared):
+        start.wait(timeout=60)
+        for p, want in zip(draws, cold):
+            if not np.array_equal(centrality(shared, p).values, want):
+                wrong.append(p)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(60):
+            shared = SocialGraph(g.n, g.weights)
+            threads = [threading.Thread(target=work, args=(shared,)) for _ in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert wrong == []
 
 
 def test_guards_run_on_cached_calls(example_params, monkeypatch):

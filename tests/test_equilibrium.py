@@ -325,27 +325,28 @@ def _enumerated_cases(K, c_s, c_q, eps, n):
 def enumerate_sequence(vd, p, budget):
     """Oracle for _solve_sequence: try every (case, k) x (case, l) pair.
 
-    O(n^2) closed-form solves on the descending sequence ``vd``; keeps the
-    lexicographically smallest accepted (k, l, case_a, case_b), the
-    tie-break solve_nash promises.
+    O(n^2) closed-form solves on the descending sequence ``vd``, tried in
+    (k, l, case_a, case_b) order; the first accepted pair is the
+    lexicographically smallest, the tie-break solve_nash promises.
     """
     n = len(vd)
     lam = p.quality_weight(n)
     ratio = budget.c_s / budget.c_q
-    accepted = []
-    for (ca, k, qa_pin), (cb, l, qb_pin) in itertools.product(
-        _enumerated_cases(budget.K_a, budget.c_s, budget.c_q, p.epsilon, n),
-        _enumerated_cases(budget.K_b, budget.c_s, budget.c_q, p.epsilon, n),
-    ):
-        sol = _solve_case(lam, ratio, vd, k, l, ca, cb, qa_pin, qb_pin)
-        if sol is not None and _conditions_ok(budget, p, vd, n, *sol, k, l, ca, cb):
-            accepted.append((k, l, _CASE_RANK[ca], _CASE_RANK[cb], *sol, ca, cb))
-    if not accepted:
-        raise SolverError("no candidate pair satisfied the conditions")
-    k, l, _, _, q_a, q_b, vt_k, vt_l, ca, cb = min(accepted, key=lambda c: c[:4])
-    seed_k = _clipped_seed(budget.K_a, budget.c_s, budget.c_q, k, q_a, ca)
-    seed_l = _clipped_seed(budget.K_b, budget.c_s, budget.c_q, l, q_b, cb)
-    return q_a, q_b, vt_k, vt_l, k, l, ca, cb, seed_k, seed_l
+
+    def by_index(K):
+        # one firm's cases come sorted by (index, case rank): group them by index
+        cases = _enumerated_cases(K, budget.c_s, budget.c_q, p.epsilon, n)
+        return [list(group) for _, group in itertools.groupby(cases, key=lambda c: c[1])]
+
+    for cases_k, cases_l in itertools.product(by_index(budget.K_a), by_index(budget.K_b)):
+        for (ca, k, qa_pin), (cb, l, qb_pin) in itertools.product(cases_k, cases_l):
+            sol = _solve_case(lam, ratio, vd, k, l, ca, cb, qa_pin, qb_pin)
+            if sol is not None and _conditions_ok(budget, p, vd, n, *sol, k, l, ca, cb):
+                q_a, q_b, vt_k, vt_l = sol
+                seed_k = _clipped_seed(budget.K_a, budget.c_s, budget.c_q, k, q_a, ca)
+                seed_l = _clipped_seed(budget.K_b, budget.c_s, budget.c_q, l, q_b, cb)
+                return q_a, q_b, vt_k, vt_l, k, l, ca, cb, seed_k, seed_l
+    raise SolverError("no candidate pair satisfied the conditions")
 
 
 def enumerate_nash(g, p, budget):

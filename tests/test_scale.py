@@ -6,11 +6,16 @@ solve, a ``.npz`` graph file's round trip and a generated star stay
 O(n + m).
 """
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import netgame
 from netgame import (
     BudgetSpec,
     ModelParams,
@@ -25,6 +30,7 @@ from netgame import (
     solve_nash,
     water_fill_seeding,
 )
+from netgame.centrality import dot
 
 
 def test_sparse_graph_at_n_1e5_runs_in_linear_memory():
@@ -87,7 +93,8 @@ def test_solve_nash_at_n_1e5_with_deep_budgets(scale_graphs, kind, K_a, K_b):
         assert abs(K - own.spend(budget.c_s, budget.c_q)) <= 1e-9
         assert own.seeding.min() >= 0.0 and own.seeding.max() <= 0.5
         q, q_opp = own.quality, rival.quality
-        value = float(v.values @ own.seeding) + lam * (q - q_opp) / (q + q_opp)
+        # the library's own product: BLAS's ddot was 1.2e-9 off the exact sum here
+        value = dot(v.values, own.seeding) + lam * (q - q_opp) / (q + q_opp)
         _, _, best = best_response_quality(v, p, K, budget.c_s, budget.c_q, q_opp)
         assert best - value <= 1e-9
     assert out.utility_a + out.utility_b == pytest.approx(n / (1.0 - p.delta), rel=1e-12)
@@ -124,3 +131,41 @@ def test_generated_star_at_n_1e5_takes_linear_memory():
     assert g.violations == () and len(g.data) == 2 * (n - 1)
     assert g.indptr[:3].tolist() == [0, n - 1, n] and g.data[0] == 1.0 / (n - 1)
     assert peak < 256 * (n + len(g.data))
+
+
+_BLAS_PROBE = """
+import numpy as np
+from netgame import (BudgetSpec, ModelParams, PresetState, SocialGraph, allocate_budget,
+                     best_response_quality, centrality, discounted_utilities, solve_nash)
+n = 100_000
+w = np.random.default_rng(1).uniform(0.1, 1.0, size=(n, 3))
+w /= w.sum(axis=1, keepdims=True)
+cols = np.sort((np.arange(n)[:, None] + [1, 7, 331]) % n, axis=1)
+g = SocialGraph.from_csr(n, np.arange(0, 3 * n + 1, 3), cols.ravel(), w.ravel())
+p = ModelParams(alpha=1.0, beta=1.0, delta=0.5)
+v = centrality(g, p)
+out = solve_nash(g, p, BudgetSpec(20_000.0, 15_000.0, 1.0, 1.0))
+rep = discounted_utilities(g, p, 2.0, 1.0, out.strategy_a.seeding, out.strategy_b.seeding)
+state = PresetState.neutral(n, 1.0, 1.0)
+print(repr((
+    out.utility_a, rep.seeding_a, rep.seeding_b,
+    best_response_quality(v, p, 20_000.0, 1.0, 1.0, 1.0)[2],
+    allocate_budget(v, state, "a", 5000.0, 1.0, 1.0, p).marginal_utility,
+)))
+"""
+
+
+def test_large_n_results_do_not_depend_on_blas_threads():
+    # a length-10^5 product through BLAS sums in per-thread blocks, so its
+    # last bit followed the thread count: the best response's value here did
+    src = str(Path(netgame.__file__).resolve().parents[1])
+    outs = set()
+    for threads in ("1", "2"):
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+        run = subprocess.run(
+            [sys.executable, "-c", _BLAS_PROBE], env=env, capture_output=True, text=True
+        )
+        assert run.returncode == 0, run.stderr
+        outs.add(run.stdout)
+    assert len(outs) == 1, outs
