@@ -20,13 +20,11 @@ from .centrality import (
 )
 from .dynamics import (
     UtilityReport,
-    agent_utility,
     discounted_utilities,
     externality_drift,
     horizon_for_tolerance,
     simulate,
     stationary_state,
-    step,
 )
 from .equilibrium import (
     BudgetSpec,
@@ -39,10 +37,8 @@ from .equilibrium import (
     water_fill_seeding,
 )
 from .extremal import (
-    ExtremalCentrality,
     SeedingExtremes,
     budget_regime,
-    extremal_centrality,
     max_centrality_sequence,
     min_centrality_sequence,
     symmetric_seeding_extremes,
@@ -54,7 +50,6 @@ from .graphs import (
     generate,
     load_graph,
     save_graph,
-    validate_graph,
 )
 from .params import ModelParams
 
@@ -65,7 +60,6 @@ __all__ = [
     "BudgetSpec",
     "CapacityBound",
     "CentralityVector",
-    "ExtremalCentrality",
     "FirmStrategy",
     "GraphValidationError",
     "KINDS",
@@ -76,7 +70,6 @@ __all__ = [
     "SocialGraph",
     "SolverError",
     "UtilityReport",
-    "agent_utility",
     "allocate_budget",
     "balanced_centrality",
     "best_response_quality",
@@ -85,7 +78,6 @@ __all__ = [
     "closed_form_centrality",
     "discounted_utilities",
     "externality_drift",
-    "extremal_centrality",
     "generate",
     "horizon_for_tolerance",
     "l_star_centralities",
@@ -100,10 +92,8 @@ __all__ = [
     "solve_nash",
     "star_centralities",
     "stationary_state",
-    "step",
     "symmetric_nash",
     "symmetric_seeding_extremes",
     "thresholds",
-    "validate_graph",
     "water_fill_seeding",
 ]

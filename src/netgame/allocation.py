@@ -83,7 +83,12 @@ class AllocationResult:
 def thresholds(
     q_a: float, q_b: float, p: ModelParams, n: int, c_s: float, c_q: float
 ) -> tuple[float, float]:
-    """Centrality levels at which seeding and quality break even, per firm."""
+    """Centrality levels at which seeding and quality break even, per firm.
+
+    Both costs must be positive and finite.
+    """
+    if not (0.0 < c_s < math.inf and 0.0 < c_q < math.inf):
+        raise ValueError(f"costs must be positive and finite: c_s={c_s}, c_q={c_q}")
     require_qualities(p, q_a, q_b)
     lam = p.quality_weight(n)
     total = (q_a + q_b) ** 2
@@ -118,8 +123,6 @@ def allocate_budget(
     """
     if not 0.0 <= K < math.inf:
         raise ValueError(f"budget must be nonnegative and finite, got {K}")
-    if not (0.0 < c_s < math.inf and 0.0 < c_q < math.inf):
-        raise ValueError(f"costs must be positive and finite: c_s={c_s}, c_q={c_q}")
     n = len(v.values)
     v_c, agents = _seedable(v, state, firm, p, c_s, c_q)
     caps = state.capacities(firm)[agents]

@@ -18,7 +18,7 @@ import gc
 import logging
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -31,7 +31,12 @@ from .allocation import (
     thresholds,
 )
 from .centrality import centrality, closed_form_centrality, l_star_centralities
-from .dynamics import discounted_utilities, horizon_for_tolerance, simulate
+from .dynamics import (
+    discounted_utilities,
+    horizon_for_tolerance,
+    simulate,
+    trajectory_utilities,
+)
 from .equilibrium import (
     BudgetSpec,
     SolverError,
@@ -39,7 +44,12 @@ from .equilibrium import (
     symmetric_nash,
     water_fill_seeding,
 )
-from .extremal import budget_regime, extremal_centrality, symmetric_seeding_extremes
+from .extremal import (
+    budget_regime,
+    max_centrality_sequence,
+    min_centrality_sequence,
+    symmetric_seeding_extremes,
+)
 from .graphs import KINDS, GraphValidationError, generate, load_graph
 from .params import ModelParams
 from .reporting import to_json
@@ -162,12 +172,12 @@ def cmd_simulate(args) -> int:
             lines.append(str(t) + "," + ",".join(map(repr, row.tolist())))
         _emit("\n".join(lines) + "\n", args.out)
         return EXIT_OK
-    report_sim = discounted_utilities(
-        g, p, args.qa, args.qb, s_a, s_b, mode="simulated", T=T
-    )
     report_closed = discounted_utilities(
         g, p, args.qa, args.qb, s_a, s_b, mode="closed_form"
     )
+    # the simulated utilities sum this trajectory, so the spread runs once
+    u_a, u_b = trajectory_utilities(traj, p)
+    report_sim = replace(report_closed, u_a=u_a, u_b=u_b, mode="simulated", horizon=T)
     result = {
         "trajectory": traj,
         "utilities": report_sim.to_dict(),
@@ -217,7 +227,9 @@ def cmd_extremal(args) -> int:
     p = _params(args)
     if args.n < 2:
         raise ValueError(f"--n must be at least 2, got {args.n}")
-    levels = [asdict(extremal_centrality(l, args.n, p)) for l in range(1, args.n + 1)]
+    v_max = max_centrality_sequence(args.n, p).tolist()
+    v_min = min_centrality_sequence(args.n, p).tolist()
+    levels = [{"l": l + 1, "v_max": v_max[l], "v_min": v_min[l]} for l in range(args.n)]
     result: dict = {"levels": levels}
     config: dict = {"n": args.n, "params": asdict(p)}
     if args.Ka is not None:

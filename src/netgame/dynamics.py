@@ -4,9 +4,11 @@ State is tracked as each agent's tilt y_i = x_i - 1/2 away from an even
 split between the two products, so the admissible range is |y_i| <= 1/2.
 Myopic best responses make the tilt vector follow the linear recursion
 y(t+1) = W y(t) + u * 1, where W scales the influence weights by
-1/(2*beta) and u is the common drift induced by the quality gap.  Each
-step is one pass over the graph's stored (sparse) rows, O(m) for m
-edges.
+1/(2*beta) and u is the common drift induced by the quality gap.
+``simulate`` runs the recursion, one pass over the graph's stored
+(sparse) rows per step, O(m) for m edges; ``simulate(..., 1)[1]`` is one
+round of best responses.  Each agent's one-round payoff, which the
+update maximizes, is kept in the tests as the oracle for the update.
 """
 
 from __future__ import annotations
@@ -58,19 +60,6 @@ def _require_horizon(T: int) -> None:
         raise ValueError(f"T must be nonnegative, got {T}")
 
 
-def step(
-    g: SocialGraph, p: ModelParams, q_a: float, q_b: float, y: np.ndarray
-) -> np.ndarray:
-    """One round of simultaneous myopic best responses.
-
-    The output is asserted (not clamped) to stay in the admissible range;
-    a violation means the inputs broke the model's assumptions upstream.
-    """
-    require_valid(g)
-    y = _require_state(y, g.n)
-    return _advance(g, p, externality_drift(q_a, q_b, p), y)
-
-
 def _advance(g: SocialGraph, p: ModelParams, u: float, y: np.ndarray) -> np.ndarray:
     """y(t+1) = W y(t) + u for a valid graph and an admissible state, range-checked.
 
@@ -85,35 +74,6 @@ def _advance(g: SocialGraph, p: ModelParams, u: float, y: np.ndarray) -> np.ndar
     return nxt
 
 
-def agent_utility(
-    g: SocialGraph,
-    p: ModelParams,
-    q_a: float,
-    q_b: float,
-    i: int,
-    y_i: float,
-    y: np.ndarray,
-) -> float:
-    """Agent i's one-round payoff given own tilt ``y_i`` and everyone's tilts.
-
-    Standalone consumption value plus quality-weighted coordination with
-    each influencer on both products; ``step`` is exactly the argmax of
-    this in ``y_i``.
-    """
-    require_valid(g)
-    require_qualities(p, q_a, q_b)
-    y = _require_state(y, g.n)
-    if not abs(y_i) <= 0.5 + _STATE_TOL:
-        raise ValueError(f"y_i={y_i} outside [-1/2, 1/2]")
-    row = slice(g.indptr[i], g.indptr[i + 1])
-    w, y_in = g.data[row], y[g.indices[row]]  # agent i's influencers
-    standalone = (q_a + q_b) * (p.alpha / 2.0 - p.beta / 4.0 - p.beta * y_i**2)
-    direct = (q_a - q_b) * (p.alpha - p.beta) * y_i
-    match_a = q_a * float(w @ ((0.5 + y_i) * (0.5 + y_in)))
-    match_b = q_b * float(w @ ((0.5 - y_i) * (0.5 - y_in)))
-    return standalone + direct + match_a + match_b
-
-
 def simulate(
     g: SocialGraph,
     p: ModelParams,
@@ -122,10 +82,12 @@ def simulate(
     y0: np.ndarray,
     T: int,
 ) -> np.ndarray:
-    """Iterate ``step`` T times; returns the (T+1, n) trajectory incl. y(0).
+    """Run T rounds of simultaneous myopic best responses from y(0) = ``y0``.
 
-    The drift and y(0) are checked once, and every step's output is
-    range-checked.
+    Returns the (T+1, n) trajectory including y(0).  The drift and y(0)
+    are checked once.  Every step's output is range-checked, not clamped:
+    leaving [-1/2, 1/2] means the inputs broke the model's assumptions
+    upstream, and raises ``ArithmeticError``.
     """
     require_valid(g)
     _require_horizon(T)
@@ -161,12 +123,24 @@ def horizon_for_tolerance(p: ModelParams, n: int, tol: float = 1e-10) -> int:
     The per-step contribution to either firm's utility is within [0, n],
     so the tail after T is at most delta^(T+1) * n / (1 - delta).
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not tol > 0.0:  # NaN fails
+        raise ValueError(f"tol must be positive, got {tol}")
     target = tol * (1.0 - p.delta) / n
     if target >= 1.0:
         return 0
     return max(0, math.ceil(math.log(target) / math.log(p.delta)))
+
+
+def trajectory_utilities(traj: np.ndarray, p: ModelParams) -> tuple[float, float]:
+    """Both firms' discounted consumption summed over a (T+1, n) trajectory of tilts.
+
+    Round t adds delta^t times the firm's total consumption share,
+    n/2 + sum(y(t)) for firm a and n/2 - sum(y(t)) for firm b.
+    """
+    n = traj.shape[1]
+    tilt = traj.sum(axis=1)
+    weights = p.delta ** np.arange(len(traj))
+    return float(weights @ (n / 2.0 + tilt)), float(weights @ (n / 2.0 - tilt))
 
 
 @dataclass(frozen=True)
@@ -241,11 +215,7 @@ def discounted_utilities(
         horizon = None
     elif mode == "simulated":
         horizon = horizon_for_tolerance(p, n, tol) if T is None else T
-        traj = simulate(g, p, q_a, q_b, s_a - s_b, horizon)
-        tilt = traj.sum(axis=1)
-        weights = p.delta ** np.arange(horizon + 1)
-        u_a = float(weights @ (n / 2.0 + tilt))
-        u_b = float(weights @ (n / 2.0 - tilt))
+        u_a, u_b = trajectory_utilities(simulate(g, p, q_a, q_b, s_a - s_b, horizon), p)
     else:
         raise ValueError(f"unknown mode {mode!r}; use 'closed_form' or 'simulated'")
     return UtilityReport(

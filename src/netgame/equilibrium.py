@@ -181,9 +181,14 @@ def best_response_quality(
     agent changes, so it suffices to compare the per-piece stationary
     points (closed form) with the piece endpoints.  Candidates are scored
     from prefix sums of the sorted centralities; the returned value is
-    the objective evaluated on the returned seeding.
+    the objective evaluated on the returned seeding.  ``K``, ``c_s`` and
+    ``c_q`` are checked as ``BudgetSpec`` checks them, and ``q_opp`` must
+    be finite and at least epsilon.
     """
     n = len(v.values)
+    BudgetSpec(K, K, c_s, c_q)
+    if not math.isfinite(q_opp):
+        raise ValueError(f"opponent quality {q_opp} is not finite")
     if q_opp < p.epsilon - COND_TOL:
         raise ValueError(f"opponent quality {q_opp} below epsilon={p.epsilon}")
     if K < c_q * p.epsilon - COND_TOL:

@@ -3,10 +3,11 @@
 Holding the population and budget fixed, the symmetric equilibrium
 seeding depends on the graph only through its sorted centralities, and
 those are bracketed level by level: the l-th largest centrality is at
-most the l-star hub value and at least the matching floor (balanced
-value, star peripheral, then 1).  Running ``solve_nash``'s solve with
-K_a = K_b on these envelope sequences yields the extremes, and the
-bracketing graphs are explicit witnesses.
+most the l-star hub value (the star hub for l = 1) and at least the
+matching floor (balanced value, star peripheral, then 1).  The two
+envelope sequences hold these bounds for l = 1..n.  Running
+``solve_nash``'s solve with K_a = K_b on them yields the extremes, and
+the bracketing graphs are explicit witnesses.
 """
 
 from __future__ import annotations
@@ -17,11 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .allocation import regime_by_endpoints
-from .centrality import (
-    balanced_centrality,
-    l_star_centralities,
-    star_centralities,
-)
+from .centrality import balanced_centrality, star_centralities
 from .equilibrium import CASE_INTERIOR, CASE_SATURATED, BudgetSpec, _solve_sequence, solve_nash
 from .graphs import SocialGraph, generate
 from .params import ModelParams
@@ -29,48 +26,19 @@ from .params import ModelParams
 VERIFY_TOL = 1e-9
 
 
-def max_level_centrality(l: int, n: int, p: ModelParams) -> float:
-    """Largest possible l-th centrality: star hub for l=1, l-star hub after."""
-    if not 1 <= l <= n:
-        raise ValueError(f"level l={l} outside 1..{n}")
-    if l == 1:
-        return star_centralities(n, p)[0]
-    return l_star_centralities(n, l, p)[0]
-
-
-def min_level_centrality(l: int, n: int, p: ModelParams) -> float:
-    """Smallest possible l-th centrality: balanced, star peripheral, then 1."""
-    if not 1 <= l <= n:
-        raise ValueError(f"level l={l} outside 1..{n}")
-    if l == 1:
-        return balanced_centrality(p)
-    if l == 2:
-        return star_centralities(n, p)[1]
-    return 1.0
-
-
-@dataclass(frozen=True)
-class ExtremalCentrality:
-    l: int
-    v_max: float
-    v_min: float
-
-
-def extremal_centrality(l: int, n: int, p: ModelParams) -> ExtremalCentrality:
-    """Both envelope values for the l-th largest centrality."""
-    return ExtremalCentrality(
-        l=l,
-        v_max=max_level_centrality(l, n, p),
-        v_min=min_level_centrality(l, n, p),
-    )
-
-
 def max_centrality_sequence(n: int, p: ModelParams) -> np.ndarray:
-    return np.array([max_level_centrality(l, n, p) for l in range(1, n + 1)])
+    """Largest possible l-th centrality for l = 1..n: the star hub, then l-star hubs.
+
+    The l-star hub value is ``l_star_centralities(n, l, p)[0]``, written
+    for all l at once.
+    """
+    hubs = n * p.delta / (np.arange(2, n + 1) * (2.0 * p.beta - p.delta)) + 1.0
+    return np.r_[star_centralities(n, p)[0], hubs]
 
 
 def min_centrality_sequence(n: int, p: ModelParams) -> np.ndarray:
-    return np.array([min_level_centrality(l, n, p) for l in range(1, n + 1)])
+    """Smallest possible l-th centrality for l = 1..n: balanced, star peripheral, then 1."""
+    return np.r_[balanced_centrality(p), star_centralities(n, p)[1], np.ones(n - 2)]
 
 
 def _max_witness_kind(l: int, case: str, n: int) -> tuple[str, int | None]:

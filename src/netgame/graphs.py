@@ -9,8 +9,7 @@ weights, and built from a JSON edge list, from CSR arrays (a ``.npz``
 graph file) or by a named generator, with no n x n intermediate.
 It is checked once, when it is built, in O(n + m) for m edges:
 ``SocialGraph`` stores the list of invariant violations next to its
-read-only arrays, so ``validate_graph`` and ``require_valid`` only read
-that verdict.
+read-only arrays, so ``require_valid`` only reads that verdict.
 """
 
 from __future__ import annotations
@@ -39,8 +38,9 @@ class SocialGraph:
     Agent i's influencers are ``indices[indptr[i]:indptr[i + 1]]`` in
     increasing order, with their weights in the same slice of ``data``.
     Only nonzero weights are stored, so a graph with m edges takes
-    O(n + m) memory.  ``SocialGraph(n, weights)`` builds one from a dense
-    matrix, and ``weights`` returns that dense view.
+    O(n + m) memory.  Build one with ``from_csr``, ``from_dict``,
+    ``from_json``, ``load_graph`` or ``generate``; ``weights`` returns the
+    dense n x n view.
 
     Invalid weights still construct a graph; ``violations`` lists what is
     wrong with them (empty for a valid graph), computed once here since
@@ -55,13 +55,6 @@ class SocialGraph:
     data: np.ndarray
     violations: tuple[str, ...] = field(repr=False)
     _centrality: tuple | None = field(default=None, repr=False)
-
-    def __init__(self, n: int, weights: np.ndarray) -> None:
-        w = np.asarray(weights, dtype=float)
-        if w.shape != (n, n):
-            raise ValueError(f"weights shape {w.shape} does not match n={n}")
-        rows, cols = np.nonzero(w)
-        self._store(n, rows, cols, w[rows, cols])
 
     def _store(self, n: int, rows: np.ndarray, cols: np.ndarray, data: np.ndarray) -> None:
         """Keep fresh arrays of the entries, sorted by row and then column, as CSR.
@@ -297,14 +290,6 @@ def _violations(n: int, rows: np.ndarray, cols: np.ndarray, w: np.ndarray) -> tu
     sums = np.bincount(rows, w, minlength=n)
     bad_rows = np.nonzero(np.abs(sums - 1.0) > ROW_SUM_TOL)[0]
     return tuple(violations + [f"row {i} sum {sums[i]:.6g}" for i in bad_rows])
-
-
-def validate_graph(g: SocialGraph) -> list[str]:
-    """Return a list of invariant violations; empty means the graph is valid.
-
-    The list was computed when ``g`` was built; this returns a copy.
-    """
-    return list(g.violations)
 
 
 def require_valid(g: SocialGraph) -> None:

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from netgame import BudgetSpec, ModelParams, SocialGraph, centrality, generate, solve_nash
+from netgame.dynamics import _require_state
 from netgame.equilibrium import (
     CASE_BOUNDARY,
     CASE_INTERIOR,
@@ -24,6 +25,8 @@ from netgame.equilibrium import (
     _clipped_seed,
     best_response_quality,
 )
+from netgame.graphs import require_valid
+from netgame.params import require_qualities
 
 EXAMPLE_N = 15
 
@@ -46,6 +49,15 @@ def draw_params(rng: np.random.Generator) -> ModelParams:
     return ModelParams(alpha=alpha, beta=beta, delta=delta)
 
 
+def dense_graph(w) -> SocialGraph:
+    """The graph whose dense weights are the square matrix ``w``, built from its nonzero pattern."""
+    w = np.asarray(w, dtype=float)
+    n = len(w)
+    rows, cols = np.nonzero(w)
+    indptr = np.r_[0, np.cumsum(np.bincount(rows, minlength=n))]
+    return SocialGraph.from_csr(n, indptr, cols, w[rows, cols])
+
+
 def draw_graph(rng: np.random.Generator, n: int, density: float | None = None) -> SocialGraph:
     """Row-stochastic weights with a random sparsity pattern, zero diagonal."""
     if density is None:
@@ -56,7 +68,7 @@ def draw_graph(rng: np.random.Generator, n: int, density: float | None = None) -
         np.fill_diagonal(w, 0.0)
         sums = w.sum(axis=1)
         if np.all(sums > 0.0):
-            return SocialGraph(n, w / sums[:, None])
+            return dense_graph(w / sums[:, None])
 
 
 def oracle_graphs(rng: np.random.Generator, count: int = 20, n_max: int = 40) -> list:
@@ -69,6 +81,35 @@ def oracle_graphs(rng: np.random.Generator, count: int = 20, n_max: int = 40) ->
         graphs += [generate(kind, n) for kind in ("balanced", "star", "near_star_one_bidirectional")]
         graphs += [generate("l_star", n, l=l) for l in {2, n - 1} if 2 <= l <= n - 1]
     return graphs
+
+
+def agent_utility(
+    g: SocialGraph,
+    p: ModelParams,
+    q_a: float,
+    q_b: float,
+    i: int,
+    y_i: float,
+    y: np.ndarray,
+) -> float:
+    """Agent i's one-round payoff given own tilt ``y_i`` and everyone's tilts.
+
+    Standalone consumption value plus quality-weighted coordination with
+    each influencer on both products.  The oracle for the spread update:
+    ``simulate(g, p, q_a, q_b, y, 1)[1][i]`` is the argmax of this in ``y_i``.
+    """
+    require_valid(g)
+    require_qualities(p, q_a, q_b)
+    y = _require_state(y, g.n)
+    if not abs(y_i) <= 0.5 + 1e-9:
+        raise ValueError(f"y_i={y_i} outside [-1/2, 1/2]")
+    row = slice(g.indptr[i], g.indptr[i + 1])
+    w, y_in = g.data[row], y[g.indices[row]]  # agent i's influencers
+    standalone = (q_a + q_b) * (p.alpha / 2.0 - p.beta / 4.0 - p.beta * y_i**2)
+    direct = (q_a - q_b) * (p.alpha - p.beta) * y_i
+    match_a = q_a * float(w @ ((0.5 + y_i) * (0.5 + y_in)))
+    match_b = q_b * float(w @ ((0.5 - y_i) * (0.5 - y_in)))
+    return standalone + direct + match_a + match_b
 
 
 def draw_costs(rng: np.random.Generator) -> tuple[float, float]:

@@ -21,7 +21,6 @@ from netgame import (
     BudgetSpec,
     ModelParams,
     PresetState,
-    agent_utility,
     allocate_budget,
     balanced_centrality,
     centrality,
@@ -30,9 +29,9 @@ from netgame import (
     max_centrality_sequence,
     max_seeding_capacity_bound,
     min_centrality_sequence,
+    simulate,
     solve_nash,
     star_centralities,
-    step,
     symmetric_nash,
     thresholds,
     water_fill_seeding,
@@ -42,6 +41,7 @@ from netgame.equilibrium import SolverError
 
 from conftest import (
     _assert_quality_floor_binds,
+    agent_utility,
     bounded_argmax,
     draw_budget,
     draw_costs,
@@ -214,7 +214,7 @@ def test_criterion_07_step_matches_agent_argmax(rng):
             g = draw_graph(rng, n)
             q_a, q_b = (float(x) for x in rng.uniform(0.2, 3.0, size=2))
             y = rng.uniform(-0.5, 0.5, size=n)
-            nxt = step(g, p, q_a, q_b, y)
+            nxt = simulate(g, p, q_a, q_b, y, 1)[1]
             for i in range(n):
                 best, _ = bounded_argmax(
                     lambda t: agent_utility(g, p, q_a, q_b, i, t, y), -0.5, 0.5

@@ -303,6 +303,21 @@ def test_allocation_rejects_non_finite_or_negative_inputs(example_params, K, c_s
 
 
 @pytest.mark.parametrize(
+    "c_s, c_q",
+    [(float("nan"), 1.0), (0.0, 1.0), (-1.0, 1.0), (float("inf"), 1.0),
+     (1.0, 0.0), (1.0, float("nan")), (1.0, float("inf"))],
+)
+def test_thresholds_and_capacity_reject_bad_costs(example_params, c_s, c_q):
+    # unchecked, these gave NaN or zero thresholds, a ZeroDivisionError, or a capacity
+    v = centrality(generate("star", 15), example_params)
+    state = PresetState.neutral(15, 1.0, 1.0)
+    with pytest.raises(ValueError, match="costs must be positive and finite"):
+        thresholds(1.0, 1.0, example_params, 15, c_s, c_q)
+    with pytest.raises(ValueError, match="costs must be positive and finite"):
+        seeding_capacity(v, state, "a", example_params, c_s, c_q)
+
+
+@pytest.mark.parametrize(
     "q_a, q_b, y0",
     [(float("nan"), 1.0, 0.0), (1.0, float("inf"), 0.0), (1.0, 1.0, float("nan")),
      (0.0, 1.0, 0.0)],

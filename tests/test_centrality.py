@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from netgame import (
     GraphValidationError,
     ModelParams,
-    SocialGraph,
     balanced_centrality,
     centrality,
     closed_form_centrality,
@@ -19,7 +18,7 @@ from netgame import (
 )
 from netgame.centrality import _term_count
 
-from conftest import draw_graph, draw_params, oracle_graphs
+from conftest import dense_graph, draw_graph, draw_params, oracle_graphs
 
 
 def centrality_dense(g, p):
@@ -83,7 +82,7 @@ def test_rejects_invalid_graph(example_params):
     w[1, 0] = 1.0
     w[2, 0] = 1.0
     with pytest.raises(GraphValidationError):
-        centrality(SocialGraph(3, w), example_params)
+        centrality(dense_graph(w), example_params)
 
 
 @settings(max_examples=60, deadline=None)
@@ -201,7 +200,7 @@ def test_other_params_solve_again_and_match_a_cold_solve(rng, count_matvecs):
     terms = max(_term_count(g.n, _ratio(p)), _term_count(g.n, _ratio(q)))
     assert sum(count_matvecs) == terms
     for params, warm in ((q, warm_q), (p, warm_p)):
-        cold = centrality(SocialGraph(g.n, g.weights), params)
+        cold = centrality(dense_graph(g.weights), params)
         assert np.array_equal(warm.values, cold.values)
         assert np.array_equal(warm.order, cold.order)
 
@@ -246,7 +245,7 @@ def test_basis_order_does_not_change_any_bit(rng):
         draws = [draw_params(rng) for _ in range(4)]
         for p in draws + [draws[int(rng.integers(4))]]:
             warm = centrality(g, p)
-            cold = centrality(SocialGraph(g.n, g.weights), p)
+            cold = centrality(dense_graph(g.weights), p)
             assert np.array_equal(warm.values, cold.values)
             assert np.array_equal(warm.order, cold.order)
 
@@ -257,7 +256,7 @@ def test_threads_sharing_a_graph_get_cold_vectors(rng):
     g = draw_graph(rng, 60, density=0.2)
     # rising ratios make each call extend the basis by a few powers
     draws = sorted((draw_params(rng) for _ in range(12)), key=_ratio)
-    cold = [centrality(SocialGraph(g.n, g.weights), p).values for p in draws]
+    cold = [centrality(dense_graph(g.weights), p).values for p in draws]
     wrong = []
     start = threading.Barrier(6)
 
@@ -271,7 +270,7 @@ def test_threads_sharing_a_graph_get_cold_vectors(rng):
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(60):
-            shared = SocialGraph(g.n, g.weights)
+            shared = dense_graph(g.weights)
             threads = [threading.Thread(target=work, args=(shared,)) for _ in range(6)]
             for t in threads:
                 t.start()

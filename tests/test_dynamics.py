@@ -4,17 +4,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netgame import (
-    agent_utility,
     discounted_utilities,
     externality_drift,
     generate,
     horizon_for_tolerance,
     simulate,
     stationary_state,
-    step,
 )
 
-from conftest import bounded_argmax, draw_graph, draw_params, draw_seedings, oracle_graphs
+from conftest import (
+    agent_utility,
+    bounded_argmax,
+    draw_graph,
+    draw_params,
+    draw_seedings,
+    oracle_graphs,
+)
 
 
 def test_drift_value(example_params):
@@ -40,7 +45,7 @@ def test_step_is_the_linear_update(rng):
     q_a, q_b = 2.0, 1.0
     u = externality_drift(q_a, q_b, p)
     expected = g.weights @ y / (2.0 * p.beta) + u
-    assert np.allclose(step(g, p, q_a, q_b, y), expected, atol=1e-15)
+    assert np.allclose(simulate(g, p, q_a, q_b, y, 1)[1], expected, atol=1e-15)
 
 
 def test_sparse_rows_match_dense_matvec(rng):
@@ -50,7 +55,7 @@ def test_sparse_rows_match_dense_matvec(rng):
         y = rng.uniform(-0.5, 0.5, size=g.n)
         q_a, q_b = float(rng.uniform(0.5, 3.0)), float(rng.uniform(0.5, 3.0))
         dense = g.weights @ y / (2.0 * p.beta) + externality_drift(q_a, q_b, p)
-        assert np.abs(step(g, p, q_a, q_b, y) - dense).max() <= g.n * np.finfo(float).eps
+        assert np.abs(simulate(g, p, q_a, q_b, y, 1)[1] - dense).max() <= g.n * np.finfo(float).eps
         i, y_i = int(rng.integers(g.n)), float(rng.uniform(-0.5, 0.5))
         row = g.weights[i]
         dense_payoff = (
@@ -65,8 +70,6 @@ def test_sparse_rows_match_dense_matvec(rng):
 def test_nan_state_or_seeding_is_refused(example_params):
     p, g = example_params, generate("star", 5)
     nan_state = np.array([0.1, np.nan, 0.0, 0.0, 0.0])
-    with pytest.raises(ValueError, match="state outside"):
-        step(g, p, 2.0, 1.0, nan_state)
     with pytest.raises(ValueError, match="state outside"):
         simulate(g, p, 2.0, 1.0, nan_state, 3)
     with pytest.raises(ValueError, match="state outside"):
@@ -83,7 +86,7 @@ def test_nan_state_or_seeding_is_refused(example_params):
 def test_step_rejects_state_outside_range(example_params):
     g = generate("balanced", 3)
     with pytest.raises(ValueError, match="outside"):
-        step(g, example_params, 1.0, 1.0, np.array([0.7, 0.0, 0.0]))
+        simulate(g, example_params, 1.0, 1.0, np.array([0.7, 0.0, 0.0]), 1)
 
 
 def test_step_matches_per_agent_maximization(rng):
@@ -93,7 +96,7 @@ def test_step_matches_per_agent_maximization(rng):
         g = draw_graph(rng, 6)
         y = rng.uniform(-0.5, 0.5, size=6)
         q_a, q_b = float(rng.uniform(0.5, 3.0)), float(rng.uniform(0.5, 3.0))
-        nxt = step(g, p, q_a, q_b, y)
+        nxt = simulate(g, p, q_a, q_b, y, 1)[1]
         for i in range(6):
             best, _ = bounded_argmax(
                 lambda z: agent_utility(g, p, q_a, q_b, i, z, y), -0.5, 0.5
@@ -154,7 +157,7 @@ def test_stationary_state_is_fixed_point(rng):
     p = draw_params(rng)
     g = draw_graph(rng, 9)
     y_star = stationary_state(g, p, 2.5, 1.0)
-    assert np.allclose(step(g, p, 2.5, 1.0, y_star), y_star, atol=1e-12)
+    assert np.allclose(simulate(g, p, 2.5, 1.0, y_star, 1)[1], y_star, atol=1e-12)
     # long simulations converge to it
     traj = simulate(g, p, 2.5, 1.0, np.zeros(9), 200)
     assert np.allclose(traj[-1], y_star, atol=1e-12)
@@ -242,3 +245,12 @@ def test_negative_horizon_is_refused(example_params):
         simulate(g, example_params, 2.0, 1.0, y0, -3)
     with pytest.raises(ValueError, match="T must be nonnegative, got -1"):
         discounted_utilities(g, example_params, 2.0, 1.0, y0, y0, mode="simulated", T=-1)
+
+
+def test_nan_tolerance_is_refused(example_params):
+    g = generate("balanced", 4)
+    with pytest.raises(ValueError, match="tol must be positive, got nan"):
+        horizon_for_tolerance(example_params, 4, float("nan"))
+    with pytest.raises(ValueError, match="tol must be positive, got nan"):
+        discounted_utilities(g, example_params, 2.0, 1.0, np.zeros(4), np.zeros(4),
+                             mode="simulated", tol=float("nan"))

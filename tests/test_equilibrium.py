@@ -6,7 +6,6 @@ import pytest
 
 from netgame import (
     BudgetSpec,
-    SocialGraph,
     max_centrality_sequence,
     min_centrality_sequence,
     best_response_quality,
@@ -34,6 +33,7 @@ from netgame.equilibrium import (
 
 from conftest import (
     bounded_argmax,
+    dense_graph,
     draw_costs,
     draw_graph,
     draw_instance,
@@ -364,7 +364,7 @@ def _oracle_graph(rng, n):
     g = generate(kind, n, l=int(rng.integers(2, n)) if kind == "l_star" else None)
     # relabel so ties in centrality are not always broken toward the hub
     perm = rng.permutation(n)
-    return SocialGraph(n, g.weights[np.ix_(perm, perm)])
+    return dense_graph(g.weights[np.ix_(perm, perm)])
 
 
 def _assert_matches_oracle(g, p, budget):
@@ -508,6 +508,26 @@ def test_budget_spec_rejects_non_finite(field, bad):
     values[field] = bad
     with pytest.raises(ValueError, match="must be finite"):
         BudgetSpec(*values)
+
+
+@pytest.mark.parametrize(
+    "K, c_s, c_q, named",
+    [(math.nan, 1.0, 1.0, "must be finite"), (math.inf, 1.0, 1.0, "must be finite"),
+     (2.0, 0.0, 1.0, "costs must be positive"), (2.0, -1.0, 1.0, "costs must be positive"),
+     (2.0, 1.0, 0.0, "costs must be positive"), (2.0, 1.0, math.nan, "must be finite")],
+)
+def test_best_response_checks_budget_and_costs_as_budget_spec_does(example_params, K, c_s, c_q, named):
+    # unchecked, these raised IndexError from numpy or returned an unaffordable quality
+    v = centrality(generate("star", 15), example_params)
+    with pytest.raises(ValueError, match=named):
+        best_response_quality(v, example_params, K, c_s, c_q, 1.0)
+
+
+@pytest.mark.parametrize("q_opp", [math.nan, math.inf])
+def test_best_response_refuses_non_finite_opponent_quality(example_params, q_opp):
+    v = centrality(generate("star", 15), example_params)
+    with pytest.raises(ValueError, match=f"opponent quality {q_opp} is not finite"):
+        best_response_quality(v, example_params, 2.0, 1.0, 1.0, q_opp)
 
 
 def test_outcome_serialization(example_params):

@@ -5,7 +5,6 @@ import pytest
 
 from netgame import (
     centrality,
-    extremal_centrality,
     generate,
     max_centrality_sequence,
     min_centrality_sequence,
@@ -13,19 +12,21 @@ from netgame import (
     symmetric_nash,
     symmetric_seeding_extremes,
 )
-from netgame.centrality import balanced_centrality, star_centralities
-from netgame.extremal import budget_regime, max_level_centrality, min_level_centrality
+from netgame.centrality import balanced_centrality, l_star_centralities, star_centralities
+from netgame.extremal import budget_regime
 
 from conftest import draw_costs, draw_graph, draw_params
 
 
 def test_envelope_values_example(example_params):
-    assert max_level_centrality(1, 15, example_params) == pytest.approx(4.8)
-    assert max_level_centrality(3, 15, example_params) == pytest.approx(8.0 / 3.0)
-    assert max_level_centrality(15, 15, example_params) == pytest.approx(4.0 / 3.0)
-    assert min_level_centrality(1, 15, example_params) == pytest.approx(4.0 / 3.0)
-    assert min_level_centrality(2, 15, example_params) == pytest.approx(38.0 / 35.0)
-    assert min_level_centrality(7, 15, example_params) == 1.0
+    hi = max_centrality_sequence(15, example_params)
+    lo = min_centrality_sequence(15, example_params)
+    assert hi[0] == pytest.approx(4.8)
+    assert hi[2] == pytest.approx(8.0 / 3.0)
+    assert hi[14] == pytest.approx(4.0 / 3.0)
+    assert lo[0] == pytest.approx(4.0 / 3.0)
+    assert lo[1] == pytest.approx(38.0 / 35.0)
+    assert lo[6] == 1.0
 
 
 def test_envelope_sequences_are_consistent(rng):
@@ -34,35 +35,41 @@ def test_envelope_sequences_are_consistent(rng):
         p = draw_params(rng)
         hi = max_centrality_sequence(n, p)
         lo = min_centrality_sequence(n, p)
+        assert hi.shape == lo.shape == (n,)
         assert np.all(np.diff(hi) <= 1e-12)
         assert np.all(np.diff(lo) <= 1e-12)
         assert np.all(lo <= hi + 1e-12)
-        ext = extremal_centrality(2, n, p) if n >= 2 else None
-        assert ext.v_max == hi[1] and ext.v_min == lo[1]
 
 
-def test_level_out_of_range(example_params):
-    with pytest.raises(ValueError):
-        max_level_centrality(0, 15, example_params)
-    with pytest.raises(ValueError):
-        min_level_centrality(16, 15, example_params)
+def envelopes_per_level(n, p):
+    """Reference for the envelope sequences: each level's bound from the closed forms."""
+    hub, peripheral = star_centralities(n, p)
+    hi = [hub] + [l_star_centralities(n, l, p)[0] for l in range(2, n + 1)]
+    lo = [balanced_centrality(p), peripheral] + [1.0] * (n - 2)
+    return hi, lo
+
+
+def test_envelope_sequences_match_per_level_closed_forms(rng):
+    for n in [2, 3, 15, 400, *rng.integers(2, 401, size=300)]:
+        p = draw_params(rng)
+        hi, lo = envelopes_per_level(int(n), p)
+        assert max_centrality_sequence(int(n), p).tolist() == hi
+        assert min_centrality_sequence(int(n), p).tolist() == lo
 
 
 def test_witness_graphs_attain_envelopes(example_params):
     # the named graphs sit exactly on the bounds they certify
     n = 15
+    hi = max_centrality_sequence(n, example_params)
+    lo = min_centrality_sequence(n, example_params)
     star = centrality(generate("star", n), example_params).sorted_values
-    assert star[0] == pytest.approx(max_level_centrality(1, n, example_params), abs=1e-9)
-    assert star[1] == pytest.approx(min_level_centrality(2, n, example_params), abs=1e-9)
+    assert star[0] == pytest.approx(hi[0], abs=1e-9)
+    assert star[1] == pytest.approx(lo[1], abs=1e-9)
     for l in (2, 5, 14):
         v = centrality(generate("l_star", n, l=l), example_params).sorted_values
-        assert v[l - 1] == pytest.approx(
-            max_level_centrality(l, n, example_params), abs=1e-9
-        )
+        assert v[l - 1] == pytest.approx(hi[l - 1], abs=1e-9)
     balanced = centrality(generate("balanced", n), example_params).sorted_values
-    assert balanced[0] == pytest.approx(
-        min_level_centrality(1, n, example_params), abs=1e-9
-    )
+    assert balanced[0] == pytest.approx(lo[0], abs=1e-9)
     near = centrality(
         generate("near_star_one_bidirectional", n), example_params
     ).sorted_values

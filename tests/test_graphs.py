@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 
@@ -16,12 +17,11 @@ from netgame import (
     load_graph,
     save_graph,
     solve_nash,
-    validate_graph,
 )
 from netgame.cli import main
 from netgame.graphs import require_valid
 
-from conftest import draw_graph
+from conftest import dense_graph, draw_graph
 
 
 def test_validation_reports_nonzero_diagonal():
@@ -30,8 +30,7 @@ def test_validation_reports_nonzero_diagonal():
     w[0, 1] = 0.5
     w[1, 2] = 1.0
     w[2, 0] = 1.0
-    v = validate_graph(SocialGraph(3, w))
-    assert "nonzero diagonal at 0" in v
+    assert "nonzero diagonal at 0" in dense_graph(w).violations
 
 
 def test_validation_reports_row_sum():
@@ -39,25 +38,22 @@ def test_validation_reports_row_sum():
     w[0, 1] = 0.9
     w[1, 2] = 1.0
     w[2, 0] = 1.0
-    v = validate_graph(SocialGraph(3, w))
-    assert "row 0 sum 0.9" in v
+    assert "row 0 sum 0.9" in dense_graph(w).violations
 
 
 def test_validation_reports_negative_weight():
     w = np.zeros((2, 2))
     w[0, 1] = 1.0
     w[1, 0] = -1.0
-    v = validate_graph(SocialGraph(2, w))
-    assert "negative weight at (1, 0)" in v
+    assert "negative weight at (1, 0)" in dense_graph(w).violations
 
 
 def test_validation_rejects_single_agent():
-    v = validate_graph(SocialGraph(1, np.zeros((1, 1))))
-    assert v == ["n 1 below minimum of 2"]
+    assert dense_graph(np.zeros((1, 1))).violations == ("n 1 below minimum of 2",)
 
 
 def test_valid_graph_has_no_violations():
-    assert validate_graph(generate("star", 5)) == []
+    assert generate("star", 5).violations == ()
 
 
 def test_weights_are_read_only():
@@ -66,23 +62,18 @@ def test_weights_are_read_only():
         g.weights[0, 0] = 1.0
 
 
-def test_shape_mismatch_rejected():
-    with pytest.raises(ValueError, match="shape"):
-        SocialGraph(3, np.zeros((2, 2)))
-
-
 @pytest.mark.parametrize("kind", [k for k in KINDS if k != "l_star"])
 @pytest.mark.parametrize("n", [2, 3, 7, 15])
 def test_generators_produce_valid_graphs(kind, n):
     g = generate(kind, n, seed=0)
     assert g.n == n
-    assert validate_graph(g) == []
+    assert g.violations == ()
 
 
 @pytest.mark.parametrize("n,l", [(3, 2), (7, 3), (15, 3), (15, 14)])
 def test_l_star_generator_valid(n, l):
     g = generate("l_star", n, l=l)
-    assert validate_graph(g) == []
+    assert g.violations == ()
     # peripherals listen only to hubs, uniformly
     assert np.allclose(g.weights[l:, :l], 1.0 / l)
     assert np.all(g.weights[l:, l:] == 0.0)
@@ -122,7 +113,7 @@ def test_random_generator_deterministic_in_seed():
 def test_random_generator_survives_sparse_density():
     # density low enough that all-zero rows must get redrawn
     g = generate("random", 6, seed=7, density=0.05)
-    assert validate_graph(g) == []
+    assert g.violations == ()
 
 
 @settings(max_examples=40, deadline=None)
@@ -179,7 +170,7 @@ def test_require_valid_message_joins_violations():
     w[0, 0] = 1.0
     w[1, 0] = 0.5
     with pytest.raises(GraphValidationError) as exc:
-        require_valid(SocialGraph(2, w))
+        require_valid(dense_graph(w))
     msg = str(exc.value)
     assert "nonzero diagonal at 0" in msg and "row 1 sum 0.5" in msg
 
@@ -189,7 +180,7 @@ def test_validation_reports_non_finite_weight(bad):
     w = np.zeros((2, 2))
     w[0, 1] = bad
     w[1, 0] = 1.0
-    assert "non-finite weight at (0, 1)" in validate_graph(SocialGraph(2, w))
+    assert "non-finite weight at (0, 1)" in dense_graph(w).violations
 
 
 def test_load_rejects_nan_weight(tmp_path):
@@ -202,11 +193,11 @@ def test_load_rejects_nan_weight(tmp_path):
 def test_verdict_is_fixed_at_construction():
     g = generate("star", 5)
     assert g.violations == ()
-    w = np.eye(2)
-    bad = SocialGraph(2, w)
-    listed = validate_graph(bad)
-    listed.clear()
-    assert validate_graph(bad) == list(bad.violations) != []
+    bad = dense_graph(np.eye(2))
+    assert bad.violations == ("nonzero diagonal at 0", "nonzero diagonal at 1")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        bad.violations = ()
+    assert not bad.data.flags.writeable
 
 
 @pytest.mark.parametrize(
@@ -244,7 +235,7 @@ def from_dict_loop(data: dict) -> SocialGraph:
             raise ValueError(f"duplicate edge ({i}, {j})")
         seen.add((i, j))
         w[i, j] = wt
-    return SocialGraph(n=n, weights=w)
+    return dense_graph(w)
 
 
 def _outcome(build, data):
@@ -325,7 +316,7 @@ def test_violations_match_dense_scan():
         w = _faulty_weights(rng, int(n)) if n > 1 else np.zeros((1, 1))
         edges = [[int(i), int(j), float(w[i, j])] for i, j in zip(*np.nonzero(w))]
         rng.shuffle(edges)
-        assert list(SocialGraph(int(n), w).violations) == violations_dense(w)
+        assert list(dense_graph(w).violations) == violations_dense(w)
         assert list(SocialGraph.from_dict({"n": int(n), "edges": edges}).violations) == violations_dense(w)
 
 
@@ -342,7 +333,7 @@ def test_csr_holds_the_dense_nonzero_pattern():
         assert np.array_equal(g.rows(), rows) and np.array_equal(g.indices, cols)
         assert np.array_equal(g.data, w[rows, cols], equal_nan=True)
         assert np.array_equal(g.weights, w, equal_nan=True)
-        dense = SocialGraph(n, w)
+        dense = dense_graph(w)
         for name in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(g, name), getattr(dense, name), equal_nan=True)
     # an explicit zero weight, either sign, is no edge
@@ -378,7 +369,7 @@ def generate_dense(kind: str, n: int, l: int | None = None, seed: int | None = N
             row = np.zeros(n)
             row[mask] = rng.uniform(0.1, 1.0, size=int(mask.sum()))
             w[i] = row / row.sum()
-    return SocialGraph(n, w)
+    return dense_graph(w)
 
 
 def _same_csr(a: SocialGraph, b: SocialGraph) -> bool:
