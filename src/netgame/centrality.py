@@ -136,7 +136,9 @@ def balanced_centrality(p: ModelParams) -> float:
 
 
 def star_centralities(n: int, p: ModelParams) -> tuple[float, float]:
-    """(hub, peripheral) centralities of the star on n agents."""
+    """(hub, peripheral) centralities of the star on n agents (n >= 2)."""
+    if n < 2:
+        raise ValueError(f"the star needs at least 2 agents, got n={n}")
     x = p.delta / (2.0 * p.beta)
     hub = (1.0 + x * (n - 1)) / (1.0 - x * x)
     peripheral = (1.0 + x / (n - 1)) / (1.0 - x * x)

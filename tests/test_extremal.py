@@ -57,6 +57,16 @@ def test_envelope_sequences_match_per_level_closed_forms(rng):
         assert min_centrality_sequence(int(n), p).tolist() == lo
 
 
+@pytest.mark.parametrize("n", [0, 1])
+def test_envelopes_refuse_fewer_than_two_agents(example_params, n):
+    # n=0 gave empty envelopes and n=1 a one-entry minimum envelope or ZeroDivisionError
+    for build in (max_centrality_sequence, min_centrality_sequence):
+        with pytest.raises(ValueError, match=f"at least 2 agents, got n={n}"):
+            build(n, example_params)
+    with pytest.raises(ValueError, match=f"at least 2 agents, got n={n}"):
+        symmetric_seeding_extremes(n, example_params, 1.0, 1.0, 1.0)
+
+
 def test_witness_graphs_attain_envelopes(example_params):
     # the named graphs sit exactly on the bounds they certify
     n = 15
