@@ -18,7 +18,7 @@ import gc
 import logging
 import os
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from .dynamics import (
     discounted_utilities,
     horizon_for_tolerance,
     simulate,
-    trajectory_utilities,
+    simulated_report,
 )
 from .equilibrium import (
     BudgetSpec,
@@ -176,8 +176,7 @@ def cmd_simulate(args) -> int:
         g, p, args.qa, args.qb, s_a, s_b, mode="closed_form"
     )
     # the simulated utilities sum this trajectory, so the spread runs once
-    u_a, u_b = trajectory_utilities(traj, p)
-    report_sim = replace(report_closed, u_a=u_a, u_b=u_b, mode="simulated", horizon=T)
+    report_sim = simulated_report(report_closed, traj, p)
     result = {
         "trajectory": traj,
         "utilities": report_sim.to_dict(),

@@ -14,7 +14,7 @@ update maximizes, is kept in the tests as the oracle for the update.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -131,18 +131,6 @@ def horizon_for_tolerance(p: ModelParams, n: int, tol: float = 1e-10) -> int:
     return max(0, math.ceil(math.log(target) / math.log(p.delta)))
 
 
-def trajectory_utilities(traj: np.ndarray, p: ModelParams) -> tuple[float, float]:
-    """Both firms' discounted consumption summed over a (T+1, n) trajectory of tilts.
-
-    Round t adds delta^t times the firm's total consumption share,
-    n/2 + sum(y(t)) for firm a and n/2 - sum(y(t)) for firm b.
-    """
-    n = traj.shape[1]
-    tilt = traj.sum(axis=1)
-    weights = p.delta ** np.arange(len(traj))
-    return float(weights @ (n / 2.0 + tilt)), float(weights @ (n / 2.0 - tilt))
-
-
 @dataclass(frozen=True)
 class UtilityReport:
     """Both firms' discounted utilities with the closed-form decomposition.
@@ -209,23 +197,38 @@ def discounted_utilities(
     seed_a = dot(v, s_a)
     seed_b = dot(v, s_b)
     quality = lam * (q_a - q_b) / (q_a + q_b)
-    if mode == "closed_form":
-        u_a = base + seed_a - seed_b + quality
-        u_b = base + seed_b - seed_a - quality
-        horizon = None
-    elif mode == "simulated":
-        horizon = horizon_for_tolerance(p, n, tol) if T is None else T
-        u_a, u_b = trajectory_utilities(simulate(g, p, q_a, q_b, s_a - s_b, horizon), p)
-    else:
+    if mode not in ("closed_form", "simulated"):
         raise ValueError(f"unknown mode {mode!r}; use 'closed_form' or 'simulated'")
-    return UtilityReport(
-        u_a=u_a,
-        u_b=u_b,
+    closed = UtilityReport(
+        u_a=base + seed_a - seed_b + quality,
+        u_b=base + seed_b - seed_a - quality,
         lam=lam,
         base=base,
         seeding_a=seed_a,
         seeding_b=seed_b,
         quality=quality,
-        mode=mode,
-        horizon=horizon,
+        mode="closed_form",
+    )
+    if mode == "closed_form":
+        return closed
+    horizon = horizon_for_tolerance(p, n, tol) if T is None else T
+    return simulated_report(closed, simulate(g, p, q_a, q_b, s_a - s_b, horizon), p)
+
+
+def simulated_report(closed: UtilityReport, traj: np.ndarray, p: ModelParams) -> UtilityReport:
+    """The closed-form report with its utilities summed over a (T+1, n) trajectory of tilts.
+
+    Round t adds delta^t times the firm's total consumption share,
+    n/2 + sum(y(t)) for firm a and n/2 - sum(y(t)) for firm b; the
+    breakdown stays the closed form's, and the horizon is T.
+    """
+    n = traj.shape[1]
+    tilt = traj.sum(axis=1)
+    weights = p.delta ** np.arange(len(traj))
+    return replace(
+        closed,
+        u_a=float(weights @ (n / 2.0 + tilt)),
+        u_b=float(weights @ (n / 2.0 - tilt)),
+        mode="simulated",
+        horizon=len(traj) - 1,
     )

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .allocation import regime_by_endpoints
-from .centrality import balanced_centrality, star_centralities
+from .centrality import balanced_centrality, l_star_centralities, star_centralities
 from .equilibrium import CASE_INTERIOR, CASE_SATURATED, BudgetSpec, _solve_sequence, solve_nash
 from .graphs import SocialGraph, generate
 from .params import ModelParams
@@ -27,13 +27,9 @@ VERIFY_TOL = 1e-9
 
 
 def max_centrality_sequence(n: int, p: ModelParams) -> np.ndarray:
-    """Largest possible l-th centrality for l = 1..n: the star hub, then l-star hubs.
-
-    The l-star hub value is ``l_star_centralities(n, l, p)[0]``, written
-    for all l at once.
-    """
-    hubs = n * p.delta / (np.arange(2, n + 1) * (2.0 * p.beta - p.delta)) + 1.0
-    return np.r_[star_centralities(n, p)[0], hubs]
+    """Largest possible l-th centrality for l = 1..n: the star hub, then l-star hubs."""
+    hubs = [l_star_centralities(n, l, p)[0] for l in range(2, n + 1)]
+    return np.array([star_centralities(n, p)[0], *hubs])
 
 
 def min_centrality_sequence(n: int, p: ModelParams) -> np.ndarray:

@@ -56,6 +56,11 @@ class SocialGraph:
     violations: tuple[str, ...] = field(repr=False)
     _centrality: tuple | None = field(default=None, repr=False)
 
+    def __init__(self, *args, **kwargs) -> None:
+        raise TypeError(
+            "build a SocialGraph with from_csr, from_dict, from_json, load_graph or generate"
+        )
+
     def _store(self, n: int, rows: np.ndarray, cols: np.ndarray, data: np.ndarray) -> None:
         """Keep fresh arrays of the entries, sorted by row and then column, as CSR.
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from netgame import BudgetSpec, ModelParams, SocialGraph, centrality, generate, solve_nash
-from netgame.dynamics import _require_state
+from netgame.dynamics import _STATE_TOL, _require_state
 from netgame.equilibrium import (
     CASE_BOUNDARY,
     CASE_INTERIOR,
@@ -101,7 +101,7 @@ def agent_utility(
     require_valid(g)
     require_qualities(p, q_a, q_b)
     y = _require_state(y, g.n)
-    if not abs(y_i) <= 0.5 + 1e-9:
+    if not abs(y_i) <= 0.5 + _STATE_TOL:
         raise ValueError(f"y_i={y_i} outside [-1/2, 1/2]")
     row = slice(g.indptr[i], g.indptr[i + 1])
     w, y_in = g.data[row], y[g.indices[row]]  # agent i's influencers

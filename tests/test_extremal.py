@@ -12,7 +12,6 @@ from netgame import (
     symmetric_nash,
     symmetric_seeding_extremes,
 )
-from netgame.centrality import balanced_centrality, l_star_centralities, star_centralities
 from netgame.extremal import budget_regime
 
 from conftest import draw_costs, draw_graph, draw_params
@@ -39,22 +38,6 @@ def test_envelope_sequences_are_consistent(rng):
         assert np.all(np.diff(hi) <= 1e-12)
         assert np.all(np.diff(lo) <= 1e-12)
         assert np.all(lo <= hi + 1e-12)
-
-
-def envelopes_per_level(n, p):
-    """Reference for the envelope sequences: each level's bound from the closed forms."""
-    hub, peripheral = star_centralities(n, p)
-    hi = [hub] + [l_star_centralities(n, l, p)[0] for l in range(2, n + 1)]
-    lo = [balanced_centrality(p), peripheral] + [1.0] * (n - 2)
-    return hi, lo
-
-
-def test_envelope_sequences_match_per_level_closed_forms(rng):
-    for n in [2, 3, 15, 400, *rng.integers(2, 401, size=300)]:
-        p = draw_params(rng)
-        hi, lo = envelopes_per_level(int(n), p)
-        assert max_centrality_sequence(int(n), p).tolist() == hi
-        assert min_centrality_sequence(int(n), p).tolist() == lo
 
 
 @pytest.mark.parametrize("n", [0, 1])

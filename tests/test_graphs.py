@@ -56,6 +56,13 @@ def test_valid_graph_has_no_violations():
     assert generate("star", 5).violations == ()
 
 
+@pytest.mark.parametrize("args", [(), (3, np.zeros((3, 3)))])
+def test_bare_constructor_names_the_builders(args):
+    # graphs come only from the builders; a bare call would leave one with no arrays
+    with pytest.raises(TypeError, match="from_csr, from_dict"):
+        SocialGraph(*args)
+
+
 def test_weights_are_read_only():
     g = generate("balanced", 4)
     with pytest.raises(ValueError):
