@@ -36,6 +36,8 @@ class PresetState:
 
     def __post_init__(self) -> None:
         y0 = np.array(self.y0, dtype=float, copy=True)
+        if y0.ndim != 1 or y0.size == 0:
+            raise ValueError(f"preexisting tilts must be a nonempty vector, got shape {y0.shape}")
         # negated so that a NaN tilt fails the check
         if not np.abs(y0).max() <= 0.5 + TIE_TOL:
             raise ValueError("preexisting tilts must lie in [-1/2, 1/2]")
@@ -101,6 +103,8 @@ def _seedable(
     v: CentralityVector, state: PresetState, firm: str, p: ModelParams, c_s: float, c_q: float
 ) -> tuple[float, np.ndarray]:
     """The firm's threshold and the agents strictly above it, most central first."""
+    if state.y0.shape != v.values.shape:
+        raise ValueError(f"preexisting tilts have shape {state.y0.shape}, need {v.values.shape}")
     v_c_a, v_c_b = thresholds(state.q_a, state.q_b, p, len(v.values), c_s, c_q)
     v_c = v_c_a if firm == "a" else v_c_b
     return v_c, v.order[v.sorted_values > v_c + TIE_TOL]

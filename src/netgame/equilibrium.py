@@ -176,14 +176,17 @@ def best_response_quality(
 ) -> tuple[float, np.ndarray, float]:
     """Exact best reply: optimal quality, its water-filled seeding, and value.
 
-    The reduced objective v.S(q) + lam*(q - q_opp)/(q + q_opp) is concave
-    in q and piecewise smooth between the spend levels where the marginal
-    agent changes, so it suffices to compare the per-piece stationary
-    points (closed form) with the piece endpoints.  Candidates are scored
-    from prefix sums of the sorted centralities; the returned value is
-    the objective evaluated on the returned seeding.  ``K``, ``c_s`` and
-    ``c_q`` are checked as ``BudgetSpec`` checks them, and ``q_opp`` must
-    be finite and at least epsilon.
+    The objective v.S(q) + lam*(q - q_opp)/(q + q_opp) is concave in q.
+    With v sorted descending, agent j is marginal between the kinks
+    q_j = (K - c_s*j/2)/c_q, which fall with j, and the slope there is
+    positive below s_j = sqrt(2*lam*(c_s/c_q)*q_opp/v_j) - q_opp and
+    negative above it, where s_j rises with j.  So the optimum is
+    min(s_j, q_(j-1)) on the first piece with s_j >= q_j (q_n if none),
+    clipped to the affordable range: the candidate that an argmax over all
+    piece ends and in-piece stationary points picks, by the same arithmetic
+    (``tests/conftest.py`` keeps that oracle).  The value is the objective
+    on the returned seeding.  ``K``, ``c_s`` and ``c_q`` are checked as
+    ``BudgetSpec`` checks them, and ``q_opp`` must be finite and >= epsilon.
     """
     n = len(v.values)
     BudgetSpec(K, K, c_s, c_q)
@@ -194,23 +197,12 @@ def best_response_quality(
     if K < c_q * p.epsilon - COND_TOL:
         raise ValueError(f"budget {K} cannot afford minimum quality")
     lam = p.quality_weight(n)
-    ratio = c_s / c_q
-    vd = v.sorted_values
-    q_hi = K / c_q
-    q_lo = max(p.epsilon, (K - c_s * n / 2.0) / c_q)
-
-    j = np.arange(1, n + 1)
-    piece_hi = np.minimum((K - c_s * (j - 1) / 2.0) / c_q, q_hi)
-    piece_lo = np.maximum((K - c_s * j / 2.0) / c_q, q_lo)
-    live = (piece_hi >= q_lo) & (piece_lo <= q_hi) & (piece_hi > piece_lo)
-    stationary = np.sqrt(2.0 * lam * ratio * q_opp / vd) - q_opp
-    inside = live & (piece_lo <= stationary) & (stationary <= piece_hi)
-    q = np.concatenate(([q_lo, q_hi], piece_lo[live], piece_hi[live], stationary[inside]))
-    spend = np.clip((K - c_q * q) / c_s, 0.0, n / 2.0)
-    full = np.minimum((2.0 * spend).astype(int), n)
-    prefix = np.concatenate(([0.0], np.cumsum(vd)))
-    seeded = 0.5 * prefix[full] + (spend - 0.5 * full) * np.append(vd, 0.0)[full]
-    best_q = float(q[np.argmax(seeded + lam * (q - q_opp) / (q + q_opp))])
+    kinks = (K - c_s * np.arange(n + 1) / 2.0) / c_q
+    stationary = np.sqrt(2.0 * lam * (c_s / c_q) * q_opp / v.sorted_values) - q_opp
+    rising = stationary >= kinks[1:]
+    j = int(np.argmax(rising))
+    best_q = min(stationary[j], kinks[j]) if rising[j] else kinks[n]
+    best_q = float(max(min(best_q, kinks[0]), p.epsilon, kinks[n]))
 
     spend = (K - c_q * best_q) / c_s
     seeding, _ = water_fill_seeding(v, min(spend, n / 2.0))

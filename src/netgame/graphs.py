@@ -101,18 +101,16 @@ class SocialGraph:
     def from_dict(cls, data: dict) -> "SocialGraph":
         """Build from ``{"n": n, "edges": [[i, j, weight], ...]}``.
 
-        Raises ``ValueError`` for a negative ``n``, and for a malformed
+        Raises ``ValueError`` for an ``n`` that is not a nonnegative
+        integer (a float or a bool included), and for a malformed
         entry, an index outside ``[0, n)`` or a repeated ``(i, j)``, naming
         the first such entry.
         The weights are not checked here; ``violations`` reports them.
         """
         try:
-            n = int(data["n"])
-            edges = data["edges"]
+            n, edges = _agent_count(data["n"]), data["edges"]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"graph data must have 'n' and 'edges': {exc}") from exc
-        if n < 0:
-            raise ValueError(f"graph 'n' must be nonnegative, got {n}")
         e = _edge_array(edges)
         ij = e[:, :2]
         outside = ~((ij > -1) & (ij < n)).all(axis=1)
@@ -148,12 +146,7 @@ class SocialGraph:
         fault.  An explicit zero weight is no edge, as in ``from_dict``.
         The weights are not checked here; ``violations`` reports them.
         """
-        n = np.asarray(n)
-        if n.shape != () or n.dtype.kind not in "iu":
-            raise ValueError(f"graph 'n' must be an integer, got {n!r}")
-        n = int(n)
-        if n < 0:
-            raise ValueError(f"graph 'n' must be nonnegative, got {n}")
+        n = _agent_count(n)
         indptr, indices, data = (np.asarray(a) for a in (indptr, indices, data))
         for name, a, kinds, kind_name in (
             ("indptr", indptr, "iu", "integer"),
@@ -203,6 +196,16 @@ def _is_edge(entry) -> bool:
         and math.isfinite(entry[0])
         and math.isfinite(entry[1])
     )
+
+
+def _agent_count(n) -> int:
+    """A graph's ``n`` as an int; refuses a negative or non-integer value, a bool included."""
+    a = np.asarray(n)
+    if a.shape != () or a.dtype.kind not in "iu":
+        raise ValueError(f"graph 'n' must be an integer, got {n!r}")
+    if a < 0:
+        raise ValueError(f"graph 'n' must be nonnegative, got {n}")
+    return int(a)
 
 
 def _edge_array(edges) -> np.ndarray:

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from netgame import BudgetSpec, ModelParams, SocialGraph, centrality, generate, solve_nash
+from netgame.centrality import dot
 from netgame.dynamics import _STATE_TOL, _require_state
 from netgame.equilibrium import (
     CASE_BOUNDARY,
@@ -24,6 +25,7 @@ from netgame.equilibrium import (
     _build_outcome,
     _clipped_seed,
     best_response_quality,
+    water_fill_seeding,
 )
 from netgame.graphs import require_valid
 from netgame.params import require_qualities
@@ -110,6 +112,41 @@ def agent_utility(
     match_a = q_a * float(w @ ((0.5 + y_i) * (0.5 + y_in)))
     match_b = q_b * float(w @ ((0.5 - y_i) * (0.5 - y_in)))
     return standalone + direct + match_a + match_b
+
+
+def best_response_by_candidates(v, p: ModelParams, K: float, c_s: float, c_q: float, q_opp: float):
+    """Oracle for best_response_quality: score every candidate quality, take the argmax.
+
+    The candidates are both ends of the affordable range [q_lo, K/c_q],
+    both ends of every live piece (the spend levels between which one
+    agent is the marginal one) and every stationary point inside its
+    piece.  Each is scored from prefix sums of the sorted centralities.
+    Returns the same (quality, water-filled seeding, value) triple.
+    """
+    n = len(v.values)
+    lam = p.quality_weight(n)
+    ratio = c_s / c_q
+    vd = v.sorted_values
+    q_hi = K / c_q
+    q_lo = max(p.epsilon, (K - c_s * n / 2.0) / c_q)
+
+    j = np.arange(1, n + 1)
+    piece_hi = np.minimum((K - c_s * (j - 1) / 2.0) / c_q, q_hi)
+    piece_lo = np.maximum((K - c_s * j / 2.0) / c_q, q_lo)
+    live = (piece_hi >= q_lo) & (piece_lo <= q_hi) & (piece_hi > piece_lo)
+    stationary = np.sqrt(2.0 * lam * ratio * q_opp / vd) - q_opp
+    inside = live & (piece_lo <= stationary) & (stationary <= piece_hi)
+    q = np.concatenate(([q_lo, q_hi], piece_lo[live], piece_hi[live], stationary[inside]))
+    spend = np.clip((K - c_q * q) / c_s, 0.0, n / 2.0)
+    full = np.minimum((2.0 * spend).astype(int), n)
+    prefix = np.concatenate(([0.0], np.cumsum(vd)))
+    seeded = 0.5 * prefix[full] + (spend - 0.5 * full) * np.append(vd, 0.0)[full]
+    best_q = float(q[np.argmax(seeded + lam * (q - q_opp) / (q + q_opp))])
+
+    spend = (K - c_q * best_q) / c_s
+    seeding, _ = water_fill_seeding(v, min(spend, n / 2.0))
+    value = dot(v.values, seeding) + lam * (best_q - q_opp) / (best_q + q_opp)
+    return best_q, seeding, value
 
 
 def draw_costs(rng: np.random.Generator) -> tuple[float, float]:

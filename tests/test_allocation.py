@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -325,3 +327,23 @@ def test_thresholds_and_capacity_reject_bad_costs(example_params, c_s, c_q):
 def test_preset_state_rejects_non_finite_values(q_a, q_b, y0):
     with pytest.raises(ValueError):
         PresetState(q_a=q_a, q_b=q_b, y0=np.full(4, y0))
+
+
+@pytest.mark.parametrize("y0", [np.zeros((15, 1)), np.zeros(0), np.float64(0.0)])
+def test_preset_state_refuses_tilts_that_are_not_a_nonempty_vector(y0):
+    # numpy used to answer with a broadcast or zero-size reduction error
+    named = re.escape(f"must be a nonempty vector, got shape {y0.shape}")
+    with pytest.raises(ValueError, match=named):
+        PresetState(q_a=5.0, q_b=5.0, y0=y0)
+
+
+@pytest.mark.parametrize("length", [10, 20])
+def test_allocation_and_capacity_refuse_tilts_of_another_length(example_params, length):
+    # a longer y0 used to return a result, a shorter one raised IndexError
+    v = centrality(generate("random", 15, seed=4, density=0.3), example_params)
+    state = PresetState(q_a=5.0, q_b=5.0, y0=np.zeros(length))
+    named = re.escape(f"preexisting tilts have shape ({length},), need (15,)")
+    with pytest.raises(ValueError, match=named):
+        allocate_budget(v, state, "a", 1.0, 1.0, 1.0, example_params)
+    with pytest.raises(ValueError, match=named):
+        seeding_capacity(v, state, "b", example_params, 1.0, 1.0)

@@ -279,6 +279,8 @@ def test_simulate_negative_horizon_exits_2(capsys):
         ('{"n": 2, "edges": [[0, 1, null], [1, 0, 1.0]]}', "is not [i, j, weight]"),
         ('{"n": 2, "edges": [[0, "one", 1.0], [1, 0, 1.0]]}', "is not [i, j, weight]"),
         ('{"n": -2, "edges": []}', "graph 'n' must be nonnegative, got -2"),
+        ('{"n": 2.7, "edges": [[0, 1, 1.0], [1, 0, 1.0]]}', "graph 'n' must be an integer, got 2.7"),
+        ('{"n": true, "edges": [[0, 1, 1.0], [1, 0, 1.0]]}', "graph 'n' must be an integer, got True"),
     ],
 )
 def test_malformed_graph_file_exits_2(tmp_path, capsys, text, named):

@@ -32,12 +32,14 @@ from netgame.equilibrium import (
 )
 
 from conftest import (
+    best_response_by_candidates,
     bounded_argmax,
     dense_graph,
     draw_costs,
     draw_graph,
     draw_instance,
     draw_params,
+    oracle_graphs,
     random_seeding,
     solve_nash_iterative,
 )
@@ -115,6 +117,35 @@ def test_best_response_matches_numeric_oracle(rng):
         assert val >= oracle_val - 1e-9
         assert val == pytest.approx(objective(q_star), abs=1e-12)
         _assert_water_filled(seeding, v.order)
+
+
+def test_best_response_equals_candidate_oracle(rng):
+    # The piece search must return the very candidate the argmax over every
+    # piece end and stationary point picks, on tied centralities (star,
+    # l-star, balanced), budgets at the quality floor and past full seeding,
+    # and rival qualities at epsilon and at K/c_q.
+    draws = 0
+    for g in oracle_graphs(rng, count=30, n_max=30):
+        for _ in range(5):
+            p = draw_params(rng)
+            v = centrality(g, p)
+            c_s, c_q = draw_costs(rng)
+            floor, full = c_q * p.epsilon, c_s * g.n / 2.0
+            budgets = (
+                max(floor * (1.0 + 1e-3 * rng.uniform(-1.0, 1.0)), floor - 0.5 * COND_TOL),
+                float(rng.uniform(full, 1.2 * (full + c_q))),
+                floor * (1.2 * (full + c_q) / floor) ** float(rng.random()),
+            )
+            for K in budgets:
+                rivals = (p.epsilon, max(K / c_q, p.epsilon), float(np.exp(rng.uniform(-4.0, 3.0))))
+                for q_opp in rivals:
+                    args = (v, p, K, c_s, c_q, q_opp)
+                    q, seeding, value = best_response_quality(*args)
+                    q_ref, seeding_ref, value_ref = best_response_by_candidates(*args)
+                    assert (q, value) == (q_ref, value_ref), (g.n, K, c_s, c_q, q_opp)
+                    assert np.array_equal(seeding, seeding_ref)
+                    draws += 1
+    assert draws >= 2000
 
 
 def test_best_response_spends_whole_budget(rng):

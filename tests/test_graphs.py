@@ -226,10 +226,14 @@ def test_from_dict_rejects_edges_that_are_not_a_list(edges):
 def from_dict_loop(data: dict) -> SocialGraph:
     """Reference for ``SocialGraph.from_dict``: one edge at a time."""
     try:
-        n = int(data["n"])
+        n = data["n"]
         edges = data["edges"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"graph data must have 'n' and 'edges': {exc}") from exc
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise ValueError(f"graph 'n' must be an integer, got {n!r}")
+    if n < 0:
+        raise ValueError(f"graph 'n' must be nonnegative, got {n}")
     w = np.zeros((n, n))
     seen = set()
     for entry in edges:
@@ -273,6 +277,10 @@ def test_from_dict_matches_loop_reference():
     assert np.array_equal(
         _outcome(SocialGraph.from_dict, {"n": 3, "edges": []}), np.zeros((3, 3))
     )
+    # int() used to truncate 2.7 to a 2-agent graph and read "2" and true as numbers
+    for n in (2.7, 2.0, "2", True, None, -2):
+        data = {"n": n, "edges": [[0, 1, 1.0], [1, 0, 1.0]]}
+        assert _outcome(SocialGraph.from_dict, data) == _outcome(from_dict_loop, data)
     faults = 0
     for trial in range(300):
         n = int(rng.integers(3, 25))
