@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .centrality import CentralityVector, balanced_centrality, dot, star_centralities
-from .equilibrium import capped_fill
 from .params import ModelParams, require_qualities
 
 TIE_TOL = 1e-12
@@ -108,6 +107,12 @@ def _seedable(
     v_c_a, v_c_b = thresholds(state.q_a, state.q_b, p, len(v.values), c_s, c_q)
     v_c = v_c_a if firm == "a" else v_c_b
     return v_c, v.order[v.sorted_values > v_c + TIE_TOL]
+
+
+def capped_fill(amount: float, caps: np.ndarray) -> np.ndarray:
+    """Hand ``amount`` out in order: entry j gets min(cap_j, what the entries before it left)."""
+    before = np.concatenate(([0.0], np.cumsum(caps)[:-1]))
+    return np.clip(amount - before, 0.0, caps)
 
 
 def allocate_budget(

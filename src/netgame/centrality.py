@@ -15,7 +15,7 @@ A graph keeps the K it has used, K*n floats with K <= about 64, so another
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,24 +31,20 @@ class CentralityVector:
     """Per-agent centralities plus the agent ordering used by all solvers.
 
     ``order[0]`` is the most central agent; ties break toward the lower
-    agent index so the ordering is deterministic.
+    agent index so the ordering is deterministic.  ``sorted_values``
+    lists the centralities from most to least central.
     """
 
     values: np.ndarray
     order: np.ndarray
+    sorted_values: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         vals = np.array(self.values, dtype=float, copy=True)
         order = np.array(self.order, dtype=int, copy=True)
-        vals.setflags(write=False)
-        order.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "order", order)
-
-    @property
-    def sorted_values(self) -> np.ndarray:
-        """Centralities from most to least central."""
-        return self.values[self.order]
+        for name, arr in (("values", vals), ("order", order), ("sorted_values", vals[order])):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def total(self) -> float:

@@ -56,6 +56,8 @@ def require_seeding(s: np.ndarray, n: int) -> np.ndarray:
 
 
 def _require_horizon(T: int) -> None:
+    if isinstance(T, bool) or not isinstance(T, (int, np.integer)):
+        raise ValueError(f"T must be an integer, got {T!r}")
     if T < 0:
         raise ValueError(f"T must be nonnegative, got {T}")
 
@@ -125,6 +127,8 @@ def horizon_for_tolerance(p: ModelParams, n: int, tol: float = 1e-10) -> int:
     """
     if not tol > 0.0:  # NaN fails
         raise ValueError(f"tol must be positive, got {tol}")
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"n must be an integer of at least 1, got {n!r}")
     target = tol * (1.0 - p.delta) / n
     if target >= 1.0:
         return 0

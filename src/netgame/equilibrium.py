@@ -15,9 +15,11 @@ Both conditions read v~ * q = w for the one number w = 2*lam*(c_s/c_q)*u,
 u = q_a*q_b/(q_a + q_b)^2, and each firm's quality is an increasing
 piecewise-linear function of w.  ``solve_nash`` builds both curves in
 O(n), brackets the root of 2*lam*(c_s/c_q)*u(Q_a(w), Q_b(w)) = w between
-their breakpoints, and finishes with one closed-form solve per case
-pair there.  The symmetric game is the same solve with K_a = K_b, and
-the extremal envelopes run it on their own descending sequences.
+their breakpoints, and finishes with one closed-form solve on the piece
+pair there; only a root at a breakpoint, where pairs can tie, or at the
+quality floor sends it through every neighbouring pair in tie-break
+order.  The symmetric game is the same solve with K_a = K_b, and the
+extremal envelopes run it on their own descending sequences.
 """
 
 from __future__ import annotations
@@ -128,17 +130,6 @@ class NashOutcome:
         }
 
 
-def capped_fill(amount: float, caps: np.ndarray) -> np.ndarray:
-    """Hand ``amount`` out in the given order, each entry up to its cap.
-
-    Entry j gets min(cap_j, what the entries before it left over).  With
-    caps of 1/2 the running totals j/2 are exact, and so is amount - j/2
-    for amounts below 2**52, so this equals handing out 1/2 at a time.
-    """
-    before = np.concatenate(([0.0], np.cumsum(caps)[:-1]))
-    return np.clip(amount - before, 0.0, caps)
-
-
 def water_fill_seeding(v: CentralityVector, amount: float) -> tuple[np.ndarray, int]:
     """Spread ``amount`` over agents in centrality order, 1/2 each at most.
 
@@ -153,7 +144,8 @@ def water_fill_seeding(v: CentralityVector, amount: float) -> tuple[np.ndarray, 
         raise ValueError(f"seeding amount {amount} is negative")
     if amount > n / 2.0 + COND_TOL:
         raise ValueError(f"seeding amount {amount} exceeds capacity {n / 2.0}")
-    fill = capped_fill(min(max(amount, 0.0), n / 2.0), np.full(n, 0.5))
+    # amount - j/2 is exact below 2**52, so this is handing out 1/2 at a time
+    fill = np.clip(min(max(amount, 0.0), n / 2.0) - 0.5 * np.arange(n), 0.0, 0.5)
     seeding = np.zeros(n)
     seeding[v.order] = fill
     return seeding, int(np.count_nonzero(fill))
@@ -162,7 +154,8 @@ def water_fill_seeding(v: CentralityVector, amount: float) -> tuple[np.ndarray, 
 def _prefix_seeding(order: np.ndarray, k: int, s_k: float) -> np.ndarray:
     """Prefix seeding: full up to position k-1, ``s_k`` at position k."""
     seeding = np.zeros(len(order))
-    seeding[order[:k]] = np.append(np.full(k - 1, 0.5), s_k)
+    seeding[order[: k - 1]] = 0.5
+    seeding[order[k - 1]] = s_k
     return seeding
 
 
@@ -244,42 +237,46 @@ class _QualityCurve:
         n = len(vd)
         kinks = (K - c_s * np.arange(n + 1) / 2.0) / c_q
         depth = min(n, int(np.count_nonzero(kinks[1:] >= eps - COND_TOL)) + 1)
-        q = np.maximum(kinks[: depth + 1], eps)
-        v = vd[:depth]
-        w = np.column_stack((v * q[1:], v * q[:-1]))[::-1].ravel()
-        q = np.column_stack((q[1:], q[:-1]))[::-1].ravel()
+        # ascending: q_depth, q_(depth-1), q_(depth-1), ..., q_1, q_1, q_0 against
+        # v_depth, v_depth, v_(depth-1), v_(depth-1), ..., v_1, v_1
+        q = np.repeat(np.maximum(kinks[depth::-1], eps), 2)[1:-1]
+        w = np.repeat(vd[depth - 1 :: -1], 2) * q
         return cls(w, q, depth, bool(kinks[depth] < eps - COND_TOL))
 
     def __call__(self, w):
         return np.interp(w, self.w, self.q)
 
-    def cases_near(self, lo: float, hi: float) -> list[tuple[int, int, str]]:
-        """(index, case rank, case) of each piece within reach of [lo, hi], sorted.
+    def piece(self, t: int) -> tuple[int, str] | None:
+        """(index, case) of piece t, which lies between breakpoints t - 1 and t.
 
-        Piece t lies between breakpoints t - 1 and t: t = 0 is the left
-        tail, odd t interior and even t boundary_zero.  One piece either
-        side is added, so ties at a breakpoint are all tried.
+        t = 0 is the left tail (saturated, or None at the floor), odd t
+        interior and even t boundary_zero.
         """
-        slack = 64.0 * COND_TOL * (1.0 + hi)
+        if t % 2:
+            return self.depth - t // 2, CASE_INTERIOR
+        if t:
+            return self.depth - t // 2 + 1, CASE_BOUNDARY
+        return None if self.floor else (self.depth, CASE_SATURATED)
+
+    def cases_near(self, lo: float, hi: float, slack: float) -> list[tuple[int, int, str]]:
+        """(index, case rank, case) of each piece within ``slack`` of [lo, hi], sorted.
+
+        One piece either side is added, so ties at a breakpoint are all tried.
+        """
         first = max(int(np.searchsorted(self.w, lo - slack, "left")) - 1, 0)
         last = min(int(np.searchsorted(self.w, hi + slack, "right")) + 1, len(self.w))
-        cases = []
-        for t in range(first, last + 1):
-            if t % 2:
-                cases.append((self.depth - t // 2, CASE_INTERIOR))
-            elif t:
-                cases.append((self.depth - t // 2 + 1, CASE_BOUNDARY))
-            elif not self.floor:
-                cases.append((self.depth, CASE_SATURATED))
+        cases = filter(None, map(self.piece, range(first, last + 1)))
         return sorted((idx, _CASE_RANK[case], case) for idx, case in cases)
 
 
-def _root_bracket(a: _QualityCurve, b: _QualityCurve, scale: float) -> tuple[float, float]:
-    """Interval [lo, hi] of w holding the first root of scale*u(Q_a, Q_b) - w.
+def _root_bracket(a: _QualityCurve, b: _QualityCurve, scale: float) -> tuple[float, ...]:
+    """Interval [lo, hi] of w holding the first root of scale*u(Q_a, Q_b) - w, and top.
 
     Since u <= 1/4, the root is at most the fold w = scale/4, where equal
     qualities put it.  It lies in the gap before the first breakpoint of
-    either curve, or the fold, where the map has turned nonpositive.
+    either curve, or the fold, where the map has turned nonpositive.  top
+    is the first breakpoint at or above hi (inf if none), so (lo, top) is
+    the gap between breakpoints that holds the root.
     """
     hi = scale / 4.0
     for own, rival in ((a, b),) if a is b else ((a, b), (b, a)):
@@ -288,12 +285,14 @@ def _root_bracket(a: _QualityCurve, b: _QualityCurve, scale: float) -> tuple[flo
         hit = int(np.argmax(phi <= 0.0))
         if phi[hit] <= 0.0:
             hi = min(hi, float(own.w[hit]))
-    lo = 0.0
+    lo, top = 0.0, math.inf
     for c in (a, b):
         i = int(np.searchsorted(c.w, hi))
         if i:
             lo = max(lo, float(c.w[i - 1]))
-    return lo, hi
+        if i < len(c.w):
+            top = min(top, float(c.w[i]))
+    return lo, hi, top
 
 
 class _Solution(NamedTuple):
@@ -322,11 +321,13 @@ def solve_nash(g: SocialGraph, p: ModelParams, budget: BudgetSpec) -> NashOutcom
     Each firm's quality is an increasing piecewise-linear function of w
     (``_QualityCurve``), so the equilibrium is the root of
     2*lam*r*u(Q_a(w), Q_b(w)) = w: O(n) numpy work builds both curves and
-    brackets the root between breakpoints.  The pieces there give each
-    firm's case tag and marginal position; every pair of them gets the
-    closed-form solve for (q_a, q_b) and is accepted iff every
-    characterization condition holds within 1e-9.  Ties between accepted
-    candidates (degenerate centralities, exact boundaries) resolve to the
+    brackets the root between breakpoints.  Each curve's piece at the
+    bracket's midpoint gives that firm's case tag and marginal position,
+    and that pair gets the closed-form solve for (q_a, q_b), accepted iff
+    every characterization condition holds within 1e-9.  Unless the root
+    lies near a breakpoint, that is the answer.  Otherwise (or for a
+    rejected pair, or at the quality floor) every pair of pieces near the
+    bracket is solved, and ties between accepted candidates resolve to the
     lexicographically smallest (k, l, case), as trying every pair would.
     """
     v = centrality(g, p)
@@ -348,18 +349,34 @@ def _solve_sequence(vd: np.ndarray, p: ModelParams, budget: BudgetSpec) -> _Solu
     c_s, c_q = budget.c_s, budget.c_q
     a = _QualityCurve.build(vd, budget.K_a, c_s, c_q, p.epsilon)
     b = a if budget.K_b == budget.K_a else _QualityCurve.build(vd, budget.K_b, c_s, c_q, p.epsilon)
-    lo, hi = _root_bracket(a, b, 2.0 * lam * ratio)
-    for (k, rank_a, ca), (l, rank_b, cb) in sorted(
-        itertools.product(a.cases_near(lo, hi), b.cases_near(lo, hi)),
-        key=lambda pair: (pair[0][0], pair[1][0], pair[0][1], pair[1][1]),
-    ):
+    lo, hi, top = _root_bracket(a, b, 2.0 * lam * ratio)
+
+    def accepted(k, ca, l, cb):
         qa_pin, qb_pin = _pin(budget.K_a, c_s, c_q, k, ca), _pin(budget.K_b, c_s, c_q, l, cb)
         sol = _solve_case(lam, ratio, vd, k, l, ca, cb, qa_pin, qb_pin)
-        if sol is not None and _conditions_ok(budget, p, vd, n, *sol, k, l, ca, cb):
-            log.debug("chose k=%d l=%d (%s, %s)", k, l, ca, cb)
-            seed_k = _clipped_seed(budget.K_a, c_s, c_q, k, sol[0], ca)
-            seed_l = _clipped_seed(budget.K_b, c_s, c_q, l, sol[1], cb)
-            return _Solution(*sol, k, l, ca, cb, seed_k, seed_l)
+        if sol is None or not _conditions_ok(budget, p, vd, n, *sol, k, l, ca, cb):
+            return None
+        seed_k = _clipped_seed(budget.K_a, c_s, c_q, k, sol[0], ca)
+        seed_l = _clipped_seed(budget.K_b, c_s, c_q, l, sol[1], cb)
+        return _Solution(*sol, k, l, ca, cb, seed_k, seed_l)
+
+    # No breakpoint lies inside (lo, top), so the bracket's midpoint names
+    # each firm's piece there.  A root that pair puts more than the slack
+    # from both ends is the equilibrium; nearer a breakpoint, pairs may
+    # tie, so every pair near the bracket is tried in tie-break order.
+    slack, mid = 64.0 * COND_TOL * (1.0 + hi), 0.5 * (lo + hi)
+    piece_a, piece_b = (c.piece(int(np.searchsorted(c.w, mid, "right"))) for c in (a, b))
+    sol = accepted(*piece_a, *piece_b) if piece_a and piece_b else None
+    if sol is None or not lo + slack < sol.vt_k * sol.q_a < top - slack:
+        pairs = sorted(
+            itertools.product(a.cases_near(lo, hi, slack), b.cases_near(lo, hi, slack)),
+            key=lambda pair: (pair[0][0], pair[1][0], pair[0][1], pair[1][1]),
+        )
+        solved = (accepted(k, ca, l, cb) for (k, _, ca), (l, _, cb) in pairs)
+        sol = next(filter(None, solved), None)
+    if sol is not None:
+        log.debug("chose k=%d l=%d (%s, %s)", sol.k, sol.l, sol.case_a, sol.case_b)
+        return sol
     floored = [name for name, c in (("a", a), ("b", b)) if c.floor and hi <= c.w[0]]
     if floored:
         raise SolverError(

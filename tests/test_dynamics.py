@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -245,6 +248,41 @@ def test_negative_horizon_is_refused(example_params):
         simulate(g, example_params, 2.0, 1.0, y0, -3)
     with pytest.raises(ValueError, match="T must be nonnegative, got -1"):
         discounted_utilities(g, example_params, 2.0, 1.0, y0, y0, mode="simulated", T=-1)
+
+
+@pytest.mark.parametrize("T", [2.5, np.float64(2.0), "3", True, None])
+def test_non_integer_horizon_is_refused(example_params, T):
+    # 2.5, 2.0 and "3" raised TypeError from range or numpy, and True ran one step
+    g = generate("balanced", 4)
+    y0 = np.zeros(4)
+    with pytest.raises(ValueError, match=f"T must be an integer, got {re.escape(repr(T))}"):
+        simulate(g, example_params, 2.0, 1.0, y0, T)
+    if T is not None:  # None asks discounted_utilities for the tolerance horizon
+        with pytest.raises(ValueError, match="T must be an integer"):
+            discounted_utilities(g, example_params, 2.0, 1.0, y0, y0, mode="simulated", T=T)
+
+
+def test_numpy_integers_are_accepted_as_horizon_and_agent_count(example_params):
+    assert horizon_for_tolerance(example_params, np.int64(15)) == horizon_for_tolerance(
+        example_params, 15
+    )
+    g = generate("balanced", 4)
+    y0 = np.full(4, 0.25)
+    traj = simulate(g, example_params, 2.0, 1.0, y0, np.int64(3))
+    assert np.array_equal(traj, simulate(g, example_params, 2.0, 1.0, y0, 3))
+    rep = discounted_utilities(
+        g, example_params, 2.0, 1.0, y0, np.zeros(4), mode="simulated", T=np.int64(3)
+    )
+    assert rep.horizon == 3
+
+
+@pytest.mark.parametrize("n", [0, -1, np.int64(0), 0.5, 2.5, math.nan, True])
+def test_horizon_refuses_bad_agent_counts(example_params, n):
+    # n = 0 raised ZeroDivisionError, n = -1 "math domain error", and
+    # 2.5 and True returned horizons
+    message = f"n must be an integer of at least 1, got {re.escape(repr(n))}"
+    with pytest.raises(ValueError, match=message):
+        horizon_for_tolerance(example_params, n)
 
 
 def test_nan_tolerance_is_refused(example_params):

@@ -449,6 +449,49 @@ def test_solve_nash_tie_break_matches_oracle(example_params):
             _assert_matches_oracle(g, example_params, BudgetSpec(float(k_a), k_b, 1.0, 1.0))
 
 
+def test_one_pair_finish_holds_away_from_breakpoints(monkeypatch):
+    # With budgets drawn at random, the root never sits near a breakpoint,
+    # so the pieces at the bracket midpoint give the answer and the
+    # neighbour enumeration never runs.
+    def refuse(self, lo, hi, slack):
+        raise AssertionError(f"neighbour enumeration ran on [{lo}, {hi}]")
+
+    monkeypatch.setattr(_QualityCurve, "cases_near", refuse)
+    rng = np.random.default_rng(1512)
+    cases_seen = set()
+    for _ in range(600):
+        n = int(rng.integers(2, 61))
+        p = draw_params(rng)
+        kind = ("random", "star", "l_star")[int(rng.integers(3 if n > 2 else 2))]
+        l = int(rng.integers(2, n)) if kind == "l_star" else None
+        g = draw_graph(rng, n) if kind == "random" else generate(kind, n, l=l)
+        c_s, c_q = draw_costs(rng)
+        k_a, k_b = np.exp(rng.uniform(math.log(0.01), math.log(c_s * n / 2.0), size=2))
+        budget = BudgetSpec(float(k_a), float(k_b), c_s, c_q)
+        out = solve_nash(g, p, budget)
+        assert out.to_dict() == enumerate_nash(g, p, budget).to_dict()
+        cases_seen.add(out.case_a)
+    assert cases_seen == {CASE_INTERIOR, CASE_BOUNDARY}
+
+
+def test_neighbour_enumeration_runs_on_the_tie_grid(example_params, monkeypatch):
+    # budgets on the 1/8 grid put roots exactly on breakpoints, where only
+    # the enumeration in tie-break order gives the oracle's answer
+    calls = []
+    cases_near = _QualityCurve.cases_near
+
+    def counted(self, lo, hi, slack):
+        calls.append((lo, hi))
+        return cases_near(self, lo, hi, slack)
+
+    monkeypatch.setattr(_QualityCurve, "cases_near", counted)
+    for kind, n in itertools.product(("balanced", "star", "l_star"), (4, 9)):
+        g = generate(kind, n, l=3 if kind == "l_star" else None)
+        for k_a, k_b in itertools.product(np.arange(1, 4 * n + 1) / 8.0, (0.125, 1.0)):
+            _assert_matches_oracle(g, example_params, BudgetSpec(float(k_a), k_b, 1.0, 1.0))
+    assert calls
+
+
 def test_floor_corner_is_refused_while_iteration_settles(example_params):
     # firm a seeds every agent fully and buys quality with the rest; firm
     # b's best quality is the floor, which the case characterization lacks
