@@ -141,13 +141,13 @@ def star_centralities(n: int, p: ModelParams) -> tuple[float, float]:
     return hub, peripheral
 
 
-def l_star_centralities(n: int, l: int, p: ModelParams) -> tuple[float, float]:
+def l_star_centralities(n: int, l: int | np.ndarray, p: ModelParams) -> tuple:
     """(hub, peripheral) centralities of the l-star on n agents (2 <= l <= n).
 
     At l = n every agent is a hub (the complete graph), and the hub value
-    is the balanced one.
+    is the balanced one; an array of l gives the array of hub values.
     """
-    if not 2 <= l <= n:
+    if not (np.all(2 <= l) and np.all(l <= n)):
         raise ValueError(f"l_star requires 2 <= l <= n, got l={l}, n={n}")
     hub = n * p.delta / (l * (2.0 * p.beta - p.delta)) + 1.0
     return hub, 1.0

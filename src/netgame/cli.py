@@ -8,7 +8,7 @@ and identical inputs give byte-identical output.  Set NETGAME_LOG
 (e.g. DEBUG) for diagnostics on stderr.
 
 Exit codes: 0 success, 1 failed reproduce checks, 2 invalid input or
-usage, 3 solver failure.
+usage (an input too large for memory included), 3 solver failure.
 """
 
 from __future__ import annotations
@@ -455,7 +455,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, GraphValidationError, OSError) as exc:
+    except (ValueError, GraphValidationError, OSError, MemoryError) as exc:
         log.debug("invalid input", exc_info=True)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -194,16 +194,24 @@ def discounted_utilities(
     require_qualities(p, q_a, q_b)
     s_a = require_seeding(s_a, g.n)
     s_b = require_seeding(s_b, g.n)
-    n = g.n
+    if mode not in ("closed_form", "simulated"):
+        raise ValueError(f"unknown mode {mode!r}; use 'closed_form' or 'simulated'")
+    closed = _closed_form_report(p, centrality(g, p).values, q_a, q_b, s_a, s_b)
+    if mode == "closed_form":
+        return closed
+    horizon = horizon_for_tolerance(p, g.n, tol) if T is None else T
+    return simulated_report(closed, simulate(g, p, q_a, q_b, s_a - s_b, horizon), p)
+
+
+def _closed_form_report(p, v, q_a, q_b, s_a, s_b) -> UtilityReport:
+    """Both firms' closed-form utilities: ``discounted_utilities`` and ``solve_nash`` use it."""
+    n = len(v)
     lam = p.quality_weight(n)
-    v = centrality(g, p).values
     base = n / (2.0 * (1.0 - p.delta))
     seed_a = dot(v, s_a)
     seed_b = dot(v, s_b)
     quality = lam * (q_a - q_b) / (q_a + q_b)
-    if mode not in ("closed_form", "simulated"):
-        raise ValueError(f"unknown mode {mode!r}; use 'closed_form' or 'simulated'")
-    closed = UtilityReport(
+    return UtilityReport(
         u_a=base + seed_a - seed_b + quality,
         u_b=base + seed_b - seed_a - quality,
         lam=lam,
@@ -213,26 +221,22 @@ def discounted_utilities(
         quality=quality,
         mode="closed_form",
     )
-    if mode == "closed_form":
-        return closed
-    horizon = horizon_for_tolerance(p, n, tol) if T is None else T
-    return simulated_report(closed, simulate(g, p, q_a, q_b, s_a - s_b, horizon), p)
 
 
 def simulated_report(closed: UtilityReport, traj: np.ndarray, p: ModelParams) -> UtilityReport:
     """The closed-form report with its utilities summed over a (T+1, n) trajectory of tilts.
 
     Round t adds delta^t times the firm's total consumption share,
-    n/2 + sum(y(t)) for firm a and n/2 - sum(y(t)) for firm b; the
-    breakdown stays the closed form's, and the horizon is T.
+    n/2 + sum(y(t)) for firm a and n/2 - sum(y(t)) for firm b, summed by
+    ``dot``; the breakdown stays the closed form's, and the horizon is T.
     """
     n = traj.shape[1]
     tilt = traj.sum(axis=1)
     weights = p.delta ** np.arange(len(traj))
     return replace(
         closed,
-        u_a=float(weights @ (n / 2.0 + tilt)),
-        u_b=float(weights @ (n / 2.0 - tilt)),
+        u_a=dot(weights, n / 2.0 + tilt),
+        u_b=dot(weights, n / 2.0 - tilt),
         mode="simulated",
         horizon=len(traj) - 1,
     )

@@ -33,6 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .centrality import CentralityVector, centrality, dot
+from .dynamics import _closed_form_report
 from .graphs import SocialGraph
 from .params import ModelParams
 
@@ -96,7 +97,8 @@ class NashOutcome:
     ``v_tilde_k``/``v_tilde_l`` the marginal (virtual) centralities, and
     the case tags say whether the marginal agent is partially seeded
     (interior), unseeded with a full prefix (boundary_zero), or whether
-    the whole population is fully seeded (saturated).
+    the whole population is fully seeded (saturated).  The utilities are
+    ``dynamics``' closed form, as ``discounted_utilities`` gives them.
     """
 
     strategy_a: FirmStrategy
@@ -453,13 +455,9 @@ def _conditions_ok(budget, p, vd, n, q_a, q_b, vt_k, vt_l, k, l, case_a, case_b)
 
 
 def _build_outcome(p, v, q_a, q_b, vt_k, vt_l, k, l, case_a, case_b, seed_k, seed_l):
-    n = len(v.values)
     s_a = _prefix_seeding(v.order, k, seed_k)
     s_b = _prefix_seeding(v.order, l, seed_l)
-    base = n / (2.0 * (1.0 - p.delta))
-    lam = p.quality_weight(n)
-    gap = lam * (q_a - q_b) / (q_a + q_b)
-    swing = dot(v.values, s_a - s_b)
+    utilities = _closed_form_report(p, v.values, q_a, q_b, s_a, s_b)
     return NashOutcome(
         strategy_a=FirmStrategy(seeding=s_a, quality=q_a),
         strategy_b=FirmStrategy(seeding=s_b, quality=q_b),
@@ -469,8 +467,8 @@ def _build_outcome(p, v, q_a, q_b, vt_k, vt_l, k, l, case_a, case_b, seed_k, see
         v_tilde_l=vt_l,
         case_a=case_a,
         case_b=case_b,
-        utility_a=base + swing + gap,
-        utility_b=base - swing - gap,
+        utility_a=utilities.u_a,
+        utility_b=utilities.u_b,
     )
 
 

@@ -5,9 +5,10 @@ seeding depends on the graph only through its sorted centralities, and
 those are bracketed level by level: the l-th largest centrality is at
 most the l-star hub value (the star hub for l = 1) and at least the
 matching floor (balanced value, star peripheral, then 1).  The two
-envelope sequences hold these bounds for l = 1..n.  Running
-``solve_nash``'s solve with K_a = K_b on them yields the extremes, and
-the bracketing graphs are explicit witnesses.
+envelope sequences hold these bounds for l = 1..n, the upper one from
+one array evaluation of the l-star hub.  Running ``solve_nash``'s solve
+with K_a = K_b on them yields the extremes, and the bracketing graphs
+are explicit witnesses.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ VERIFY_TOL = 1e-9
 
 def max_centrality_sequence(n: int, p: ModelParams) -> np.ndarray:
     """Largest possible l-th centrality for l = 1..n: the star hub, then l-star hubs."""
-    hubs = [l_star_centralities(n, l, p)[0] for l in range(2, n + 1)]
-    return np.array([star_centralities(n, p)[0], *hubs])
+    hubs, _ = l_star_centralities(n, np.arange(2, n + 1), p)
+    return np.r_[star_centralities(n, p)[0], hubs]
 
 
 def min_centrality_sequence(n: int, p: ModelParams) -> np.ndarray:

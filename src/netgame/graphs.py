@@ -189,13 +189,15 @@ class SocialGraph:
 
 
 def _is_edge(entry) -> bool:
-    return (
-        isinstance(entry, (list, tuple))
-        and len(entry) == 3
-        and all(isinstance(x, numbers.Real) for x in entry)
-        and math.isfinite(entry[0])
-        and math.isfinite(entry[1])
-    )
+    if not isinstance(entry, (list, tuple)) or len(entry) != 3:
+        return False
+    if not all(isinstance(x, numbers.Real) for x in entry):
+        return False
+    try:
+        i, j, _ = map(float, entry)
+    except OverflowError:  # an integer beyond the float range
+        return False
+    return math.isfinite(i) and math.isfinite(j)
 
 
 def _agent_count(n) -> int:

@@ -159,6 +159,8 @@ def test_closed_form_unknown_kind(example_params):
 def test_l_star_formula_rejects_bad_l(example_params):
     with pytest.raises(ValueError):
         l_star_centralities(15, 1, example_params)
+    with pytest.raises(ValueError, match="2 <= l <= n"):
+        l_star_centralities(15, np.array([2, 16]), example_params)
 
 
 @pytest.fixture

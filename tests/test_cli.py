@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import netgame.cli
 from netgame import ModelParams, centrality, generate, save_graph, solve_nash
 from netgame.cli import (
     Check,
@@ -281,6 +282,11 @@ def test_simulate_negative_horizon_exits_2(capsys):
         ('{"n": -2, "edges": []}', "graph 'n' must be nonnegative, got -2"),
         ('{"n": 2.7, "edges": [[0, 1, 1.0], [1, 0, 1.0]]}', "graph 'n' must be an integer, got 2.7"),
         ('{"n": true, "edges": [[0, 1, 1.0], [1, 0, 1.0]]}', "graph 'n' must be an integer, got True"),
+        # integers beyond the float range exited 3 with an OverflowError
+        pytest.param('{"n": 2, "edges": [[0, 1, 1%s], [1, 0, 1.0]]}' % ("0" * 400),
+                     "is not [i, j, weight]", id="weight-beyond-float-range"),
+        pytest.param('{"n": 2, "edges": [[1%s, 1, 1.0], [1, 0, 1.0]]}' % ("0" * 400),
+                     "is not [i, j, weight]", id="index-beyond-float-range"),
     ],
 )
 def test_malformed_graph_file_exits_2(tmp_path, capsys, text, named):
@@ -289,6 +295,22 @@ def test_malformed_graph_file_exits_2(tmp_path, capsys, text, named):
     code, _, err = _run(capsys, "centrality", "--graph", str(path))
     assert code == EXIT_INVALID
     assert named in err
+
+
+@pytest.mark.parametrize("builder", ["load_graph", "generate"])
+def test_out_of_memory_exits_2(tmp_path, capsys, monkeypatch, builder):
+    # numpy's allocation failure escaped main as a traceback with exit 1
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate 745. GiB for an array with shape (100000000000,)")
+
+    monkeypatch.setattr(netgame.cli, builder, refuse)
+    path = tmp_path / "g.json"
+    path.write_text('{"n": 100000000000, "edges": []}')
+    sources = {"load_graph": ["--graph", str(path)],
+               "generate": ["--generate", "balanced", "--n", "100000000000"]}
+    code, out, err = _run(capsys, "centrality", *sources[builder])
+    assert code == EXIT_INVALID and out == ""
+    assert err.startswith("error: Unable to allocate 745. GiB")
 
 
 @pytest.mark.parametrize(

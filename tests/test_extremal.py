@@ -1,14 +1,18 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from netgame import (
+    balanced_centrality,
     centrality,
     generate,
+    l_star_centralities,
     max_centrality_sequence,
     min_centrality_sequence,
     regime_classify,
+    star_centralities,
     symmetric_nash,
     symmetric_seeding_extremes,
 )
@@ -38,6 +42,32 @@ def test_envelope_sequences_are_consistent(rng):
         assert np.all(np.diff(hi) <= 1e-12)
         assert np.all(np.diff(lo) <= 1e-12)
         assert np.all(lo <= hi + 1e-12)
+
+
+def test_max_envelope_equals_per_level_closed_forms_bit_for_bit(rng):
+    for n in (2, 3, 15, *rng.integers(4, 2000, size=8).tolist()):
+        p = draw_params(rng)
+        levels = np.arange(2, n + 1)
+        hubs, peripheral = l_star_centralities(n, levels, p)
+        per_level = [l_star_centralities(n, l, p)[0] for l in range(2, n + 1)]
+        assert peripheral == 1.0
+        assert hubs.tobytes() == np.array(per_level).tobytes()
+        expected = np.array([star_centralities(n, p)[0], *per_level])
+        assert max_centrality_sequence(n, p).tobytes() == expected.tobytes()
+
+
+def test_max_envelope_at_n_1e6_takes_linear_memory(example_params):
+    # built from n - 1 scalar calls, the envelope peaked at 48 bytes per agent
+    n = 10**6
+    tracemalloc.start()
+    try:
+        hi = max_centrality_sequence(n, example_params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert hi.shape == (n,) and hi[0] > hi[1] > hi[-1]
+    assert hi[-1] == pytest.approx(balanced_centrality(example_params), rel=1e-12)
+    assert peak <= 32 * n
 
 
 @pytest.mark.parametrize("n", [0, 1])

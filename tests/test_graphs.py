@@ -209,7 +209,9 @@ def test_verdict_is_fixed_at_construction():
 
 @pytest.mark.parametrize(
     "entry", [5, None, "a,b", [0, None, 1.0], [0, 1, None], ["x", 1, 1.0], [0, 1, "w"],
-              [float("nan"), 1, 1.0], {"i": 0, "j": 1, "w": 1.0}]
+              [float("nan"), 1, 1.0], {"i": 0, "j": 1, "w": 1.0},
+              # integers beyond the float range raised OverflowError
+              [0, 1, 10**400], [10**400, 1, 1.0]]
 )
 def test_from_dict_rejects_malformed_entry_types(entry):
     edges = [[1, 0, 1.0], entry]

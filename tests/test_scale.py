@@ -136,7 +136,8 @@ def test_generated_star_at_n_1e5_takes_linear_memory():
 _BLAS_PROBE = """
 import numpy as np
 from netgame import (BudgetSpec, ModelParams, PresetState, SocialGraph, allocate_budget,
-                     best_response_quality, centrality, discounted_utilities, solve_nash)
+                     best_response_quality, centrality, discounted_utilities, generate,
+                     solve_nash, water_fill_seeding)
 n = 100_000
 w = np.random.default_rng(1).uniform(0.1, 1.0, size=(n, 3))
 w /= w.sum(axis=1, keepdims=True)
@@ -147,7 +148,14 @@ v = centrality(g, p)
 out = solve_nash(g, p, BudgetSpec(20_000.0, 15_000.0, 1.0, 1.0))
 rep = discounted_utilities(g, p, 2.0, 1.0, out.strategy_a.seeding, out.strategy_b.seeding)
 state = PresetState.neutral(n, 1.0, 1.0)
+# `netgame simulate --generate star --n 15 --qa 2 --qb 1 --sa-total 1 --sb-total 0.5
+# --delta 0.999`: its discounted series runs over T = 32,626 rounds
+star, slow = generate("star", 15), ModelParams(alpha=1.0, beta=1.0, delta=0.999)
+v_star = centrality(star, slow)
+s_a, s_b = (water_fill_seeding(v_star, total)[0] for total in (1.0, 0.5))
+sim = discounted_utilities(star, slow, 2.0, 1.0, s_a, s_b, mode="simulated")
 print(repr((
+    sim.u_a, sim.u_b,
     out.utility_a, rep.seeding_a, rep.seeding_b,
     best_response_quality(v, p, 20_000.0, 1.0, 1.0, 1.0)[2],
     allocate_budget(v, state, "a", 5000.0, 1.0, 1.0, p).marginal_utility,
