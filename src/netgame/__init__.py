@@ -24,7 +24,6 @@ from .dynamics import (
     externality_drift,
     horizon_for_tolerance,
     simulate,
-    stationary_state,
 )
 from .equilibrium import (
     BudgetSpec,
@@ -91,7 +90,6 @@ __all__ = [
     "simulate",
     "solve_nash",
     "star_centralities",
-    "stationary_state",
     "symmetric_nash",
     "symmetric_seeding_extremes",
     "thresholds",

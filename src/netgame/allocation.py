@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .centrality import CentralityVector, balanced_centrality, dot, star_centralities
-from .params import ModelParams, require_qualities
+from .params import ModelParams, require_count, require_qualities
 
 TIE_TOL = 1e-12
 
@@ -47,7 +47,7 @@ class PresetState:
 
     @classmethod
     def neutral(cls, n: int, q_a: float, q_b: float) -> "PresetState":
-        return cls(q_a=q_a, q_b=q_b, y0=np.zeros(n))
+        return cls(q_a=q_a, q_b=q_b, y0=np.zeros(require_count("n", n, 1)))
 
     def capacities(self, firm: str) -> np.ndarray:
         if firm == "a":

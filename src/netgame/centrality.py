@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graphs import SocialGraph, require_valid
-from .params import ModelParams
+from .params import ModelParams, require_count
 
 _GUARD_TOL = 1e-9
 _TAIL_TOL = 1e-13
@@ -133,8 +133,7 @@ def balanced_centrality(p: ModelParams) -> float:
 
 def star_centralities(n: int, p: ModelParams) -> tuple[float, float]:
     """(hub, peripheral) centralities of the star on n agents (n >= 2)."""
-    if n < 2:
-        raise ValueError(f"the star needs at least 2 agents, got n={n}")
+    n = require_count("n", n, 2)
     x = p.delta / (2.0 * p.beta)
     hub = (1.0 + x * (n - 1)) / (1.0 - x * x)
     peripheral = (1.0 + x / (n - 1)) / (1.0 - x * x)
@@ -145,9 +144,12 @@ def l_star_centralities(n: int, l: int | np.ndarray, p: ModelParams) -> tuple:
     """(hub, peripheral) centralities of the l-star on n agents (2 <= l <= n).
 
     At l = n every agent is a hub (the complete graph), and the hub value
-    is the balanced one; an array of l gives the array of hub values.
+    is the balanced one; an integer array of l gives the array of hub values.
     """
-    if not (np.all(2 <= l) and np.all(l <= n)):
+    n = require_count("n", n, 2)
+    # an array is checked at its least entry, a numpy scalar of the array's dtype
+    require_count("l", l if np.ndim(l) == 0 else np.ravel(l)[np.argmin(l)], 2)
+    if np.max(l) > n:
         raise ValueError(f"l_star requires 2 <= l <= n, got l={l}, n={n}")
     hub = n * p.delta / (l * (2.0 * p.beta - p.delta)) + 1.0
     return hub, 1.0
@@ -156,7 +158,8 @@ def l_star_centralities(n: int, l: int | np.ndarray, p: ModelParams) -> tuple:
 def closed_form_centrality(
     kind: str, n: int, p: ModelParams, l: int | None = None
 ) -> dict[str, float]:
-    """Known centralities by role for the graphs that admit closed forms."""
+    """Known centralities by role for the graphs that admit closed forms (n >= 2)."""
+    require_count("n", n, 2)
     if kind == "balanced":
         v = balanced_centrality(p)
         return {"all": v}

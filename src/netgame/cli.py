@@ -50,7 +50,7 @@ from .extremal import (
     min_centrality_sequence,
     symmetric_seeding_extremes,
 )
-from .graphs import KINDS, GraphValidationError, generate, load_graph
+from .graphs import KINDS, generate, load_graph
 from .params import ModelParams
 from .reporting import to_json
 
@@ -455,7 +455,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, GraphValidationError, OSError, MemoryError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         log.debug("invalid input", exc_info=True)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

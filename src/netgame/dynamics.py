@@ -20,7 +20,7 @@ import numpy as np
 
 from .centrality import centrality, dot
 from .graphs import SocialGraph, require_valid
-from .params import ModelParams, require_qualities
+from .params import ModelParams, require_count, require_qualities
 
 _STATE_TOL = 1e-9
 
@@ -55,13 +55,6 @@ def require_seeding(s: np.ndarray, n: int) -> np.ndarray:
     return s
 
 
-def _require_horizon(T: int) -> None:
-    if isinstance(T, bool) or not isinstance(T, (int, np.integer)):
-        raise ValueError(f"T must be an integer, got {T!r}")
-    if T < 0:
-        raise ValueError(f"T must be nonnegative, got {T}")
-
-
 def _advance(g: SocialGraph, p: ModelParams, u: float, y: np.ndarray) -> np.ndarray:
     """y(t+1) = W y(t) + u for a valid graph and an admissible state, range-checked.
 
@@ -92,7 +85,7 @@ def simulate(
     upstream, and raises ``ArithmeticError``.
     """
     require_valid(g)
-    _require_horizon(T)
+    T = require_count("T", T, 0)
     y = _require_state(y0, g.n)
     u = externality_drift(q_a, q_b, p)
     traj = np.empty((T + 1, g.n))
@@ -105,20 +98,6 @@ def simulate(
     return traj
 
 
-def stationary_state(
-    g: SocialGraph, p: ModelParams, q_a: float, q_b: float
-) -> np.ndarray:
-    """Unique fixed point of the update; the influence operator contracts.
-
-    W is row-stochastic, so W 1 = 1 and the fixed point is the constant
-    tilt u * 2*beta / (2*beta - 1) on every agent (ModelParams keeps
-    beta >= 1, so the denominator is positive).
-    """
-    require_valid(g)
-    u = externality_drift(q_a, q_b, p)
-    return np.full(g.n, u * 2.0 * p.beta / (2.0 * p.beta - 1.0))
-
-
 def horizon_for_tolerance(p: ModelParams, n: int, tol: float = 1e-10) -> int:
     """Truncation horizon whose geometric tail bound stays below ``tol``.
 
@@ -127,9 +106,7 @@ def horizon_for_tolerance(p: ModelParams, n: int, tol: float = 1e-10) -> int:
     """
     if not tol > 0.0:  # NaN fails
         raise ValueError(f"tol must be positive, got {tol}")
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"n must be an integer of at least 1, got {n!r}")
-    target = tol * (1.0 - p.delta) / n
+    target = tol * (1.0 - p.delta) / require_count("n", n, 1)
     if target >= 1.0:
         return 0
     return max(0, math.ceil(math.log(target) / math.log(p.delta)))
@@ -190,7 +167,7 @@ def discounted_utilities(
     """
     require_valid(g)
     if T is not None:
-        _require_horizon(T)
+        T = require_count("T", T, 0)
     require_qualities(p, q_a, q_b)
     s_a = require_seeding(s_a, g.n)
     s_b = require_seeding(s_b, g.n)

@@ -29,8 +29,9 @@ VERIFY_TOL = 1e-9
 
 def max_centrality_sequence(n: int, p: ModelParams) -> np.ndarray:
     """Largest possible l-th centrality for l = 1..n: the star hub, then l-star hubs."""
+    hub, _ = star_centralities(n, p)
     hubs, _ = l_star_centralities(n, np.arange(2, n + 1), p)
-    return np.r_[star_centralities(n, p)[0], hubs]
+    return np.r_[hub, hubs]
 
 
 def min_centrality_sequence(n: int, p: ModelParams) -> np.ndarray:
@@ -135,8 +136,8 @@ def budget_regime(n: int, p: ModelParams, K: float, c_s: float = 1.0) -> dict:
     """
     if not 0.0 < c_s < math.inf:
         raise ValueError(f"c_s must be positive and finite, got {c_s}")
-    lam = p.quality_weight(n)
     hub, peripheral = star_centralities(n, p)
+    lam = p.quality_weight(n)
     v_bar = balanced_centrality(p)
     spend = K / c_s
     endpoints = {

@@ -22,6 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .params import require_count
+
 ROW_SUM_TOL = 1e-9
 
 KINDS = ("balanced", "star", "l_star", "near_star_one_bidirectional", "random")
@@ -108,7 +110,7 @@ class SocialGraph:
         The weights are not checked here; ``violations`` reports them.
         """
         try:
-            n, edges = _agent_count(data["n"]), data["edges"]
+            n, edges = require_count("graph 'n'", data["n"], 0), data["edges"]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"graph data must have 'n' and 'edges': {exc}") from exc
         e = _edge_array(edges)
@@ -146,7 +148,7 @@ class SocialGraph:
         fault.  An explicit zero weight is no edge, as in ``from_dict``.
         The weights are not checked here; ``violations`` reports them.
         """
-        n = _agent_count(n)
+        n = require_count("graph 'n'", n, 0)
         indptr, indices, data = (np.asarray(a) for a in (indptr, indices, data))
         for name, a, kinds, kind_name in (
             ("indptr", indptr, "iu", "integer"),
@@ -198,16 +200,6 @@ def _is_edge(entry) -> bool:
     except OverflowError:  # an integer beyond the float range
         return False
     return math.isfinite(i) and math.isfinite(j)
-
-
-def _agent_count(n) -> int:
-    """A graph's ``n`` as an int; refuses a negative or non-integer value, a bool included."""
-    a = np.asarray(n)
-    if a.shape != () or a.dtype.kind not in "iu":
-        raise ValueError(f"graph 'n' must be an integer, got {n!r}")
-    if a < 0:
-        raise ValueError(f"graph 'n' must be nonnegative, got {n}")
-    return int(a)
 
 
 def _edge_array(edges) -> np.ndarray:
@@ -331,10 +323,9 @@ def generate(
     random
         Bernoulli(density) off-diagonal pattern with uniform weights,
         rows renormalized; all-zero rows are redrawn.  Deterministic in
-        ``seed``.
+        ``seed``; ``density`` must lie in (0, 1].
     """
-    if n < 2:
-        raise ValueError(f"need at least 2 agents, got n={n}")
+    n = require_count("n", n, 2)
     # each kind lists its rows' influencer counts, then the influencers and
     # their weights row by row, in increasing index within each row
     ones = np.ones(n - 1)
@@ -347,7 +338,8 @@ def generate(
         cols = np.r_[np.arange(1, n), np.zeros(n - 1, dtype=np.intp)]
         w = np.r_[np.full(n - 1, 1.0 / (n - 1)), ones]
     elif kind == "l_star":
-        if l is None or not 2 <= l <= n - 1:
+        l = require_count("l", l, 2)
+        if l > n - 1:
             raise ValueError(f"l_star requires 2 <= l <= n-1, got l={l}, n={n}")
         hubs = np.arange(l)
         hub_cols = np.tile(hubs, l).reshape(l, l)[~np.eye(l, dtype=bool)]
@@ -359,6 +351,8 @@ def generate(
         cols = np.r_[1, np.zeros(n - 1, dtype=np.intp)]
         w = np.r_[1.0, ones]
     elif kind == "random":
+        if not 0.0 < density <= 1.0:  # NaN fails; below it no row gets an edge
+            raise ValueError(f"density must lie in (0, 1], got {density}")
         rng = np.random.default_rng(seed)
         counts = np.empty(n, dtype=np.intp)
         row_cols, row_w = [], []

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 
@@ -44,12 +45,12 @@ class ModelParams:
         """Discounted weight of relative quality in a firm's total utility.
 
         This is the coefficient multiplying (q_a - q_b)/(q_a + q_b) in the
-        closed-form discounted utility for a population of ``n`` agents.
+        closed-form discounted utility for a population of ``n`` >= 1 agents.
         """
         return (
             self.delta
             * (1.0 + 2.0 * (self.alpha - self.beta))
-            * n
+            * require_count("n", n, 1)
             / (2.0 * (1.0 - self.delta) * (2.0 * self.beta - self.delta))
         )
 
@@ -61,3 +62,23 @@ def require_qualities(p: ModelParams, q_a: float, q_b: float) -> None:
             f"qualities must be finite and at least epsilon={p.epsilon}: "
             f"got q_a={q_a}, q_b={q_b}"
         )
+
+
+def require_count(name: str, x, least: int) -> int:
+    """``x`` as an ``int`` of at least ``least``.
+
+    Every agent count, hub count and horizon is checked here.
+    Python and numpy integers pass, a 0-d integer array too (a ``.npz``
+    graph file stores ``n`` as one).  A bool, a float (2.0 included), a
+    string, NaN or a value below ``least`` raises ``ValueError``.
+    """
+    try:
+        if isinstance(x, bool):  # operator.index takes True as 1
+            raise TypeError
+        i = operator.index(x)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {x!r}") from None
+    if i < least:
+        bound = "nonnegative" if least == 0 else f"at least {least}"
+        raise ValueError(f"{name} must be {bound}, got {i}")
+    return i

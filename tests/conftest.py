@@ -6,8 +6,10 @@ case characterization applies; see draw_instance.
 """
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
+import signal
 import sys
 
 import numpy as np
@@ -302,6 +304,26 @@ def bounded_argmax(fn, lo: float, hi: float, coarse: int = 400) -> tuple[float, 
     if fn(x_ref) >= vals[j]:
         return x_ref, float(fn(x_ref))
     return float(xs[j]), float(vals[j])
+
+
+class Hang(Exception):
+    """A call outlived its ``alarm``; netgame catches no such exception."""
+
+
+@contextlib.contextmanager
+def alarm(seconds: int):
+    """Raise ``Hang`` in the body after ``seconds``: a hang fails the test, not stalls it."""
+
+    def expire(signum, frame):
+        raise Hang(f"no answer within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

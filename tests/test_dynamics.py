@@ -12,7 +12,6 @@ from netgame import (
     generate,
     horizon_for_tolerance,
     simulate,
-    stationary_state,
 )
 
 from conftest import (
@@ -136,6 +135,17 @@ def trajectory_via_powers(g, p, q_a, q_b, y0, T):
         power = w @ power
         traj[t] = power + drift
     return traj
+
+
+def stationary_state(g, p, q_a, q_b):
+    """The unique fixed point of ``simulate``'s update; the influence operator contracts.
+
+    W is row-stochastic, so W 1 = 1 and the fixed point is the constant
+    tilt u * 2*beta / (2*beta - 1) on every agent (ModelParams keeps
+    beta >= 1, so the denominator is positive).
+    """
+    u = externality_drift(q_a, q_b, p)
+    return np.full(g.n, u * 2.0 * p.beta / (2.0 * p.beta - 1.0))
 
 
 def stationary_state_dense(g, p, q_a, q_b):
@@ -280,7 +290,10 @@ def test_numpy_integers_are_accepted_as_horizon_and_agent_count(example_params):
 def test_horizon_refuses_bad_agent_counts(example_params, n):
     # n = 0 raised ZeroDivisionError, n = -1 "math domain error", and
     # 2.5 and True returned horizons
-    message = f"n must be an integer of at least 1, got {re.escape(repr(n))}"
+    if isinstance(n, (bool, float)):
+        message = f"n must be an integer, got {re.escape(repr(n))}"
+    else:
+        message = f"n must be at least 1, got {n}"
     with pytest.raises(ValueError, match=message):
         horizon_for_tolerance(example_params, n)
 

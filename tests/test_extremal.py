@@ -74,9 +74,9 @@ def test_max_envelope_at_n_1e6_takes_linear_memory(example_params):
 def test_envelopes_refuse_fewer_than_two_agents(example_params, n):
     # n=0 gave empty envelopes and n=1 a one-entry minimum envelope or ZeroDivisionError
     for build in (max_centrality_sequence, min_centrality_sequence):
-        with pytest.raises(ValueError, match=f"at least 2 agents, got n={n}"):
+        with pytest.raises(ValueError, match=f"n must be at least 2, got {n}"):
             build(n, example_params)
-    with pytest.raises(ValueError, match=f"at least 2 agents, got n={n}"):
+    with pytest.raises(ValueError, match=f"n must be at least 2, got {n}"):
         symmetric_seeding_extremes(n, example_params, 1.0, 1.0, 1.0)
 
 

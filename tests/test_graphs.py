@@ -21,7 +21,7 @@ from netgame import (
 from netgame.cli import main
 from netgame.graphs import require_valid
 
-from conftest import dense_graph, draw_graph
+from conftest import alarm, dense_graph, draw_graph
 
 
 def test_validation_reports_nonzero_diagonal():
@@ -121,6 +121,19 @@ def test_random_generator_survives_sparse_density():
     # density low enough that all-zero rows must get redrawn
     g = generate("random", 6, seed=7, density=0.05)
     assert g.violations == ()
+
+
+@pytest.mark.parametrize("density", [0.0, -1.0, float("nan"), 2.0, float("inf")])
+def test_random_generator_refuses_density_outside_unit_interval(density):
+    # 0, -1 and NaN redrew empty rows forever; 2 and inf gave the complete graph
+    message = re.escape(f"density must lie in (0, 1], got {density}")
+    with alarm(2), pytest.raises(ValueError, match=message):
+        generate("random", 10, seed=1, density=density)
+
+
+def test_random_generator_at_density_one_is_complete():
+    g = generate("random", 5, seed=1, density=1.0)
+    assert np.array_equal(g.weights > 0.0, ~np.eye(5, dtype=bool))
 
 
 @settings(max_examples=40, deadline=None)
