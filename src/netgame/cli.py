@@ -5,7 +5,8 @@ Subcommands mirror the library: ``centrality``, ``simulate``, ``nash``,
 schema version and the resolved configuration, floats are written as
 their shortest round-tripping repr (in ``simulate --format csv`` too),
 and identical inputs give byte-identical output.  Set NETGAME_LOG
-(e.g. DEBUG) for diagnostics on stderr.
+(e.g. DEBUG) for the traceback of refused input and solver failures on
+stderr; only then is ``logging`` imported.
 
 Exit codes: 0 success, 1 failed reproduce checks, 2 invalid input or
 usage (an input too large for memory included), 3 solver failure.
@@ -15,10 +16,10 @@ from __future__ import annotations
 
 import argparse
 import gc
-import logging
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,14 +55,12 @@ from .graphs import KINDS, generate, load_graph
 from .params import ModelParams
 from .reporting import to_json
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INVALID = 2
 EXIT_SOLVER = 3
-
-log = logging.getLogger("netgame.cli")
 
 
 def _add_graph_args(sub: argparse.ArgumentParser) -> None:
@@ -241,8 +240,7 @@ def cmd_extremal(args) -> int:
     return EXIT_OK
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     name: str
     expected: object
     actual: object
@@ -444,23 +442,29 @@ def main(argv: list[str] | None = None) -> int:
         # skip them.  An in-process ``main(argv)`` leaves the caller's
         # collector alone.
         gc.freeze()
+    log = None
     level = os.environ.get("NETGAME_LOG")
     if level:
+        import logging  # here only, so a process without NETGAME_LOG skips its import
+
         logging.basicConfig(
             level=getattr(logging, level.upper(), logging.INFO),
             stream=sys.stderr,
             format="%(levelname)s %(name)s: %(message)s",
         )
+        log = logging.getLogger("netgame.cli")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError, MemoryError) as exc:
-        log.debug("invalid input", exc_info=True)
+        if log:
+            log.debug("invalid input", exc_info=True)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except (SolverError, ArithmeticError) as exc:
-        log.debug("solver failure", exc_info=True)
+        if log:
+            log.debug("solver failure", exc_info=True)
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 

@@ -104,8 +104,12 @@ def horizon_for_tolerance(p: ModelParams, n: int, tol: float = 1e-10) -> int:
     The per-step contribution to either firm's utility is within [0, n],
     so the tail after T is at most delta^(T+1) * n / (1 - delta).
     """
-    if not tol > 0.0:  # NaN fails
-        raise ValueError(f"tol must be positive, got {tol}")
+    try:
+        positive = tol > 0.0  # NaN fails
+    except TypeError:  # a string, None
+        positive = False
+    if not positive:
+        raise ValueError(f"tol must be positive, got {tol!r}")
     target = tol * (1.0 - p.delta) / require_count("n", n, 1)
     if target >= 1.0:
         return 0

@@ -25,7 +25,6 @@ extremal envelopes run it on their own descending sequences.
 from __future__ import annotations
 
 import itertools
-import logging
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -36,8 +35,6 @@ from .centrality import CentralityVector, centrality, dot
 from .dynamics import _closed_form_report
 from .graphs import SocialGraph
 from .params import ModelParams
-
-log = logging.getLogger("netgame.equilibrium")
 
 COND_TOL = 1e-9
 
@@ -216,8 +213,7 @@ def _pin(K: float, c_s: float, c_q: float, idx: int, case: str) -> float | None:
     return (K - c_s * full / 2.0) / c_q
 
 
-@dataclass(frozen=True)
-class _QualityCurve:
+class _QualityCurve(NamedTuple):
     """One firm's equilibrium quality Q(w) as a function of w = v~ * q.
 
     Both marginal conditions read v~ * q = w with w = 2*lam*r*u and
@@ -377,7 +373,6 @@ def _solve_sequence(vd: np.ndarray, p: ModelParams, budget: BudgetSpec) -> _Solu
         solved = (accepted(k, ca, l, cb) for (k, _, ca), (l, _, cb) in pairs)
         sol = next(filter(None, solved), None)
     if sol is not None:
-        log.debug("chose k=%d l=%d (%s, %s)", sol.k, sol.l, sol.case_a, sol.case_b)
         return sol
     floored = [name for name, c in (("a", a), ("b", b)) if c.floor and hi <= c.w[0]]
     if floored:

@@ -351,9 +351,16 @@ def generate(
         cols = np.r_[1, np.zeros(n - 1, dtype=np.intp)]
         w = np.r_[1.0, ones]
     elif kind == "random":
-        if not 0.0 < density <= 1.0:  # NaN fails; below it no row gets an edge
-            raise ValueError(f"density must lie in (0, 1], got {density}")
-        rng = np.random.default_rng(seed)
+        try:  # NaN fails, below it no row gets an edge, and a bool or a string is no density
+            in_range = not isinstance(density, bool) and 0.0 < density <= 1.0
+        except TypeError:
+            in_range = False
+        if not in_range:
+            raise ValueError(f"density must lie in (0, 1], got {density!r}")
+        try:
+            rng = np.random.default_rng(seed)
+        except TypeError:  # numpy takes None, ints and sequences of ints
+            raise ValueError(f"seed must be an integer, got {seed!r}") from None
         counts = np.empty(n, dtype=np.intp)
         row_cols, row_w = [], []
         for i in range(n):

@@ -57,7 +57,12 @@ class ModelParams:
 
 def require_qualities(p: ModelParams, q_a: float, q_b: float) -> None:
     """Reject qualities below the admissible floor, NaN and infinity."""
-    if not (p.epsilon <= q_a < math.inf and p.epsilon <= q_b < math.inf):
+    try:
+        ok = p.epsilon <= q_a < math.inf and p.epsilon <= q_b < math.inf
+        float(q_a), float(q_b)  # an int past the float range compares below inf
+    except OverflowError:
+        ok = False
+    if not ok:
         raise ValueError(
             f"qualities must be finite and at least epsilon={p.epsilon}: "
             f"got q_a={q_a}, q_b={q_b}"

@@ -34,7 +34,7 @@ def test_centrality_json_envelope(capsys):
     code, out, _ = _run(capsys, "centrality", "--generate", "star", "--n", "15")
     assert code == EXIT_OK
     doc = json.loads(out)
-    assert doc["schema"] == 2
+    assert doc["schema"] == 3
     assert doc["command"] == "centrality"
     assert doc["config"]["graph"]["kind"] == "star"
     assert doc["result"]["sorted_values"][0] == pytest.approx(4.8, abs=1e-9)
@@ -396,3 +396,44 @@ def test_only_an_own_process_freezes_the_collector(capsys):
     )
     proc = _own_process("reproduce", "example2", code=script)
     assert proc.returncode == 0 and proc.stderr == b"0 True\n"
+
+
+_SUBCOMMANDS = [
+    ("reproduce", "all"),
+    ("nash", "--generate", "l_star", "--n", "15", "--l", "3", "--Ka", "2", "--Kb", "1"),
+    ("centrality", "--generate", "star", "--n", "15"),
+    ("simulate", "--generate", "balanced", "--n", "15", "--qa", "2", "--qb", "1",
+     "--sa-total", "1", "--sb-total", "0.5"),
+    ("allocate", "--generate", "star", "--n", "15", "--qa", "1", "--qb", "1",
+     "--budget", "2", "--firm", "a"),
+    ("extremal", "--n", "15", "--Ka", "2"),
+    ("nash", "--generate", "star", "--n", "15", "--Ka", "nan", "--Kb", "1"),
+]
+
+
+@pytest.mark.parametrize("argv", _SUBCOMMANDS)
+def test_a_process_without_netgame_log_never_imports_logging(argv):
+    script = (
+        "import sys\n"
+        "from netgame.cli import main\n"
+        "rc = main()\n"
+        "print(rc, 'logging' in sys.modules, file=sys.stderr)\n"
+    )
+    proc = _own_process(*argv, code=script)
+    assert proc.stderr.endswith(b" False\n")
+
+
+def test_netgame_log_debug_writes_the_traceback_of_refused_input():
+    script = (
+        "import os, sys\n"
+        "os.environ['NETGAME_LOG'] = 'DEBUG'\n"
+        "from netgame.cli import main\n"
+        "sys.exit(main())\n"
+    )
+    proc = _own_process("nash", "--generate", "star", "--n", "15", "--Ka", "nan", "--Kb", "1",
+                        code=script)
+    assert proc.returncode == EXIT_INVALID
+    err = proc.stderr.decode()
+    assert err.startswith("DEBUG netgame.cli: invalid input\nTraceback (most recent call last):\n")
+    message = "budgets and costs must be finite: BudgetSpec(K_a=nan, K_b=1.0, c_s=1.0, c_q=1.0)"
+    assert err.endswith(f"\nValueError: {message}\nerror: {message}\n")

@@ -40,6 +40,13 @@ def test_drift_rejects_quality_below_floor(example_params):
         externality_drift(0.0, 1.0, example_params)
 
 
+@pytest.mark.parametrize("q_a, q_b", [(10**400, 1.0), (1.0, 10**400)], ids=["q_a", "q_b"])
+def test_drift_rejects_an_integer_quality_past_the_float_range(example_params, q_a, q_b):
+    # it compares below infinity, and raised OverflowError in the arithmetic
+    with pytest.raises(ValueError, match="qualities must be finite"):
+        externality_drift(q_a, q_b, example_params)
+
+
 def test_step_is_the_linear_update(rng):
     p = draw_params(rng)
     g = draw_graph(rng, 8)
@@ -296,6 +303,12 @@ def test_horizon_refuses_bad_agent_counts(example_params, n):
         message = f"n must be at least 1, got {n}"
     with pytest.raises(ValueError, match=message):
         horizon_for_tolerance(example_params, n)
+
+
+def test_tolerance_that_is_no_number_is_refused(example_params):
+    # the comparison with 0 raised TypeError
+    with pytest.raises(ValueError, match="tol must be positive, got 'x'"):
+        horizon_for_tolerance(example_params, 5, tol="x")
 
 
 def test_nan_tolerance_is_refused(example_params):

@@ -123,12 +123,22 @@ def test_random_generator_survives_sparse_density():
     assert g.violations == ()
 
 
-@pytest.mark.parametrize("density", [0.0, -1.0, float("nan"), 2.0, float("inf")])
+@pytest.mark.parametrize(
+    "density", [0.0, -1.0, float("nan"), 2.0, float("inf"), "0.5", True, None]
+)
 def test_random_generator_refuses_density_outside_unit_interval(density):
-    # 0, -1 and NaN redrew empty rows forever; 2 and inf gave the complete graph
-    message = re.escape(f"density must lie in (0, 1], got {density}")
+    # 0, -1 and NaN redrew empty rows forever; 2, inf and True gave the complete
+    # graph; "0.5" and None raised TypeError
+    message = re.escape(f"density must lie in (0, 1], got {density!r}")
     with alarm(2), pytest.raises(ValueError, match=message):
         generate("random", 10, seed=1, density=density)
+
+
+@pytest.mark.parametrize("seed", [2.5, "3"])
+def test_random_generator_refuses_a_seed_that_is_no_integer(seed):
+    # numpy's SeedSequence raised TypeError
+    with pytest.raises(ValueError, match=re.escape(f"seed must be an integer, got {seed!r}")):
+        generate("random", 5, seed=seed)
 
 
 def test_random_generator_at_density_one_is_complete():
