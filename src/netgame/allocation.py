@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .centrality import CentralityVector, balanced_centrality, dot, star_centralities
-from .params import ModelParams, require_count, require_qualities
+from .params import ModelParams, require_count, require_qualities, require_real
 
 TIE_TOL = 1e-12
 
@@ -42,7 +42,9 @@ class PresetState:
             raise ValueError("preexisting tilts must lie in [-1/2, 1/2]")
         y0.setflags(write=False)
         object.__setattr__(self, "y0", y0)
-        if not (0.0 < self.q_a < math.inf and 0.0 < self.q_b < math.inf):
+        for name in ("q_a", "q_b"):
+            object.__setattr__(self, name, require_real(name, getattr(self, name)))
+        if self.q_a <= 0.0 or self.q_b <= 0.0:
             raise ValueError(f"qualities must be positive and finite: {self.q_a}, {self.q_b}")
 
     @classmethod
@@ -88,9 +90,10 @@ def thresholds(
 
     Both costs must be positive and finite.
     """
-    if not (0.0 < c_s < math.inf and 0.0 < c_q < math.inf):
+    c_s, c_q = require_real("c_s", c_s), require_real("c_q", c_q)
+    if c_s <= 0.0 or c_q <= 0.0:
         raise ValueError(f"costs must be positive and finite: c_s={c_s}, c_q={c_q}")
-    require_qualities(p, q_a, q_b)
+    q_a, q_b = require_qualities(p, q_a, q_b)
     lam = p.quality_weight(n)
     total = (q_a + q_b) ** 2
     v_c_a = 2.0 * lam * (c_s / c_q) * q_b / total
@@ -128,9 +131,10 @@ def allocate_budget(
 
     Agents strictly above the firm's threshold are seeded in centrality
     order up to their remaining capacity; exact ties go to quality, as
-    does whatever budget is left.
+    does whatever budget is left.  ``thresholds`` checks the costs.
     """
-    if not 0.0 <= K < math.inf:
+    K, c_s, c_q = require_real("K", K), require_real("c_s", c_s), require_real("c_q", c_q)
+    if K < 0.0:
         raise ValueError(f"budget must be nonnegative and finite, got {K}")
     n = len(v.values)
     v_c, agents = _seedable(v, state, firm, p, c_s, c_q)
@@ -193,6 +197,7 @@ def max_seeding_capacity_bound(
     agents can exceed a threshold above 1 (capped at n).
     """
     hub, peripheral = star_centralities(n, p)
+    v_c = require_real("v_c", v_c)
     if not 1.0 < v_c < hub:
         raise ValueError(
             f"threshold {v_c} outside (1, {hub}); outside that range the "
@@ -224,10 +229,9 @@ def regime_by_endpoints(context: str, value: float, endpoints: dict, regimes: tu
 
     Within TIE_TOL of an endpoint is "boundary"; otherwise the regime is
     ``regimes[j]``, with j the number of endpoints below ``value``.
-    A NaN or infinite ``value`` raises ``ValueError``.
+    ``value`` goes through ``require_real``, named ``context``.
     """
-    if not math.isfinite(value):
-        raise ValueError(f"{context} must be finite, got {value}")
+    value = require_real(context, value)
     if any(abs(value - e) <= TIE_TOL for e in endpoints.values()):
         regime = "boundary"
     else:

@@ -223,8 +223,6 @@ def cmd_allocate(args) -> int:
 
 def cmd_extremal(args) -> int:
     p = _params(args)
-    if args.n < 2:
-        raise ValueError(f"--n must be at least 2, got {args.n}")
     v_max = max_centrality_sequence(args.n, p).tolist()
     v_min = min_centrality_sequence(args.n, p).tolist()
     levels = [{"l": l + 1, "v_max": v_max[l], "v_min": v_min[l]} for l in range(args.n)]

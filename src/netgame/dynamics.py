@@ -20,14 +20,14 @@ import numpy as np
 
 from .centrality import centrality, dot
 from .graphs import SocialGraph, require_valid
-from .params import ModelParams, require_count, require_qualities
+from .params import ModelParams, require_count, require_qualities, require_real
 
 _STATE_TOL = 1e-9
 
 
 def externality_drift(q_a: float, q_b: float, p: ModelParams) -> float:
     """Per-step tilt toward the higher-quality product, common to all agents."""
-    require_qualities(p, q_a, q_b)
+    q_a, q_b = require_qualities(p, q_a, q_b)
     return (
         (1.0 + 2.0 * (p.alpha - p.beta))
         / (4.0 * p.beta)
@@ -36,23 +36,14 @@ def externality_drift(q_a: float, q_b: float, p: ModelParams) -> float:
     )
 
 
-def _require_state(y: np.ndarray, n: int) -> np.ndarray:
-    y = np.asarray(y, dtype=float)
-    if y.shape != (n,):
-        raise ValueError(f"state shape {y.shape} does not match n={n}")
-    if not np.abs(y).max() <= 0.5 + _STATE_TOL:  # NaN fails
-        raise ValueError(f"state outside [-1/2, 1/2]: max |y| = {np.abs(y).max()}")
-    return y
-
-
-def require_seeding(s: np.ndarray, n: int) -> np.ndarray:
-    """Seeding vectors live in [0, 1/2] per agent."""
-    s = np.asarray(s, dtype=float)
-    if s.shape != (n,):
-        raise ValueError(f"seeding shape {s.shape} does not match n={n}")
-    if not (s.min() >= -_STATE_TOL and s.max() <= 0.5 + _STATE_TOL):  # NaN fails
-        raise ValueError("seeding outside [0, 1/2] per agent")
-    return s
+def _require_vector(name: str, x: np.ndarray, n: int, low: float) -> np.ndarray:
+    """``x`` as n floats in [low, 1/2]: a state of tilts (low = -1/2) or a seeding (low = 0)."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (n,):
+        raise ValueError(f"{name} shape {x.shape} does not match n={n}")
+    if not (x.min() >= low - _STATE_TOL and x.max() <= 0.5 + _STATE_TOL):  # NaN fails
+        raise ValueError(f"{name} outside [{low}, 0.5] per agent")
+    return x
 
 
 def _advance(g: SocialGraph, p: ModelParams, u: float, y: np.ndarray) -> np.ndarray:
@@ -86,7 +77,7 @@ def simulate(
     """
     require_valid(g)
     T = require_count("T", T, 0)
-    y = _require_state(y0, g.n)
+    y = _require_vector("state", y0, g.n, -0.5)
     u = externality_drift(q_a, q_b, p)
     traj = np.empty((T + 1, g.n))
     traj[0] = y
@@ -104,11 +95,8 @@ def horizon_for_tolerance(p: ModelParams, n: int, tol: float = 1e-10) -> int:
     The per-step contribution to either firm's utility is within [0, n],
     so the tail after T is at most delta^(T+1) * n / (1 - delta).
     """
-    try:
-        positive = tol > 0.0  # NaN fails
-    except TypeError:  # a string, None
-        positive = False
-    if not positive:
+    tol = require_real("tol", tol)
+    if tol <= 0.0:
         raise ValueError(f"tol must be positive, got {tol!r}")
     target = tol * (1.0 - p.delta) / require_count("n", n, 1)
     if target >= 1.0:
@@ -172,9 +160,9 @@ def discounted_utilities(
     require_valid(g)
     if T is not None:
         T = require_count("T", T, 0)
-    require_qualities(p, q_a, q_b)
-    s_a = require_seeding(s_a, g.n)
-    s_b = require_seeding(s_b, g.n)
+    q_a, q_b = require_qualities(p, q_a, q_b)
+    s_a = _require_vector("seeding", s_a, g.n, 0.0)
+    s_b = _require_vector("seeding", s_b, g.n, 0.0)
     if mode not in ("closed_form", "simulated"):
         raise ValueError(f"unknown mode {mode!r}; use 'closed_form' or 'simulated'")
     closed = _closed_form_report(p, centrality(g, p).values, q_a, q_b, s_a, s_b)

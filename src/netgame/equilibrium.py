@@ -34,7 +34,7 @@ import numpy as np
 from .centrality import CentralityVector, centrality, dot
 from .dynamics import _closed_form_report
 from .graphs import SocialGraph
-from .params import ModelParams
+from .params import ModelParams, require_real
 
 COND_TOL = 1e-9
 
@@ -58,8 +58,8 @@ class BudgetSpec:
     c_q: float
 
     def __post_init__(self) -> None:
-        if not all(map(math.isfinite, vars(self).values())):
-            raise ValueError(f"budgets and costs must be finite: {self}")
+        for name, x in vars(self).items():
+            object.__setattr__(self, name, require_real(name, x))
         if self.c_s <= 0.0 or self.c_q <= 0.0:
             raise ValueError(f"costs must be positive: c_s={self.c_s}, c_q={self.c_q}")
         if self.K_a < 0.0 or self.K_b < 0.0:
@@ -137,8 +137,7 @@ def water_fill_seeding(v: CentralityVector, amount: float) -> tuple[np.ndarray, 
     partial).  Rejects non-finite and negative amounts and amounts above n/2.
     """
     n = len(v.values)
-    if not math.isfinite(amount):
-        raise ValueError(f"seeding amount {amount} is not finite")
+    amount = require_real("seeding amount", amount)
     if amount < -COND_TOL:
         raise ValueError(f"seeding amount {amount} is negative")
     if amount > n / 2.0 + COND_TOL:
@@ -181,9 +180,9 @@ def best_response_quality(
     ``BudgetSpec`` checks them, and ``q_opp`` must be finite and >= epsilon.
     """
     n = len(v.values)
-    BudgetSpec(K, K, c_s, c_q)
-    if not math.isfinite(q_opp):
-        raise ValueError(f"opponent quality {q_opp} is not finite")
+    budget = BudgetSpec(K, K, c_s, c_q)
+    K, c_s, c_q = budget.K_a, budget.c_s, budget.c_q
+    q_opp = require_real("q_opp", q_opp)
     if q_opp < p.epsilon - COND_TOL:
         raise ValueError(f"opponent quality {q_opp} below epsilon={p.epsilon}")
     if K < c_q * p.epsilon - COND_TOL:

@@ -13,7 +13,6 @@ are explicit witnesses.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +21,7 @@ from .allocation import regime_by_endpoints
 from .centrality import balanced_centrality, l_star_centralities, star_centralities
 from .equilibrium import CASE_INTERIOR, CASE_SATURATED, BudgetSpec, _solve_sequence, solve_nash
 from .graphs import SocialGraph, generate
-from .params import ModelParams
+from .params import ModelParams, require_real
 
 VERIFY_TOL = 1e-9
 
@@ -131,10 +130,11 @@ def budget_regime(n: int, p: ModelParams, K: float, c_s: float = 1.0) -> dict:
 
     The interval endpoints are where the star becomes seedable at all,
     where the balanced graph overtakes it, where both are fully seeded,
-    and where every graph saturates.  A NaN or infinite ``K`` or ``c_s``
-    raises ``ValueError``.
+    and where every graph saturates.  ``K`` and ``c_s`` go through
+    ``require_real``, and ``c_s`` must be positive.
     """
-    if not 0.0 < c_s < math.inf:
+    K, c_s = require_real("K", K), require_real("c_s", c_s)
+    if c_s <= 0.0:
         raise ValueError(f"c_s must be positive and finite, got {c_s}")
     hub, peripheral = star_centralities(n, p)
     lam = p.quality_weight(n)

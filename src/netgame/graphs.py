@@ -15,14 +15,13 @@ read-only arrays, so ``require_valid`` only reads that verdict.
 from __future__ import annotations
 
 import json
-import math
 import numbers
 import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .params import require_count
+from .params import require_count, require_real
 
 ROW_SUM_TOL = 1e-9
 
@@ -105,8 +104,8 @@ class SocialGraph:
 
         Raises ``ValueError`` for an ``n`` that is not a nonnegative
         integer (a float or a bool included), and for a malformed
-        entry, an index outside ``[0, n)`` or a repeated ``(i, j)``, naming
-        the first such entry.
+        entry (a non-integer index included), an index outside ``[0, n)``
+        or a repeated ``(i, j)``, naming the first such entry.
         The weights are not checked here; ``violations`` reports them.
         """
         try:
@@ -119,7 +118,6 @@ class SocialGraph:
         if outside.any():
             k = int(np.argmax(outside))
             raise ValueError(f"edge ({int(ij[k, 0])}, {int(ij[k, 1])}) out of range for n={n}")
-        # indices truncate toward zero, as int() does
         i, j = ij.astype(np.intp).T
         # first occurrence of each distinct (i, j), in row-major order
         _, first = np.unique(i * n + j, return_index=True)
@@ -199,7 +197,7 @@ def _is_edge(entry) -> bool:
         i, j, _ = map(float, entry)
     except OverflowError:  # an integer beyond the float range
         return False
-    return math.isfinite(i) and math.isfinite(j)
+    return i.is_integer() and j.is_integer()  # NaN and infinity are not
 
 
 def _edge_array(edges) -> np.ndarray:
@@ -215,11 +213,12 @@ def _edge_array(edges) -> np.ndarray:
         and e.shape == (len(edges), 3)
         and e.dtype.kind in "biuf"
         and np.isfinite(e[:, :2]).all()
+        and (e[:, :2] == np.trunc(e[:, :2])).all()
     ):
         return e.astype(float, copy=False)
     for entry in edges:
         if not _is_edge(entry):
-            raise ValueError(f"edge entry {entry!r} is not [i, j, weight]")
+            raise ValueError(f"edge entry {entry!r} is not [i, j, weight] with integer i and j")
     return np.array(edges, dtype=float).reshape(-1, 3)
 
 
@@ -323,7 +322,7 @@ def generate(
     random
         Bernoulli(density) off-diagonal pattern with uniform weights,
         rows renormalized; all-zero rows are redrawn.  Deterministic in
-        ``seed``; ``density`` must lie in (0, 1].
+        ``seed``, a nonnegative integer; ``density`` must lie in (0, 1].
     """
     n = require_count("n", n, 2)
     # each kind lists its rows' influencer counts, then the influencers and
@@ -351,16 +350,10 @@ def generate(
         cols = np.r_[1, np.zeros(n - 1, dtype=np.intp)]
         w = np.r_[1.0, ones]
     elif kind == "random":
-        try:  # NaN fails, below it no row gets an edge, and a bool or a string is no density
-            in_range = not isinstance(density, bool) and 0.0 < density <= 1.0
-        except TypeError:
-            in_range = False
-        if not in_range:
+        density = require_real("density", density)
+        if not 0.0 < density <= 1.0:  # at 0 or below no row gets an edge
             raise ValueError(f"density must lie in (0, 1], got {density!r}")
-        try:
-            rng = np.random.default_rng(seed)
-        except TypeError:  # numpy takes None, ints and sequences of ints
-            raise ValueError(f"seed must be an integer, got {seed!r}") from None
+        rng = np.random.default_rng(None if seed is None else require_count("seed", seed, 0))
         counts = np.empty(n, dtype=np.intp)
         row_cols, row_w = [], []
         for i in range(n):

@@ -1,10 +1,13 @@
-"""Shared model parameters for the two-firm consumption game."""
+"""Model parameters and the argument checks ``require_real`` and ``require_count``."""
 
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -25,9 +28,9 @@ class ModelParams:
     epsilon: float = 1e-6
 
     def __post_init__(self) -> None:
-        problems = [
-            f"{name}={x} is not finite" for name, x in vars(self).items() if not math.isfinite(x)
-        ]
+        for name, x in vars(self).items():
+            object.__setattr__(self, name, require_real(name, x))
+        problems = []
         if self.beta > self.alpha:
             problems.append(f"beta={self.beta} exceeds alpha={self.alpha}")
         if 1.0 + self.alpha > 2.0 * self.beta:
@@ -55,18 +58,30 @@ class ModelParams:
         )
 
 
-def require_qualities(p: ModelParams, q_a: float, q_b: float) -> None:
-    """Reject qualities below the admissible floor, NaN and infinity."""
+def require_qualities(p: ModelParams, q_a, q_b) -> tuple[float, float]:
+    """``q_a`` and ``q_b`` as floats; a quality below the floor epsilon raises ``ValueError``."""
+    q_a, q_b = require_real("q_a", q_a), require_real("q_b", q_b)
+    if q_a < p.epsilon or q_b < p.epsilon:
+        raise ValueError(f"qualities must be at least epsilon={p.epsilon}: q_a={q_a}, q_b={q_b}")
+    return q_a, q_b
+
+
+def require_real(name: str, x) -> float:
+    """``x`` as a finite ``float``: a Python or numpy real, or a 0-d array of one.
+
+    A bool, a string, ``None``, NaN, an infinity, an array of one or more
+    dimensions or an integer beyond the float range raises ``ValueError``.
+    """
+    v = x[()] if isinstance(x, np.ndarray) and x.ndim == 0 else x
+    # Python's bool is a numbers.Real, numpy's is not
+    real = isinstance(v, float) or isinstance(v, numbers.Real) and not isinstance(v, bool)
     try:
-        ok = p.epsilon <= q_a < math.inf and p.epsilon <= q_b < math.inf
-        float(q_a), float(q_b)  # an int past the float range compares below inf
-    except OverflowError:
-        ok = False
-    if not ok:
-        raise ValueError(
-            f"qualities must be finite and at least epsilon={p.epsilon}: "
-            f"got q_a={q_a}, q_b={q_b}"
-        )
+        f = float(v) if real else math.nan
+    except OverflowError:  # an integer beyond the float range
+        f = math.nan
+    if not math.isfinite(f):
+        raise ValueError(f"{name} must be a finite real number, got {x!r}")
+    return f
 
 
 def require_count(name: str, x, least: int) -> int:

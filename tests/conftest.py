@@ -17,7 +17,7 @@ import pytest
 
 from netgame import BudgetSpec, ModelParams, SocialGraph, centrality, generate, solve_nash
 from netgame.centrality import dot
-from netgame.dynamics import _STATE_TOL, _require_state
+from netgame.dynamics import _STATE_TOL, _require_vector
 from netgame.equilibrium import (
     CASE_BOUNDARY,
     CASE_INTERIOR,
@@ -104,7 +104,7 @@ def agent_utility(
     """
     require_valid(g)
     require_qualities(p, q_a, q_b)
-    y = _require_state(y, g.n)
+    y = _require_vector("state", y, g.n, -0.5)
     if not abs(y_i) <= 0.5 + _STATE_TOL:
         raise ValueError(f"y_i={y_i} outside [-1/2, 1/2]")
     row = slice(g.indptr[i], g.indptr[i + 1])

@@ -175,16 +175,24 @@ def test_nash_floor_corner_exits_3_naming_the_floored_firm(capsys):
     assert "firm b's equilibrium quality sits at the floor epsilon=1e-06" in err
 
 
+# the ids keep the earlier wording of each refusal, so the test names stay put
 @pytest.mark.parametrize(
     "flag, value, named",
     [
-        ("--Ka", "nan", "must be finite"),
-        ("--Kb", "inf", "must be finite"),
-        ("--cs", "-inf", "must be finite"),
-        ("--cq", "nan", "must be finite"),
-        ("--alpha", "nan", "alpha=nan is not finite"),
-        ("--delta", "inf", "delta=inf is not finite"),
-        ("--epsilon", "nan", "epsilon=nan is not finite"),
+        pytest.param("--Ka", "nan", "K_a must be a finite real number, got nan",
+                     id="--Ka-nan-must be finite"),
+        pytest.param("--Kb", "inf", "K_b must be a finite real number, got inf",
+                     id="--Kb-inf-must be finite"),
+        pytest.param("--cs", "-inf", "c_s must be a finite real number, got -inf",
+                     id="--cs--inf-must be finite"),
+        pytest.param("--cq", "nan", "c_q must be a finite real number, got nan",
+                     id="--cq-nan-must be finite"),
+        pytest.param("--alpha", "nan", "alpha must be a finite real number, got nan",
+                     id="--alpha-nan-alpha=nan is not finite"),
+        pytest.param("--delta", "inf", "delta must be a finite real number, got inf",
+                     id="--delta-inf-delta=inf is not finite"),
+        pytest.param("--epsilon", "nan", "epsilon must be a finite real number, got nan",
+                     id="--epsilon-nan-epsilon=nan is not finite"),
     ],
 )
 def test_nash_non_finite_input_exits_2(capsys, flag, value, named):
@@ -287,6 +295,9 @@ def test_simulate_negative_horizon_exits_2(capsys):
                      "is not [i, j, weight]", id="weight-beyond-float-range"),
         pytest.param('{"n": 2, "edges": [[1%s, 1, 1.0], [1, 0, 1.0]]}' % ("0" * 400),
                      "is not [i, j, weight]", id="index-beyond-float-range"),
+        # int() truncated 0.5 to agent 0
+        pytest.param('{"n": 2, "edges": [[0.5, 1, 1.0], [1, 0, 1.0]]}',
+                     "edge entry [0.5, 1, 1.0] is not [i, j, weight]", id="fractional-index"),
     ],
 )
 def test_malformed_graph_file_exits_2(tmp_path, capsys, text, named):
@@ -313,13 +324,22 @@ def test_out_of_memory_exits_2(tmp_path, capsys, monkeypatch, builder):
     assert err.startswith("error: Unable to allocate 745. GiB")
 
 
+# the ids keep the earlier wording of each refusal, so the test names stay put
 @pytest.mark.parametrize(
     "argv, named",
     [
-        (["simulate", "--qa", "nan", "--qb", "1"], "qualities must be finite"),
-        (["simulate", "--qa", "2", "--qb", "1", "--sa-total", "nan"], "seeding amount nan is not finite"),
-        (["allocate", "--qa", "1", "--qb", "1", "--budget", "nan", "--firm", "a"], "budget must be nonnegative and finite"),
-        (["allocate", "--qa", "inf", "--qb", "1", "--budget", "2", "--firm", "a"], "qualities must be positive and finite"),
+        pytest.param(["simulate", "--qa", "nan", "--qb", "1"],
+                     "q_a must be a finite real number, got nan",
+                     id="argv0-qualities must be finite"),
+        pytest.param(["simulate", "--qa", "2", "--qb", "1", "--sa-total", "nan"],
+                     "seeding amount must be a finite real number, got nan",
+                     id="argv1-seeding amount nan is not finite"),
+        pytest.param(["allocate", "--qa", "1", "--qb", "1", "--budget", "nan", "--firm", "a"],
+                     "K must be a finite real number, got nan",
+                     id="argv2-budget must be nonnegative and finite"),
+        pytest.param(["allocate", "--qa", "inf", "--qb", "1", "--budget", "2", "--firm", "a"],
+                     "q_a must be a finite real number, got inf",
+                     id="argv3-qualities must be positive and finite"),
     ],
 )
 def test_non_finite_qualities_and_amounts_exit_2(capsys, argv, named):
@@ -332,7 +352,7 @@ def test_non_finite_qualities_and_amounts_exit_2(capsys, argv, named):
 def test_extremal_below_two_agents_exits_2(capsys, n):
     code, out, err = _run(capsys, "extremal", "--n", n)
     assert code == EXIT_INVALID
-    assert f"--n must be at least 2, got {n}" in err and out == ""
+    assert err == f"error: n must be at least 2, got {n}\n" and out == ""
 
 
 @pytest.mark.parametrize("flag, value", [("--Ka", "nan"), ("--Ka", "inf"), ("--cs", "nan")])
@@ -340,7 +360,7 @@ def test_extremal_non_finite_budget_or_cost_exits_2(capsys, flag, value):
     args = {"--Ka": "2", flag: value}
     code, out, err = _run(capsys, "extremal", "--n", "15", *(f"{k}={v}" for k, v in args.items()))
     assert code == EXIT_INVALID
-    assert "must be finite" in err and out == ""
+    assert "must be a finite real number" in err and out == ""
 
 
 @pytest.mark.parametrize("command", ["centrality", "nash", "allocate", "extremal", "reproduce"])
@@ -435,5 +455,5 @@ def test_netgame_log_debug_writes_the_traceback_of_refused_input():
     assert proc.returncode == EXIT_INVALID
     err = proc.stderr.decode()
     assert err.startswith("DEBUG netgame.cli: invalid input\nTraceback (most recent call last):\n")
-    message = "budgets and costs must be finite: BudgetSpec(K_a=nan, K_b=1.0, c_s=1.0, c_q=1.0)"
+    message = "K_a must be a finite real number, got nan"
     assert err.endswith(f"\nValueError: {message}\nerror: {message}\n")

@@ -43,7 +43,7 @@ def test_drift_rejects_quality_below_floor(example_params):
 @pytest.mark.parametrize("q_a, q_b", [(10**400, 1.0), (1.0, 10**400)], ids=["q_a", "q_b"])
 def test_drift_rejects_an_integer_quality_past_the_float_range(example_params, q_a, q_b):
     # it compares below infinity, and raised OverflowError in the arithmetic
-    with pytest.raises(ValueError, match="qualities must be finite"):
+    with pytest.raises(ValueError, match="q_[ab] must be a finite real number, got 1000"):
         externality_drift(q_a, q_b, example_params)
 
 
@@ -307,14 +307,14 @@ def test_horizon_refuses_bad_agent_counts(example_params, n):
 
 def test_tolerance_that_is_no_number_is_refused(example_params):
     # the comparison with 0 raised TypeError
-    with pytest.raises(ValueError, match="tol must be positive, got 'x'"):
+    with pytest.raises(ValueError, match="tol must be a finite real number, got 'x'"):
         horizon_for_tolerance(example_params, 5, tol="x")
 
 
 def test_nan_tolerance_is_refused(example_params):
     g = generate("balanced", 4)
-    with pytest.raises(ValueError, match="tol must be positive, got nan"):
+    with pytest.raises(ValueError, match="tol must be a finite real number, got nan"):
         horizon_for_tolerance(example_params, 4, float("nan"))
-    with pytest.raises(ValueError, match="tol must be positive, got nan"):
+    with pytest.raises(ValueError, match="tol must be a finite real number, got nan"):
         discounted_utilities(g, example_params, 2.0, 1.0, np.zeros(4), np.zeros(4),
                              mode="simulated", tol=float("nan"))

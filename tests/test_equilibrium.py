@@ -581,15 +581,21 @@ def test_budget_spec_rejects_non_finite(field, bad):
     # NaN fails no sign check, so it would otherwise reach the solver
     values = [1.0, 1.0, 1.0, 1.0]
     values[field] = bad
-    with pytest.raises(ValueError, match="must be finite"):
+    with pytest.raises(ValueError, match="must be a finite real number"):
         BudgetSpec(*values)
 
 
+# the ids keep the earlier wording of each refusal, so the test names stay put
 @pytest.mark.parametrize(
     "K, c_s, c_q, named",
-    [(math.nan, 1.0, 1.0, "must be finite"), (math.inf, 1.0, 1.0, "must be finite"),
+    [pytest.param(math.nan, 1.0, 1.0, "K_a must be a finite real number",
+                  id="nan-1.0-1.0-must be finite"),
+     pytest.param(math.inf, 1.0, 1.0, "K_a must be a finite real number",
+                  id="inf-1.0-1.0-must be finite"),
      (2.0, 0.0, 1.0, "costs must be positive"), (2.0, -1.0, 1.0, "costs must be positive"),
-     (2.0, 1.0, 0.0, "costs must be positive"), (2.0, 1.0, math.nan, "must be finite")],
+     (2.0, 1.0, 0.0, "costs must be positive"),
+     pytest.param(2.0, 1.0, math.nan, "c_q must be a finite real number",
+                  id="2.0-1.0-nan-must be finite")],
 )
 def test_best_response_checks_budget_and_costs_as_budget_spec_does(example_params, K, c_s, c_q, named):
     # unchecked, these raised IndexError from numpy or returned an unaffordable quality
@@ -601,7 +607,7 @@ def test_best_response_checks_budget_and_costs_as_budget_spec_does(example_param
 @pytest.mark.parametrize("q_opp", [math.nan, math.inf])
 def test_best_response_refuses_non_finite_opponent_quality(example_params, q_opp):
     v = centrality(generate("star", 15), example_params)
-    with pytest.raises(ValueError, match=f"opponent quality {q_opp} is not finite"):
+    with pytest.raises(ValueError, match=f"q_opp must be a finite real number, got {q_opp}"):
         best_response_quality(v, example_params, 2.0, 1.0, 1.0, q_opp)
 
 

@@ -151,7 +151,7 @@ _SYMMETRIC_ENTRY_POINTS = {
 def test_symmetric_entry_points_reject_bad_budgets(example_params, entry, K, c_s, c_q):
     # refused before any solve: unchecked, an infinite budget gives infinite
     # quality, a NaN one a SolverError and a zero cost a ZeroDivisionError
-    with pytest.raises(ValueError, match="budgets|costs"):
+    with pytest.raises(ValueError, match="budgets|costs|must be a finite real number"):
         _SYMMETRIC_ENTRY_POINTS[entry](example_params, K, c_s, c_q)
 
 
@@ -209,11 +209,11 @@ def test_regime_matches_seeding_comparison(example_params):
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
 def test_regime_classifiers_refuse_non_finite_values(example_params, bad):
-    with pytest.raises(ValueError, match="threshold must be finite"):
+    with pytest.raises(ValueError, match="threshold must be a finite real number"):
         regime_classify(15, example_params, bad)
-    with pytest.raises(ValueError, match="budget must be finite"):
+    with pytest.raises(ValueError, match="K must be a finite real number"):
         budget_regime(15, example_params, bad)
-    with pytest.raises(ValueError, match="c_s must be positive and finite"):
+    with pytest.raises(ValueError, match="c_s must be a finite real number"):
         budget_regime(15, example_params, 2.0, c_s=abs(bad))
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import re
 
 import numpy as np
@@ -129,7 +130,10 @@ def test_random_generator_survives_sparse_density():
 def test_random_generator_refuses_density_outside_unit_interval(density):
     # 0, -1 and NaN redrew empty rows forever; 2, inf and True gave the complete
     # graph; "0.5" and None raised TypeError
-    message = re.escape(f"density must lie in (0, 1], got {density!r}")
+    if isinstance(density, float) and math.isfinite(density):
+        message = re.escape(f"density must lie in (0, 1], got {density!r}")
+    else:
+        message = re.escape(f"density must be a finite real number, got {density!r}")
     with alarm(2), pytest.raises(ValueError, match=message):
         generate("random", 10, seed=1, density=density)
 
@@ -234,7 +238,9 @@ def test_verdict_is_fixed_at_construction():
     "entry", [5, None, "a,b", [0, None, 1.0], [0, 1, None], ["x", 1, 1.0], [0, 1, "w"],
               [float("nan"), 1, 1.0], {"i": 0, "j": 1, "w": 1.0},
               # integers beyond the float range raised OverflowError
-              [0, 1, 10**400], [10**400, 1, 1.0]]
+              [0, 1, 10**400], [10**400, 1, 1.0],
+              # non-integer agent indices were truncated toward zero
+              [0.5, 1, 1.0], [-0.5, 1, 1.0], [1, 1e-9, 1.0]]
 )
 def test_from_dict_rejects_malformed_entry_types(entry):
     edges = [[1, 0, 1.0], entry]
@@ -263,8 +269,10 @@ def from_dict_loop(data: dict) -> SocialGraph:
     seen = set()
     for entry in edges:
         if len(entry) != 3:
-            raise ValueError(f"edge entry {entry!r} is not [i, j, weight]")
+            raise ValueError(f"edge entry {entry!r} is not [i, j, weight] with integer i and j")
         i, j, wt = int(entry[0]), int(entry[1]), float(entry[2])
+        if (i, j) != (entry[0], entry[1]):
+            raise ValueError(f"edge entry {entry!r} is not [i, j, weight] with integer i and j")
         if not (0 <= i < n and 0 <= j < n):
             raise ValueError(f"edge ({i}, {j}) out of range for n={n}")
         if (i, j) in seen:
@@ -306,6 +314,11 @@ def test_from_dict_matches_loop_reference():
     for n in (2.7, 2.0, "2", True, None, -2):
         data = {"n": n, "edges": [[0, 1, 1.0], [1, 0, 1.0]]}
         assert _outcome(SocialGraph.from_dict, data) == _outcome(from_dict_loop, data)
+    # and truncated agent indices: the first of these loaded the 3-cycle
+    for entry in ([0.5, 1.9, 1.0], [-0.5, 2, 1.0], [3.5, 0, 1.0]):
+        data = {"n": 3, "edges": [[1, 2, 1.0], entry, [2, 0, 1.0]]}
+        want = f"edge entry {entry!r} is not [i, j, weight] with integer i and j"
+        assert _outcome(SocialGraph.from_dict, data) == _outcome(from_dict_loop, data) == want
     faults = 0
     for trial in range(300):
         n = int(rng.integers(3, 25))

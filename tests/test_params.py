@@ -58,12 +58,13 @@ def test_rejects_non_finite_fields(field, bad):
     # NaN passes every range comparison, and alpha = beta = inf passes both
     # curvature bounds, so finiteness is checked before them
     values = {"alpha": 1.0, "beta": 1.0, "delta": 0.5, "epsilon": 1e-6, field: bad}
-    with pytest.raises(ValueError, match=f"{field}={bad} is not finite"):
+    with pytest.raises(ValueError, match=f"{field} must be a finite real number, got {bad}"):
         ModelParams(**values)
 
 
 def test_rejects_nan_curvature_pair():
-    with pytest.raises(ValueError, match="alpha=nan is not finite; beta=nan is not finite"):
+    # the first field that is no finite real is named
+    with pytest.raises(ValueError, match="alpha must be a finite real number, got nan"):
         ModelParams(math.nan, math.nan, 0.5)
-    with pytest.raises(ValueError, match="alpha=inf is not finite; beta=inf is not finite"):
+    with pytest.raises(ValueError, match="alpha must be a finite real number, got inf"):
         ModelParams(math.inf, math.inf, 0.5)
