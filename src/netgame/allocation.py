@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .centrality import CentralityVector, balanced_centrality, dot, star_centralities
-from .params import ModelParams, require_count, require_qualities, require_real
+from .params import ModelParams, require_count, require_qualities, require_real, require_vector
 
 TIE_TOL = 1e-12
 
@@ -34,12 +34,7 @@ class PresetState:
     y0: np.ndarray
 
     def __post_init__(self) -> None:
-        y0 = np.array(self.y0, dtype=float, copy=True)
-        if y0.ndim != 1 or y0.size == 0:
-            raise ValueError(f"preexisting tilts must be a nonempty vector, got shape {y0.shape}")
-        # negated so that a NaN tilt fails the check
-        if not np.abs(y0).max() <= 0.5 + TIE_TOL:
-            raise ValueError("preexisting tilts must lie in [-1/2, 1/2]")
+        y0 = require_vector("y0", self.y0, None, -0.5 - TIE_TOL, 0.5 + TIE_TOL)
         y0.setflags(write=False)
         object.__setattr__(self, "y0", y0)
         for name in ("q_a", "q_b"):
@@ -203,9 +198,8 @@ def max_seeding_capacity_bound(
             f"threshold {v_c} outside (1, {hub}); outside that range the "
             "bound is trivially n or 0"
         )
-    caps = np.sort(np.asarray(capacities, dtype=float))[::-1]
-    if caps.shape != (n,):
-        raise ValueError(f"need {n} capacities, got shape {caps.shape}")
+    # a capacity is 1/2 - y0 or 1/2 + y0, so it lies in [0, 1]
+    caps = np.sort(require_vector("capacities", capacities, n, -TIE_TOL, 1.0 + TIE_TOL))[::-1]
     k = min(
         math.floor(n * p.delta / ((v_c - 1.0) * (2.0 * p.beta - p.delta)) + 1e-9), n
     )

@@ -15,12 +15,13 @@ A graph keeps the K it has used, K*n floats with K <= about 64, so another
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .graphs import SocialGraph, require_valid
-from .params import ModelParams, require_count
+from .params import ModelParams, require_count, require_vector
 
 _GUARD_TOL = 1e-9
 _TAIL_TOL = 1e-13
@@ -32,7 +33,12 @@ class CentralityVector:
 
     ``order[0]`` is the most central agent; ties break toward the lower
     agent index so the ordering is deterministic.  ``sorted_values``
-    lists the centralities from most to least central.
+    lists the centralities from most to least central.  The solvers
+    that take a vector of centralities (``water_fill_seeding``,
+    ``best_response_quality``, ``allocate_budget``, ``seeding_capacity``)
+    take it as this type, which checks it in O(n): ``values`` must be
+    finite and positive, and ``order`` a permutation of range(n) along
+    which ``values`` does not increase.
     """
 
     values: np.ndarray
@@ -40,9 +46,16 @@ class CentralityVector:
     sorted_values: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        vals = np.array(self.values, dtype=float, copy=True)
-        order = np.array(self.order, dtype=int, copy=True)
-        for name, arr in (("values", vals), ("order", order), ("sorted_values", vals[order])):
+        vals = require_vector("values", self.values, None, math.ulp(0.0), math.inf)
+        n = len(vals)
+        order = _require_indices("order", self.order, n, 0, n - 1)
+        # n entries in [0, n) are a permutation when none is missing
+        if np.count_nonzero(np.bincount(order, minlength=n)) != n:
+            raise ValueError(f"order must be a permutation of range({n}), got {self.order!r}")
+        ranked = vals[order]
+        if np.count_nonzero(ranked[1:] > ranked[:-1]):
+            raise ValueError("values must not increase along order")
+        for name, arr in (("values", vals), ("order", order), ("sorted_values", ranked)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -121,6 +134,14 @@ def _powers(g: SocialGraph, powers: tuple, count: int) -> tuple:
     return tuple(out)
 
 
+def _require_indices(name: str, x, n: int | None, low: int, high: int) -> np.ndarray:
+    """``x`` as an integer array through ``require_vector``; a float entry (2.0 too) is refused."""
+    a = require_vector(name, x, n, low, high)
+    if np.asarray(x).dtype.kind not in "iu":
+        raise ValueError(f"{name} must hold integers, got {x!r}")
+    return a.astype(np.intp)
+
+
 def dot(x: np.ndarray, y: np.ndarray) -> float:
     """sum_i x_i * y_i, summed by numpy: BLAS would let its thread count change the last bit."""
     return float(np.multiply(x, y).sum())
@@ -147,10 +168,11 @@ def l_star_centralities(n: int, l: int | np.ndarray, p: ModelParams) -> tuple:
     is the balanced one; an integer array of l gives the array of hub values.
     """
     n = require_count("n", n, 2)
-    # an array is checked at its least entry, a numpy scalar of the array's dtype
-    require_count("l", l if np.ndim(l) == 0 else np.ravel(l)[np.argmin(l)], 2)
-    if np.max(l) > n:
-        raise ValueError(f"l_star requires 2 <= l <= n, got l={l}, n={n}")
+    if np.ndim(l) == 0:
+        if require_count("l", l, 2) > n:
+            raise ValueError(f"l_star requires 2 <= l <= n, got l={l}, n={n}")
+    else:
+        l = _require_indices("l", l, None, 2, n)
     hub = n * p.delta / (l * (2.0 * p.beta - p.delta)) + 1.0
     return hub, 1.0
 

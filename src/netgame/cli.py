@@ -52,7 +52,7 @@ from .extremal import (
     symmetric_seeding_extremes,
 )
 from .graphs import KINDS, generate, load_graph
-from .params import ModelParams
+from .params import ModelParams, require_real
 from .reporting import to_json
 
 SCHEMA_VERSION = 3
@@ -61,6 +61,14 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INVALID = 2
 EXIT_SOLVER = 3
+
+
+def _real(text: str) -> float:
+    """A float flag's value, refused as ``require_real`` refuses it; argparse names the flag."""
+    try:
+        return require_real("value", float(text))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be a finite real number, got {text!r}") from None
 
 
 def _add_graph_args(sub: argparse.ArgumentParser) -> None:
@@ -74,16 +82,16 @@ def _add_graph_args(sub: argparse.ArgumentParser) -> None:
 
 def _add_param_args(sub: argparse.ArgumentParser) -> None:
     grp = sub.add_argument_group("model parameters")
-    grp.add_argument("--alpha", type=float, default=1.0)
-    grp.add_argument("--beta", type=float, default=1.0)
-    grp.add_argument("--delta", type=float, default=0.5)
-    grp.add_argument("--epsilon", type=float, default=1e-6)
+    grp.add_argument("--alpha", type=_real, default=1.0)
+    grp.add_argument("--beta", type=_real, default=1.0)
+    grp.add_argument("--delta", type=_real, default=0.5)
+    grp.add_argument("--epsilon", type=_real, default=1e-6)
 
 
 def _add_cost_args(sub: argparse.ArgumentParser) -> None:
     grp = sub.add_argument_group("costs")
-    grp.add_argument("--cs", type=float, default=1.0, help="cost per seeding unit")
-    grp.add_argument("--cq", type=float, default=1.0, help="cost per quality unit")
+    grp.add_argument("--cs", type=_real, default=1.0, help="cost per seeding unit")
+    grp.add_argument("--cq", type=_real, default=1.0, help="cost per quality unit")
 
 
 def _add_output_args(sub: argparse.ArgumentParser) -> None:
@@ -386,10 +394,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("simulate", help="run the consumption spread process")
     _add_graph_args(sub)
     _add_param_args(sub)
-    sub.add_argument("--qa", type=float, required=True, help="firm a quality")
-    sub.add_argument("--qb", type=float, required=True, help="firm b quality")
-    sub.add_argument("--sa-total", type=float, default=0.0, help="firm a seeding, water-filled")
-    sub.add_argument("--sb-total", type=float, default=0.0, help="firm b seeding, water-filled")
+    sub.add_argument("--qa", type=_real, required=True, help="firm a quality")
+    sub.add_argument("--qb", type=_real, required=True, help="firm b quality")
+    sub.add_argument("--sa-total", type=_real, default=0.0, help="firm a seeding, water-filled")
+    sub.add_argument("--sb-total", type=_real, default=0.0, help="firm b seeding, water-filled")
     sub.add_argument("--T", type=int, default=None, help="steps (default: tail < 1e-10)")
     sub.add_argument("--format", choices=("json", "csv"), default="json",
                      help="csv writes the trajectory alone")
@@ -399,8 +407,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("nash", help="equilibrium of the budget game")
     _add_graph_args(sub)
     _add_param_args(sub)
-    sub.add_argument("--Ka", type=float, required=True, help="firm a budget")
-    sub.add_argument("--Kb", type=float, required=True, help="firm b budget")
+    sub.add_argument("--Ka", type=_real, required=True, help="firm a budget")
+    sub.add_argument("--Kb", type=_real, required=True, help="firm b budget")
     _add_cost_args(sub)
     _add_output_args(sub)
     sub.set_defaults(func=cmd_nash)
@@ -408,9 +416,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("allocate", help="marginal budget split at preset qualities")
     _add_graph_args(sub)
     _add_param_args(sub)
-    sub.add_argument("--qa", type=float, required=True)
-    sub.add_argument("--qb", type=float, required=True)
-    sub.add_argument("--budget", type=float, required=True, help="marginal budget K")
+    sub.add_argument("--qa", type=_real, required=True)
+    sub.add_argument("--qb", type=_real, required=True)
+    sub.add_argument("--budget", type=_real, required=True, help="marginal budget K")
     sub.add_argument("--firm", choices=("a", "b"), required=True)
     _add_cost_args(sub)
     _add_output_args(sub)
@@ -419,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("extremal", help="extremal centralities and seeding range")
     sub.add_argument("--n", type=int, required=True)
     _add_param_args(sub)
-    sub.add_argument("--Ka", type=float, default=None, help="symmetric budget K")
+    sub.add_argument("--Ka", type=_real, default=None, help="symmetric budget K")
     _add_cost_args(sub)
     _add_output_args(sub)
     sub.set_defaults(func=cmd_extremal)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .centrality import centrality, dot
 from .graphs import SocialGraph, require_valid
-from .params import ModelParams, require_count, require_qualities, require_real
+from .params import ModelParams, require_count, require_qualities, require_real, require_vector
 
 _STATE_TOL = 1e-9
 
@@ -34,16 +34,6 @@ def externality_drift(q_a: float, q_b: float, p: ModelParams) -> float:
         * (q_a - q_b)
         / (q_a + q_b)
     )
-
-
-def _require_vector(name: str, x: np.ndarray, n: int, low: float) -> np.ndarray:
-    """``x`` as n floats in [low, 1/2]: a state of tilts (low = -1/2) or a seeding (low = 0)."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (n,):
-        raise ValueError(f"{name} shape {x.shape} does not match n={n}")
-    if not (x.min() >= low - _STATE_TOL and x.max() <= 0.5 + _STATE_TOL):  # NaN fails
-        raise ValueError(f"{name} outside [{low}, 0.5] per agent")
-    return x
 
 
 def _advance(g: SocialGraph, p: ModelParams, u: float, y: np.ndarray) -> np.ndarray:
@@ -77,7 +67,7 @@ def simulate(
     """
     require_valid(g)
     T = require_count("T", T, 0)
-    y = _require_vector("state", y0, g.n, -0.5)
+    y = require_vector("y0", y0, g.n, -0.5 - _STATE_TOL, 0.5 + _STATE_TOL)
     u = externality_drift(q_a, q_b, p)
     traj = np.empty((T + 1, g.n))
     traj[0] = y
@@ -161,8 +151,8 @@ def discounted_utilities(
     if T is not None:
         T = require_count("T", T, 0)
     q_a, q_b = require_qualities(p, q_a, q_b)
-    s_a = _require_vector("seeding", s_a, g.n, 0.0)
-    s_b = _require_vector("seeding", s_b, g.n, 0.0)
+    s_a = require_vector("s_a", s_a, g.n, -_STATE_TOL, 0.5 + _STATE_TOL)
+    s_b = require_vector("s_b", s_b, g.n, -_STATE_TOL, 0.5 + _STATE_TOL)
     if mode not in ("closed_form", "simulated"):
         raise ValueError(f"unknown mode {mode!r}; use 'closed_form' or 'simulated'")
     closed = _closed_form_report(p, centrality(g, p).values, q_a, q_b, s_a, s_b)

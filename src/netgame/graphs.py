@@ -18,6 +18,7 @@ import json
 import numbers
 import zipfile
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -104,15 +105,25 @@ class SocialGraph:
 
         Raises ``ValueError`` for an ``n`` that is not a nonnegative
         integer (a float or a bool included), and for a malformed
-        entry (a non-integer index included), an index outside ``[0, n)``
-        or a repeated ``(i, j)``, naming the first such entry.
+        entry (a non-integer index or a bool included), an index outside
+        ``[0, n)`` or a repeated ``(i, j)``, naming the first such entry.
         The weights are not checked here; ``violations`` reports them.
         """
+        return cls._from_parsed(data, may_hold_bools=True)
+
+    @classmethod
+    def from_json(cls, text: str) -> "SocialGraph":
+        # JSON spells a bool true or false: a text with neither a "t" nor an "f" holds none
+        return cls._from_parsed(json.loads(text), "t" in text or "f" in text)
+
+    @classmethod
+    def _from_parsed(cls, data: dict, may_hold_bools: bool) -> "SocialGraph":
+        """``from_dict``, which looks for a bool among the entries only if ``may_hold_bools``."""
         try:
             n, edges = require_count("graph 'n'", data["n"], 0), data["edges"]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"graph data must have 'n' and 'edges': {exc}") from exc
-        e = _edge_array(edges)
+        e = _edge_array(edges, may_hold_bools)
         ij = e[:, :2]
         outside = ~((ij > -1) & (ij < n)).all(axis=1)
         if outside.any():
@@ -129,10 +140,6 @@ class SocialGraph:
         g = cls.__new__(cls)
         g._store(n, i[first], j[first], e[first, 2])
         return g
-
-    @classmethod
-    def from_json(cls, text: str) -> "SocialGraph":
-        return cls.from_dict(json.loads(text))
 
     @classmethod
     def from_csr(cls, n, indptr, indices, data) -> "SocialGraph":
@@ -188,10 +195,15 @@ class SocialGraph:
         return g
 
 
+def _holds_bool(edges: list) -> bool:
+    """Whether an entry of ``edges`` holds a bool, which numpy would read as 0 or 1."""
+    return not {bool, np.bool_}.isdisjoint(map(type, chain.from_iterable(edges)))
+
+
 def _is_edge(entry) -> bool:
     if not isinstance(entry, (list, tuple)) or len(entry) != 3:
         return False
-    if not all(isinstance(x, numbers.Real) for x in entry):
+    if not all(isinstance(x, numbers.Real) and not isinstance(x, bool) for x in entry):
         return False
     try:
         i, j, _ = map(float, entry)
@@ -200,8 +212,11 @@ def _is_edge(entry) -> bool:
     return i.is_integer() and j.is_integer()  # NaN and infinity are not
 
 
-def _edge_array(edges) -> np.ndarray:
-    """``edges`` as an (m, 3) float array; ``ValueError`` names the first malformed entry."""
+def _edge_array(edges, may_hold_bools: bool) -> np.ndarray:
+    """``edges`` as an (m, 3) float array; ``ValueError`` names the first malformed entry.
+
+    Unless the caller knows there is none, a bool sends the entries to the one-by-one check.
+    """
     if not isinstance(edges, (list, tuple)):
         raise ValueError(f"graph 'edges' must be a list, got {edges!r}")
     try:
@@ -211,9 +226,10 @@ def _edge_array(edges) -> np.ndarray:
     if (
         e is not None
         and e.shape == (len(edges), 3)
-        and e.dtype.kind in "biuf"
+        and e.dtype.kind in "iuf"
         and np.isfinite(e[:, :2]).all()
         and (e[:, :2] == np.trunc(e[:, :2])).all()
+        and not (may_hold_bools and _holds_bool(edges))
     ):
         return e.astype(float, copy=False)
     for entry in edges:

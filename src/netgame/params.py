@@ -1,4 +1,4 @@
-"""Model parameters and the argument checks ``require_real`` and ``require_count``."""
+"""Model parameters and the checks ``require_real``, ``require_count`` and ``require_vector``."""
 
 from __future__ import annotations
 
@@ -102,3 +102,31 @@ def require_count(name: str, x, least: int) -> int:
         bound = "nonnegative" if least == 0 else f"at least {least}"
         raise ValueError(f"{name} must be {bound}, got {i}")
     return i
+
+
+def require_vector(name: str, x, n: int | None, low: float, high: float) -> np.ndarray:
+    """``x`` as a fresh 1-d float64 array of ``n`` entries (any positive number if ``n`` is None).
+
+    A list or tuple has each entry checked by ``require_real``; an array
+    must have an integer or float dtype.  Each entry must lie in the
+    closed range [low, high], which the caller widens by its own
+    tolerance.  Anything else (a scalar, a 2-d or empty array, a bool,
+    string, ``None``, complex or object entry, NaN or an infinity)
+    raises ``ValueError``.
+    """
+    if isinstance(x, (list, tuple)):
+        # one entry at a time: numpy would read a bool as 0 or 1 and "0" as a number
+        x = np.array([require_real(f"{name}[{k}]", v) for k, v in enumerate(x)], dtype=float)
+    a = np.asarray(x)
+    if a.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must be a vector of finite reals, got {x!r}")
+    if a.ndim != 1 or a.size == 0 or n is not None and a.size != n:
+        need = "a nonempty vector" if n is None else f"a vector of {n} entries"
+        raise ValueError(f"{name} must be {need}, got shape {a.shape}")
+    a = a.astype(float)
+    lo, hi = a.min(), a.max()
+    # negated so that NaN, whose comparisons are all false, is refused too
+    if not (low <= lo and hi <= high and math.isfinite(lo) and math.isfinite(hi)):
+        k = int(np.argmax(~((low <= a) & (a <= high) & np.isfinite(a))))
+        raise ValueError(f"{name}[{k}] must be a finite real in [{low}, {high}], got {a[k]}")
+    return a

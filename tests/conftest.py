@@ -7,6 +7,7 @@ case characterization applies; see draw_instance.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import itertools
 import math
 import signal
@@ -17,7 +18,7 @@ import pytest
 
 from netgame import BudgetSpec, ModelParams, SocialGraph, centrality, generate, solve_nash
 from netgame.centrality import dot
-from netgame.dynamics import _STATE_TOL, _require_vector
+from netgame.dynamics import _STATE_TOL
 from netgame.equilibrium import (
     CASE_BOUNDARY,
     CASE_INTERIOR,
@@ -30,7 +31,7 @@ from netgame.equilibrium import (
     water_fill_seeding,
 )
 from netgame.graphs import require_valid
-from netgame.params import require_qualities
+from netgame.params import require_qualities, require_vector
 
 EXAMPLE_N = 15
 
@@ -104,7 +105,7 @@ def agent_utility(
     """
     require_valid(g)
     require_qualities(p, q_a, q_b)
-    y = _require_vector("state", y, g.n, -0.5)
+    y = require_vector("y", y, g.n, -0.5 - _STATE_TOL, 0.5 + _STATE_TOL)
     if not abs(y_i) <= 0.5 + _STATE_TOL:
         raise ValueError(f"y_i={y_i} outside [-1/2, 1/2]")
     row = slice(g.indptr[i], g.indptr[i + 1])
@@ -304,6 +305,33 @@ def bounded_argmax(fn, lo: float, hi: float, coarse: int = 400) -> tuple[float, 
     if fn(x_ref) >= vals[j]:
         return x_ref, float(fn(x_ref))
     return float(xs[j]), float(vals[j])
+
+
+def plain(r):
+    """``r`` as nested dicts, lists and reprs, so types and NaN compare too."""
+    if isinstance(r, SocialGraph):
+        r = {**r.to_dict(), "violations": r.violations}
+    elif dataclasses.is_dataclass(r):
+        r = vars(r)
+    if isinstance(r, dict):
+        return {k: plain(v) for k, v in r.items()}
+    if isinstance(r, (list, tuple)):
+        return [plain(v) for v in r]
+    if isinstance(r, np.ndarray):
+        return r.dtype.str, repr(r.tolist())
+    return repr(r)
+
+
+def outcome(call, x):
+    """What ``call(x)`` returns, or the refusal it raises, under a 2 s ``alarm``.
+
+    Anything but a ``ValueError`` or a ``SolverError`` propagates.
+    """
+    with alarm(2):
+        try:
+            return plain(call(x))
+        except (ValueError, SolverError) as exc:
+            return type(exc).__name__, str(exc)
 
 
 class Hang(Exception):

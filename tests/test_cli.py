@@ -25,7 +25,10 @@ SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def _run(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse refuses a malformed flag, a non-finite float too
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -179,19 +182,19 @@ def test_nash_floor_corner_exits_3_naming_the_floored_firm(capsys):
 @pytest.mark.parametrize(
     "flag, value, named",
     [
-        pytest.param("--Ka", "nan", "K_a must be a finite real number, got nan",
+        pytest.param("--Ka", "nan", "argument --Ka: must be a finite real number, got 'nan'",
                      id="--Ka-nan-must be finite"),
-        pytest.param("--Kb", "inf", "K_b must be a finite real number, got inf",
+        pytest.param("--Kb", "inf", "argument --Kb: must be a finite real number, got 'inf'",
                      id="--Kb-inf-must be finite"),
-        pytest.param("--cs", "-inf", "c_s must be a finite real number, got -inf",
+        pytest.param("--cs", "-inf", "argument --cs: must be a finite real number, got '-inf'",
                      id="--cs--inf-must be finite"),
-        pytest.param("--cq", "nan", "c_q must be a finite real number, got nan",
+        pytest.param("--cq", "nan", "argument --cq: must be a finite real number, got 'nan'",
                      id="--cq-nan-must be finite"),
-        pytest.param("--alpha", "nan", "alpha must be a finite real number, got nan",
+        pytest.param("--alpha", "nan", "argument --alpha: must be a finite real number, got 'nan'",
                      id="--alpha-nan-alpha=nan is not finite"),
-        pytest.param("--delta", "inf", "delta must be a finite real number, got inf",
+        pytest.param("--delta", "inf", "argument --delta: must be a finite real number, got 'inf'",
                      id="--delta-inf-delta=inf is not finite"),
-        pytest.param("--epsilon", "nan", "epsilon must be a finite real number, got nan",
+        pytest.param("--epsilon", "nan", "argument --epsilon: must be a finite real number, got 'nan'",
                      id="--epsilon-nan-epsilon=nan is not finite"),
     ],
 )
@@ -298,6 +301,11 @@ def test_simulate_negative_horizon_exits_2(capsys):
         # int() truncated 0.5 to agent 0
         pytest.param('{"n": 2, "edges": [[0.5, 1, 1.0], [1, 0, 1.0]]}',
                      "edge entry [0.5, 1, 1.0] is not [i, j, weight]", id="fractional-index"),
+        # numpy read true as 1 and false as 0
+        pytest.param('{"n": 2, "edges": [[true, 0, 1.0], [0, 1, 1.0]]}',
+                     "edge entry [True, 0, 1.0] is not [i, j, weight]", id="bool-index"),
+        pytest.param('{"n": 2, "edges": [[true, false, true], [false, true, true]]}',
+                     "edge entry [True, False, True] is not [i, j, weight]", id="bool-entries"),
     ],
 )
 def test_malformed_graph_file_exits_2(tmp_path, capsys, text, named):
@@ -329,16 +337,16 @@ def test_out_of_memory_exits_2(tmp_path, capsys, monkeypatch, builder):
     "argv, named",
     [
         pytest.param(["simulate", "--qa", "nan", "--qb", "1"],
-                     "q_a must be a finite real number, got nan",
+                     "argument --qa: must be a finite real number, got 'nan'",
                      id="argv0-qualities must be finite"),
         pytest.param(["simulate", "--qa", "2", "--qb", "1", "--sa-total", "nan"],
-                     "seeding amount must be a finite real number, got nan",
+                     "argument --sa-total: must be a finite real number, got 'nan'",
                      id="argv1-seeding amount nan is not finite"),
         pytest.param(["allocate", "--qa", "1", "--qb", "1", "--budget", "nan", "--firm", "a"],
-                     "K must be a finite real number, got nan",
+                     "argument --budget: must be a finite real number, got 'nan'",
                      id="argv2-budget must be nonnegative and finite"),
         pytest.param(["allocate", "--qa", "inf", "--qb", "1", "--budget", "2", "--firm", "a"],
-                     "q_a must be a finite real number, got inf",
+                     "argument --qa: must be a finite real number, got 'inf'",
                      id="argv3-qualities must be positive and finite"),
     ],
 )
@@ -360,7 +368,7 @@ def test_extremal_non_finite_budget_or_cost_exits_2(capsys, flag, value):
     args = {"--Ka": "2", flag: value}
     code, out, err = _run(capsys, "extremal", "--n", "15", *(f"{k}={v}" for k, v in args.items()))
     assert code == EXIT_INVALID
-    assert "must be a finite real number" in err and out == ""
+    assert f"argument {flag}: must be a finite real number, got '{value}'" in err and out == ""
 
 
 @pytest.mark.parametrize("command", ["centrality", "nash", "allocate", "extremal", "reproduce"])
@@ -427,7 +435,7 @@ _SUBCOMMANDS = [
     ("allocate", "--generate", "star", "--n", "15", "--qa", "1", "--qb", "1",
      "--budget", "2", "--firm", "a"),
     ("extremal", "--n", "15", "--Ka", "2"),
-    ("nash", "--generate", "star", "--n", "15", "--Ka", "nan", "--Kb", "1"),
+    ("nash", "--generate", "star", "--n", "1", "--Ka", "2", "--Kb", "1"),
 ]
 
 
@@ -450,10 +458,10 @@ def test_netgame_log_debug_writes_the_traceback_of_refused_input():
         "from netgame.cli import main\n"
         "sys.exit(main())\n"
     )
-    proc = _own_process("nash", "--generate", "star", "--n", "15", "--Ka", "nan", "--Kb", "1",
+    proc = _own_process("nash", "--generate", "star", "--n", "1", "--Ka", "2", "--Kb", "1",
                         code=script)
     assert proc.returncode == EXIT_INVALID
     err = proc.stderr.decode()
     assert err.startswith("DEBUG netgame.cli: invalid input\nTraceback (most recent call last):\n")
-    message = "K_a must be a finite real number, got nan"
+    message = "n must be at least 2, got 1"
     assert err.endswith(f"\nValueError: {message}\nerror: {message}\n")

@@ -248,6 +248,22 @@ def test_from_dict_rejects_malformed_entry_types(entry):
         SocialGraph.from_dict({"n": 2, "edges": edges})
 
 
+@pytest.mark.parametrize(
+    "entry", [[True, 0, 1.0], [1, False, 1.0], [1, 0, True], [np.True_, 0, 1.0], [1, 0, np.False_]]
+)
+def test_a_bool_in_an_edge_is_refused(tmp_path, entry):
+    # numpy read a bool as 0 or 1, so each of these loaded as the edge (1, 0)
+    data = {"n": 2, "edges": [entry, [0, 1, 1.0]]}
+    named = f"edge entry {re.escape(repr(entry))} is not"
+    with pytest.raises(ValueError, match=named):
+        SocialGraph.from_dict(data)
+    if all(type(x) in (int, float, bool) for x in entry):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match=named):
+            load_graph(str(path))
+
+
 @pytest.mark.parametrize("edges", [5, None, "edges", {"0": [0, 1, 1.0]}])
 def test_from_dict_rejects_edges_that_are_not_a_list(edges):
     with pytest.raises(ValueError, match="'edges' must be a list"):

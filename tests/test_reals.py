@@ -7,13 +7,12 @@ integer beyond the float range; each must raise ``ValueError`` naming
 the argument.  A finite real may return or raise ``ValueError``, and the
 same value as a Python int, a numpy float64, float32 or int64, or a 0-d
 array must give exactly what the Python float gives.  Each CLI flag that
-takes a float must exit 2 with one ``error:`` line on values that are no
-finite real.  Each call runs under a 2 s alarm, so a hang fails the test
-instead of stalling it.
+takes a float must exit 2 with one ``error:`` line, which names the flag,
+on values that are no finite real.  Each call runs under a 2 s alarm, so
+a hang fails the test instead of stalling it.
 """
 
 import contextlib
-import dataclasses
 import io
 import math
 import re
@@ -27,8 +26,6 @@ from netgame import (
     BudgetSpec,
     ModelParams,
     PresetState,
-    SocialGraph,
-    SolverError,
     allocate_budget,
     best_response_quality,
     budget_regime,
@@ -49,7 +46,7 @@ from netgame import (
 from netgame.cli import EXIT_INVALID, main
 from netgame.params import require_real
 
-from conftest import alarm
+from conftest import alarm, outcome
 
 P = ModelParams(alpha=1.0, beta=1.0, delta=0.5)
 G4 = generate("star", 4)
@@ -114,30 +111,6 @@ NON_REALS = (
 REALS = st.integers(-8, 24).map(lambda k: k / 4.0)
 
 
-def _plain(r):
-    """``r`` as nested dicts, lists and reprs, so types and NaN compare too."""
-    if isinstance(r, SocialGraph):
-        r = r.to_dict()
-    elif dataclasses.is_dataclass(r):
-        r = vars(r)
-    if isinstance(r, dict):
-        return {k: _plain(v) for k, v in r.items()}
-    if isinstance(r, (list, tuple)):
-        return [_plain(v) for v in r]
-    if isinstance(r, np.ndarray):
-        return r.dtype.str, repr(r.tolist())
-    return repr(r)
-
-
-def _outcome(call, x):
-    """What ``call(x)`` returns, or the refusal it raises; anything else propagates."""
-    with alarm(2):
-        try:
-            return _plain(call(x))
-        except (ValueError, SolverError) as exc:
-            return type(exc).__name__, str(exc)
-
-
 @pytest.mark.parametrize("name", list(TAKERS))
 def test_non_reals_are_refused_naming_the_argument(name):
     argument, call = TAKERS[name]
@@ -152,12 +125,12 @@ def test_non_reals_are_refused_naming_the_argument(name):
 @given(x=REALS)
 def test_numpy_reals_give_what_the_python_float_gives(name, x):
     call = TAKERS[name][1]
-    expected = _outcome(call, x)
+    expected = outcome(call, x)
     forms = [np.float64(x), np.float32(x), np.array(x), np.array(x, dtype=np.float32)]
     if x.is_integer():
         forms += [int(x), np.int64(x), np.array(int(x))]
     for form in forms:
-        assert _outcome(call, form) == expected, form
+        assert outcome(call, form) == expected, form
 
 
 @pytest.mark.parametrize(
@@ -202,7 +175,8 @@ def test_float_flags_exit_2_on_values_that_are_no_finite_real(name):
         with alarm(2), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
                 code = main([*argv, f"{flag}={value}"])
-            except SystemExit as exc:  # argparse refuses a value that float() does not parse
+            except SystemExit as exc:  # argparse refuses each of them
                 code = exc.code
         errors = [line for line in err.getvalue().splitlines() if "error:" in line]
         assert code == EXIT_INVALID and out.getvalue() == "" and len(errors) == 1, (value, errors)
+        assert f"argument {flag}: " in errors[0], errors
