@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graphs import SocialGraph, require_valid
-from .params import ModelParams, require_count, require_vector
+from .params import ModelParams, require_count, require_indices, require_vector
 
 _GUARD_TOL = 1e-9
 _TAIL_TOL = 1e-13
@@ -48,7 +48,7 @@ class CentralityVector:
     def __post_init__(self) -> None:
         vals = require_vector("values", self.values, None, math.ulp(0.0), math.inf)
         n = len(vals)
-        order = _require_indices("order", self.order, n, 0, n - 1)
+        order = require_indices("order", self.order, n, 0, n - 1)
         # n entries in [0, n) are a permutation when none is missing
         if np.count_nonzero(np.bincount(order, minlength=n)) != n:
             raise ValueError(f"order must be a permutation of range({n}), got {self.order!r}")
@@ -81,7 +81,8 @@ def centrality(g: SocialGraph, p: ModelParams) -> CentralityVector:
     n = g.n
     key = (p.beta, p.delta)
     slot = g._centrality  # read once: another thread may replace it
-    if slot is None or slot[1] != key:
+    fresh = slot is None or slot[1] != key
+    if fresh:
         r = p.delta / (2.0 * p.beta)
         powers = () if slot is None else slot[0]
         terms = _term_count(n, r) + 1
@@ -91,12 +92,8 @@ def centrality(g: SocialGraph, p: ModelParams) -> CentralityVector:
         for b in reversed(powers[: terms - 1]):  # Horner's rule, highest power first
             values *= r
             values += b
-        order = np.argsort(-values, kind="stable")
-        # a new tuple each time: a published slot is never changed in place
-        slot = (powers, key, CentralityVector(values=values, order=order))
-        object.__setattr__(g, "_centrality", slot)
-    cv = slot[2]
-    values = cv.values
+    else:
+        values = slot[2].values
     expected_total = 2.0 * p.beta * n / (2.0 * p.beta - p.delta)
     hub, _ = star_centralities(n, p)
     if values.min() < 1.0 - _GUARD_TOL:
@@ -105,7 +102,13 @@ def centrality(g: SocialGraph, p: ModelParams) -> CentralityVector:
         raise ArithmeticError(f"centrality total {values.sum()} != {expected_total}")
     if not balanced_centrality(p) - _GUARD_TOL <= values.max() <= hub + _GUARD_TOL:
         raise ArithmeticError(f"top centrality {values.max()} outside bounds")
-    return cv
+    if fresh:
+        # built after the guards, so a NaN is a solver failure, not refused input;
+        # a new tuple each time: a published slot is never changed in place
+        order = np.argsort(-values, kind="stable")
+        slot = (powers, key, CentralityVector(values=values, order=order))
+        object.__setattr__(g, "_centrality", slot)
+    return slot[2]
 
 
 def _term_count(n: int, r: float) -> int:
@@ -134,14 +137,6 @@ def _powers(g: SocialGraph, powers: tuple, count: int) -> tuple:
     return tuple(out)
 
 
-def _require_indices(name: str, x, n: int | None, low: int, high: int) -> np.ndarray:
-    """``x`` as an integer array through ``require_vector``; a float entry (2.0 too) is refused."""
-    a = require_vector(name, x, n, low, high)
-    if np.asarray(x).dtype.kind not in "iu":
-        raise ValueError(f"{name} must hold integers, got {x!r}")
-    return a.astype(np.intp)
-
-
 def dot(x: np.ndarray, y: np.ndarray) -> float:
     """sum_i x_i * y_i, summed by numpy: BLAS would let its thread count change the last bit."""
     return float(np.multiply(x, y).sum())
@@ -168,11 +163,9 @@ def l_star_centralities(n: int, l: int | np.ndarray, p: ModelParams) -> tuple:
     is the balanced one; an integer array of l gives the array of hub values.
     """
     n = require_count("n", n, 2)
-    if np.ndim(l) == 0:
-        if require_count("l", l, 2) > n:
-            raise ValueError(f"l_star requires 2 <= l <= n, got l={l}, n={n}")
-    else:
-        l = _require_indices("l", l, None, 2, n)
+    scalar = np.ndim(l) == 0
+    ls = require_indices("l", [l] if scalar else l, None, 2, n)
+    l = int(ls[0]) if scalar else ls
     hub = n * p.delta / (l * (2.0 * p.beta - p.delta)) + 1.0
     return hub, 1.0
 

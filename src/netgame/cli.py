@@ -5,8 +5,12 @@ Subcommands mirror the library: ``centrality``, ``simulate``, ``nash``,
 schema version and the resolved configuration, floats are written as
 their shortest round-tripping repr (in ``simulate --format csv`` too),
 and identical inputs give byte-identical output.  Set NETGAME_LOG
-(e.g. DEBUG) for the traceback of refused input and solver failures on
-stderr; only then is ``logging`` imported.
+(e.g. DEBUG) for the traceback of input the library refuses and of
+solver failures on stderr; only then is ``logging`` imported.  A flag
+value that argparse refuses (``--budget nan``, ``--n 2.5``) exits 2
+with the usage and one ``error:`` line naming the flag, and no
+traceback; called in-process, ``main(argv)`` raises ``SystemExit(2)``
+for it.
 
 Exit codes: 0 success, 1 failed reproduce checks, 2 invalid input or
 usage (an input too large for memory included), 3 solver failure.

@@ -109,21 +109,11 @@ class SocialGraph:
         ``[0, n)`` or a repeated ``(i, j)``, naming the first such entry.
         The weights are not checked here; ``violations`` reports them.
         """
-        return cls._from_parsed(data, may_hold_bools=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SocialGraph":
-        # JSON spells a bool true or false: a text with neither a "t" nor an "f" holds none
-        return cls._from_parsed(json.loads(text), "t" in text or "f" in text)
-
-    @classmethod
-    def _from_parsed(cls, data: dict, may_hold_bools: bool) -> "SocialGraph":
-        """``from_dict``, which looks for a bool among the entries only if ``may_hold_bools``."""
         try:
             n, edges = require_count("graph 'n'", data["n"], 0), data["edges"]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"graph data must have 'n' and 'edges': {exc}") from exc
-        e = _edge_array(edges, may_hold_bools)
+        e = _edge_array(edges)
         ij = e[:, :2]
         outside = ~((ij > -1) & (ij < n)).all(axis=1)
         if outside.any():
@@ -142,6 +132,10 @@ class SocialGraph:
         return g
 
     @classmethod
+    def from_json(cls, text: str) -> "SocialGraph":
+        return cls.from_dict(json.loads(text))
+
+    @classmethod
     def from_csr(cls, n, indptr, indices, data) -> "SocialGraph":
         """Build from compressed rows: row i's influencers are ``indices[indptr[i]:indptr[i + 1]]``.
 
@@ -150,21 +144,27 @@ class SocialGraph:
         ``data`` a 1-d real one, ``indptr`` runs monotone from 0 to
         ``m = len(indices) = len(data)``, and each row's indices lie in
         ``[0, n)`` and strictly increase.  ``ValueError`` names the first
-        fault.  An explicit zero weight is no edge, as in ``from_dict``.
+        fault, a bool in a list included.  An explicit zero weight is no
+        edge, as in ``from_dict``.
         The weights are not checked here; ``violations`` reports them.
         """
         n = require_count("graph 'n'", n, 0)
-        indptr, indices, data = (np.asarray(a) for a in (indptr, indices, data))
-        for name, a, kinds, kind_name in (
+        arrays = []
+        for name, x, kinds, kind_name in (
             ("indptr", indptr, "iu", "integer"),
             ("indices", indices, "iu", "integer"),
             ("data", data, "iuf", "real"),
         ):
+            if isinstance(x, (list, tuple)) and _holds_bool(x):
+                raise ValueError(f"graph '{name}' must be a 1-d {kind_name} array, got {x!r}")
+            a = np.asarray(x)
             if a.ndim != 1 or a.dtype.kind not in kinds:
                 raise ValueError(
                     f"graph '{name}' must be a 1-d {kind_name} array, "
                     f"got shape {a.shape} and dtype {a.dtype}"
                 )
+            arrays.append(a)
+        indptr, indices, data = arrays
         # copies: the graph makes its arrays read-only, the caller's stay writable
         indptr, cols, w = indptr.astype(np.intp), indices.astype(np.intp), data.astype(float)
         m = len(cols)
@@ -195,9 +195,9 @@ class SocialGraph:
         return g
 
 
-def _holds_bool(edges: list) -> bool:
-    """Whether an entry of ``edges`` holds a bool, which numpy would read as 0 or 1."""
-    return not {bool, np.bool_}.isdisjoint(map(type, chain.from_iterable(edges)))
+def _holds_bool(entries) -> bool:
+    """Whether ``entries`` holds a bool, which numpy reads as 0 or 1 among numbers."""
+    return not {bool, np.bool_}.isdisjoint(map(type, entries))
 
 
 def _is_edge(entry) -> bool:
@@ -212,10 +212,10 @@ def _is_edge(entry) -> bool:
     return i.is_integer() and j.is_integer()  # NaN and infinity are not
 
 
-def _edge_array(edges, may_hold_bools: bool) -> np.ndarray:
+def _edge_array(edges) -> np.ndarray:
     """``edges`` as an (m, 3) float array; ``ValueError`` names the first malformed entry.
 
-    Unless the caller knows there is none, a bool sends the entries to the one-by-one check.
+    A bool sends the entries to the one-by-one check, which refuses it.
     """
     if not isinstance(edges, (list, tuple)):
         raise ValueError(f"graph 'edges' must be a list, got {edges!r}")
@@ -229,7 +229,7 @@ def _edge_array(edges, may_hold_bools: bool) -> np.ndarray:
         and e.dtype.kind in "iuf"
         and np.isfinite(e[:, :2]).all()
         and (e[:, :2] == np.trunc(e[:, :2])).all()
-        and not (may_hold_bools and _holds_bool(edges))
+        and not _holds_bool(chain.from_iterable(edges))
     ):
         return e.astype(float, copy=False)
     for entry in edges:

@@ -1,4 +1,5 @@
-"""Model parameters and the checks ``require_real``, ``require_count`` and ``require_vector``."""
+"""Model parameters and the checks ``require_real``, ``require_count``, ``require_vector``
+and ``require_indices``."""
 
 from __future__ import annotations
 
@@ -92,16 +93,21 @@ def require_count(name: str, x, least: int) -> int:
     graph file stores ``n`` as one).  A bool, a float (2.0 included), a
     string, NaN or a value below ``least`` raises ``ValueError``.
     """
-    try:
-        if isinstance(x, bool):  # operator.index takes True as 1
-            raise TypeError
-        i = operator.index(x)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {x!r}") from None
+    i = _integer(name, x)
     if i < least:
         bound = "nonnegative" if least == 0 else f"at least {least}"
         raise ValueError(f"{name} must be {bound}, got {i}")
     return i
+
+
+def _integer(name: str, x) -> int:
+    """``x`` as an ``int``: a Python or numpy integer or a 0-d integer array, not a bool."""
+    try:
+        if isinstance(x, bool):  # operator.index takes True as 1
+            raise TypeError
+        return operator.index(x)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {x!r}") from None
 
 
 def require_vector(name: str, x, n: int | None, low: float, high: float) -> np.ndarray:
@@ -120,9 +126,7 @@ def require_vector(name: str, x, n: int | None, low: float, high: float) -> np.n
     a = np.asarray(x)
     if a.dtype.kind not in "iuf":
         raise ValueError(f"{name} must be a vector of finite reals, got {x!r}")
-    if a.ndim != 1 or a.size == 0 or n is not None and a.size != n:
-        need = "a nonempty vector" if n is None else f"a vector of {n} entries"
-        raise ValueError(f"{name} must be {need}, got shape {a.shape}")
+    _require_shape(name, a, n)
     a = a.astype(float)
     lo, hi = a.min(), a.max()
     # negated so that NaN, whose comparisons are all false, is refused too
@@ -130,3 +134,31 @@ def require_vector(name: str, x, n: int | None, low: float, high: float) -> np.n
         k = int(np.argmax(~((low <= a) & (a <= high) & np.isfinite(a))))
         raise ValueError(f"{name}[{k}] must be a finite real in [{low}, {high}], got {a[k]}")
     return a
+
+
+def require_indices(name: str, x, n: int | None, low: int, high: int) -> np.ndarray:
+    """``x`` as a fresh 1-d intp array of ``n`` integers in [low, high] (any positive number if None).
+
+    The integer form of ``require_vector``: a list or tuple has each entry
+    checked as ``require_count`` checks one, and an array must have an
+    integer dtype, so a float (2.0 too), a bool, a string or ``None`` is
+    refused.
+    """
+    if isinstance(x, (list, tuple)):
+        # one entry at a time: numpy would read a bool as 0 or 1
+        x = [_integer(f"{name}[{k}]", v) for k, v in enumerate(x)]
+    a = np.asarray(x)
+    if a.dtype.kind not in "iu":
+        raise ValueError(f"{name} must be a vector of integers, got {x!r}")
+    _require_shape(name, a, n)
+    if not (low <= a.min() and a.max() <= high):
+        k = int(np.argmax((a < low) | (a > high)))
+        raise ValueError(f"{name}[{k}] must be an integer in [{low}, {high}], got {a[k]}")
+    return a.astype(np.intp)
+
+
+def _require_shape(name: str, a: np.ndarray, n: int | None) -> None:
+    """Refuse ``a`` unless it is 1-d with ``n`` entries (any positive number if ``n`` is None)."""
+    if a.ndim != 1 or a.size == 0 or n is not None and a.size != n:
+        need = "a nonempty vector" if n is None else f"a vector of {n} entries"
+        raise ValueError(f"{name} must be {need}, got shape {a.shape}")

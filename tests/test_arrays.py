@@ -130,6 +130,8 @@ def non_vectors(taker: Taker) -> dict:
     sample, m = taker.sample, len(taker.sample)
     bad = {
         "bool list": [True] * m,
+        # a bool where the sample has a number: numpy would read it as 0 or 1
+        "bool among numbers": [bool(sample[0]), *sample[1:]],
         "bool array": np.ones(m, dtype=bool),
         "numeric strings": ["0"] * m,
         "None": None,
@@ -190,7 +192,7 @@ def test_valid_forms_give_what_the_reference_array_gives(name, data):
 @pytest.mark.parametrize(
     "values, order, named",
     [
-        ([1.0, 2.0], [0, 5], "order[1] must be a finite real in [0, 1], got 5.0"),
+        ([1.0, 2.0], [0, 5], "order[1] must be an integer in [0, 1], got 5"),
         ([3.0, 2.0, 1.0], [0, 0, 1], "order must be a permutation of range(3)"),
         ([3.0, 2.0, 1.0], [2, 1, 0], "values must not increase along order"),
     ],

@@ -158,10 +158,13 @@ def test_closed_form_unknown_kind(example_params):
 
 
 def test_l_star_formula_rejects_bad_l(example_params):
-    with pytest.raises(ValueError):
-        l_star_centralities(15, 1, example_params)
-    with pytest.raises(ValueError, match=re.escape("l[1] must be a finite real in [2, 15], got 16.0")):
-        l_star_centralities(15, np.array([2, 16]), example_params)
+    # a scalar l takes the route of an array, with the same wording
+    for l, refusal in (
+        (1, "l[0] must be an integer in [2, 15], got 1"),
+        (np.array([2, 16]), "l[1] must be an integer in [2, 15], got 16"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(refusal)):
+            l_star_centralities(15, l, example_params)
 
 
 @pytest.fixture
@@ -292,3 +295,21 @@ def test_guards_run_on_cached_calls(example_params, monkeypatch):
     monkeypatch.setattr(module, "_GUARD_TOL", -1.0)
     with pytest.raises(ArithmeticError):
         centrality(g, example_params)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_centralities_are_a_solver_failure(example_params, monkeypatch, bad):
+    # the guards run before the CentralityVector is built, whose own check
+    # would report the same values as refused input (ValueError)
+    module = sys.modules["netgame.centrality"]
+    real_powers = module._powers
+
+    def spoiled(*args):
+        powers = real_powers(*args)
+        last = powers[-1].copy()
+        last[0] = bad
+        return (*powers[:-1], last)
+
+    monkeypatch.setattr(module, "_powers", spoiled)
+    with pytest.raises(ArithmeticError):
+        centrality(generate("star", 6), example_params)
