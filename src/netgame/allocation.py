@@ -38,9 +38,7 @@ class PresetState:
         y0.setflags(write=False)
         object.__setattr__(self, "y0", y0)
         for name in ("q_a", "q_b"):
-            object.__setattr__(self, name, require_real(name, getattr(self, name)))
-        if self.q_a <= 0.0 or self.q_b <= 0.0:
-            raise ValueError(f"qualities must be positive and finite: {self.q_a}, {self.q_b}")
+            object.__setattr__(self, name, require_real(name, getattr(self, name), math.ulp(0.0)))
 
     @classmethod
     def neutral(cls, n: int, q_a: float, q_b: float) -> "PresetState":
@@ -83,11 +81,9 @@ def thresholds(
 ) -> tuple[float, float]:
     """Centrality levels at which seeding and quality break even, per firm.
 
-    Both costs must be positive and finite.
+    Both costs must be positive, and both qualities at least epsilon.
     """
-    c_s, c_q = require_real("c_s", c_s), require_real("c_q", c_q)
-    if c_s <= 0.0 or c_q <= 0.0:
-        raise ValueError(f"costs must be positive and finite: c_s={c_s}, c_q={c_q}")
+    c_s, c_q = require_real("c_s", c_s, math.ulp(0.0)), require_real("c_q", c_q, math.ulp(0.0))
     q_a, q_b = require_qualities(p, q_a, q_b)
     lam = p.quality_weight(n)
     total = (q_a + q_b) ** 2
@@ -126,11 +122,10 @@ def allocate_budget(
 
     Agents strictly above the firm's threshold are seeded in centrality
     order up to their remaining capacity; exact ties go to quality, as
-    does whatever budget is left.  ``thresholds`` checks the costs.
+    does whatever budget is left.  ``K`` must be at least 0, and the costs
+    positive (``thresholds`` checks them).
     """
-    K, c_s, c_q = require_real("K", K), require_real("c_s", c_s), require_real("c_q", c_q)
-    if K < 0.0:
-        raise ValueError(f"budget must be nonnegative and finite, got {K}")
+    K, c_s, c_q = require_real("K", K, 0.0), require_real("c_s", c_s), require_real("c_q", c_q)
     n = len(v.values)
     v_c, agents = _seedable(v, state, firm, p, c_s, c_q)
     caps = state.capacities(firm)[agents]
@@ -189,7 +184,9 @@ def max_seeding_capacity_bound(
 
     Centralities sum to 2*beta*n/(2*beta - delta) with every agent at 1
     or more, so at most floor(n*delta / ((v_c - 1)*(2*beta - delta)))
-    agents can exceed a threshold above 1 (capped at n).
+    agents can exceed a threshold above 1 (capped at n).  ``v_c`` keeps its
+    own check, not ``require_real``'s closed range: its refusal says why
+    the range (1, hub centrality) is open.
     """
     hub, peripheral = star_centralities(n, p)
     v_c = require_real("v_c", v_c)

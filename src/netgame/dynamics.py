@@ -84,14 +84,15 @@ def horizon_for_tolerance(p: ModelParams, n: int, tol: float = 1e-10) -> int:
 
     The per-step contribution to either firm's utility is within [0, n],
     so the tail after T is at most delta^(T+1) * n / (1 - delta).
+    ``tol`` must be positive.
     """
-    tol = require_real("tol", tol)
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
-    target = tol * (1.0 - p.delta) / require_count("n", n, 1)
+    tol, n = require_real("tol", tol, math.ulp(0.0)), require_count("n", n, 1)
+    target = tol * (1.0 - p.delta) / n
     if target >= 1.0:
         return 0
-    return max(0, math.ceil(math.log(target) / math.log(p.delta)))
+    # a target below the smallest float rounds to 0, whose log is undefined
+    log_target = math.log(target) if target else math.log(tol) + math.log((1.0 - p.delta) / n)
+    return max(0, math.ceil(log_target / math.log(p.delta)))
 
 
 @dataclass(frozen=True)

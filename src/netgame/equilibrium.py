@@ -31,6 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .allocation import capped_fill
 from .centrality import CentralityVector, centrality, dot
 from .dynamics import _closed_form_report
 from .graphs import SocialGraph
@@ -50,7 +51,7 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class BudgetSpec:
-    """Per-firm budgets and the common unit costs of seeding and quality."""
+    """Per-firm budgets, at least 0, and the common positive unit costs of seeding and quality."""
 
     K_a: float
     K_b: float
@@ -58,12 +59,9 @@ class BudgetSpec:
     c_q: float
 
     def __post_init__(self) -> None:
-        for name, x in vars(self).items():
-            object.__setattr__(self, name, require_real(name, x))
-        if self.c_s <= 0.0 or self.c_q <= 0.0:
-            raise ValueError(f"costs must be positive: c_s={self.c_s}, c_q={self.c_q}")
-        if self.K_a < 0.0 or self.K_b < 0.0:
-            raise ValueError(f"budgets must be nonnegative: {self.K_a}, {self.K_b}")
+        positive = math.ulp(0.0)
+        for name, low in (("K_a", 0.0), ("K_b", 0.0), ("c_s", positive), ("c_q", positive)):
+            object.__setattr__(self, name, require_real(name, getattr(self, name), low))
 
 
 @dataclass(frozen=True)
@@ -134,16 +132,11 @@ def water_fill_seeding(v: CentralityVector, amount: float) -> tuple[np.ndarray, 
 
     Returns the per-agent seeding vector and the marginal index: the
     number of agents receiving any seed (the last of them may be
-    partial).  Rejects non-finite and negative amounts and amounts above n/2.
+    partial).  ``amount`` must lie in [0, n/2], up to COND_TOL.
     """
     n = len(v.values)
-    amount = require_real("seeding amount", amount)
-    if amount < -COND_TOL:
-        raise ValueError(f"seeding amount {amount} is negative")
-    if amount > n / 2.0 + COND_TOL:
-        raise ValueError(f"seeding amount {amount} exceeds capacity {n / 2.0}")
-    # amount - j/2 is exact below 2**52, so this is handing out 1/2 at a time
-    fill = np.clip(min(max(amount, 0.0), n / 2.0) - 0.5 * np.arange(n), 0.0, 0.5)
+    amount = require_real("seeding amount", amount, -COND_TOL, n / 2.0 + COND_TOL)
+    fill = capped_fill(amount, np.full(n, 0.5))
     seeding = np.zeros(n)
     seeding[v.order] = fill
     return seeding, int(np.count_nonzero(fill))
@@ -176,17 +169,14 @@ def best_response_quality(
     clipped to the affordable range: the candidate that an argmax over all
     piece ends and in-piece stationary points picks, by the same arithmetic
     (``tests/conftest.py`` keeps that oracle).  The value is the objective
-    on the returned seeding.  ``K``, ``c_s`` and ``c_q`` are checked as
-    ``BudgetSpec`` checks them, and ``q_opp`` must be finite and >= epsilon.
+    on the returned seeding.  The costs ``c_s`` and ``c_q`` must be
+    positive, ``K`` must be at least 0 and afford quality epsilon, and
+    ``q_opp`` must be at least epsilon, each up to COND_TOL.
     """
     n = len(v.values)
-    budget = BudgetSpec(K, K, c_s, c_q)
-    K, c_s, c_q = budget.K_a, budget.c_s, budget.c_q
-    q_opp = require_real("q_opp", q_opp)
-    if q_opp < p.epsilon - COND_TOL:
-        raise ValueError(f"opponent quality {q_opp} below epsilon={p.epsilon}")
-    if K < c_q * p.epsilon - COND_TOL:
-        raise ValueError(f"budget {K} cannot afford minimum quality")
+    c_s, c_q = require_real("c_s", c_s, math.ulp(0.0)), require_real("c_q", c_q, math.ulp(0.0))
+    K = require_real("K", K, max(0.0, c_q * p.epsilon - COND_TOL))
+    q_opp = require_real("q_opp", q_opp, p.epsilon - COND_TOL)
     lam = p.quality_weight(n)
     kinks = (K - c_s * np.arange(n + 1) / 2.0) / c_q
     stationary = np.sqrt(2.0 * lam * (c_s / c_q) * q_opp / v.sorted_values) - q_opp
@@ -195,8 +185,9 @@ def best_response_quality(
     best_q = min(stationary[j], kinks[j]) if rising[j] else kinks[n]
     best_q = float(max(min(best_q, kinks[0]), p.epsilon, kinks[n]))
 
+    # a K that affords epsilon only within COND_TOL leaves a spend just below 0
     spend = (K - c_q * best_q) / c_s
-    seeding, _ = water_fill_seeding(v, min(spend, n / 2.0))
+    seeding, _ = water_fill_seeding(v, min(max(spend, 0.0), n / 2.0))
     value = dot(v.values, seeding) + lam * (best_q - q_opp) / (best_q + q_opp)
     return best_q, seeding, value
 
@@ -338,9 +329,8 @@ def _solve_sequence(vd: np.ndarray, p: ModelParams, budget: BudgetSpec) -> _Solu
     envelope; the quality weight is that of n = len(vd) agents.
     """
     n = len(vd)
-    for name, K in (("K_a", budget.K_a), ("K_b", budget.K_b)):
-        if K < budget.c_q * p.epsilon - COND_TOL:
-            raise ValueError(f"{name}={K} cannot afford minimum quality")
+    for name in ("K_a", "K_b"):  # each must afford quality epsilon
+        require_real(name, getattr(budget, name), budget.c_q * p.epsilon - COND_TOL)
     lam = p.quality_weight(n)
     ratio = budget.c_s / budget.c_q
     c_s, c_q = budget.c_s, budget.c_q

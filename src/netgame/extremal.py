@@ -13,6 +13,7 @@ are explicit witnesses.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,12 +131,10 @@ def budget_regime(n: int, p: ModelParams, K: float, c_s: float = 1.0) -> dict:
 
     The interval endpoints are where the star becomes seedable at all,
     where the balanced graph overtakes it, where both are fully seeded,
-    and where every graph saturates.  ``K`` and ``c_s`` go through
-    ``require_real``, and ``c_s`` must be positive.
+    and where every graph saturates.  ``K`` may be any finite real, and
+    ``c_s`` must be positive.
     """
-    K, c_s = require_real("K", K), require_real("c_s", c_s)
-    if c_s <= 0.0:
-        raise ValueError(f"c_s must be positive and finite, got {c_s}")
+    K, c_s = require_real("K", K), require_real("c_s", c_s, math.ulp(0.0))
     hub, peripheral = star_centralities(n, p)
     lam = p.quality_weight(n)
     v_bar = balanced_centrality(p)

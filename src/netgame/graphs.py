@@ -15,6 +15,7 @@ read-only arrays, so ``require_valid`` only reads that verdict.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 import zipfile
 from dataclasses import dataclass, field
@@ -234,7 +235,10 @@ def _edge_array(edges) -> np.ndarray:
         return e.astype(float, copy=False)
     for entry in edges:
         if not _is_edge(entry):
-            raise ValueError(f"edge entry {entry!r} is not [i, j, weight] with integer i and j")
+            raise ValueError(
+                f"edge entry {entry!r} is not [i, j, weight] with integer i and j, "
+                "a real weight and no bool"
+            )
     return np.array(edges, dtype=float).reshape(-1, 3)
 
 
@@ -366,9 +370,8 @@ def generate(
         cols = np.r_[1, np.zeros(n - 1, dtype=np.intp)]
         w = np.r_[1.0, ones]
     elif kind == "random":
-        density = require_real("density", density)
-        if not 0.0 < density <= 1.0:  # at 0 or below no row gets an edge
-            raise ValueError(f"density must lie in (0, 1], got {density!r}")
+        # at 0 or below no row gets an edge
+        density = require_real("density", density, math.ulp(0.0), 1.0)
         rng = np.random.default_rng(None if seed is None else require_count("seed", seed, 0))
         counts = np.empty(n, dtype=np.intp)
         row_cols, row_w = [], []

@@ -20,7 +20,9 @@ class ModelParams:
     firm utilities, and ``epsilon`` is the smallest quality a firm may
     choose.  ``1 + alpha <= 2 * beta`` keeps per-agent consumption shares
     inside [0, 1] under best-response updates; ``beta <= alpha`` keeps the
-    standalone payoff nondecreasing on the feasible range.
+    standalone payoff nondecreasing on the feasible range.  These ranges
+    are checked here rather than by ``require_real``'s: two of them join
+    alpha and beta, and the refusal lists every broken condition at once.
     """
 
     alpha: float
@@ -61,17 +63,16 @@ class ModelParams:
 
 def require_qualities(p: ModelParams, q_a, q_b) -> tuple[float, float]:
     """``q_a`` and ``q_b`` as floats; a quality below the floor epsilon raises ``ValueError``."""
-    q_a, q_b = require_real("q_a", q_a), require_real("q_b", q_b)
-    if q_a < p.epsilon or q_b < p.epsilon:
-        raise ValueError(f"qualities must be at least epsilon={p.epsilon}: q_a={q_a}, q_b={q_b}")
-    return q_a, q_b
+    return require_real("q_a", q_a, p.epsilon), require_real("q_b", q_b, p.epsilon)
 
 
-def require_real(name: str, x) -> float:
-    """``x`` as a finite ``float``: a Python or numpy real, or a 0-d array of one.
+def require_real(name: str, x, low: float = -math.inf, high: float = math.inf) -> float:
+    """``x``, a Python or numpy real or a 0-d array of one, as a finite ``float`` in [low, high].
 
-    A bool, a string, ``None``, NaN, an infinity, an array of one or more
-    dimensions or an integer beyond the float range raises ``ValueError``.
+    The caller widens the range by its own tolerance; a positive-only
+    bound is ``math.ulp(0.0)``.  A bool, a string, ``None``, NaN, an
+    infinity, an array of one or more dimensions, an integer beyond the
+    float range or a value outside the range raises ``ValueError``.
     """
     v = x[()] if isinstance(x, np.ndarray) and x.ndim == 0 else x
     # Python's bool is a numbers.Real, numpy's is not
@@ -82,6 +83,8 @@ def require_real(name: str, x) -> float:
         f = math.nan
     if not math.isfinite(f):
         raise ValueError(f"{name} must be a finite real number, got {x!r}")
+    if not low <= f <= high:
+        raise ValueError(f"{name} must lie in [{low}, {high}], got {f}")
     return f
 
 

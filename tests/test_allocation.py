@@ -313,7 +313,7 @@ def test_thresholds_and_capacity_reject_bad_costs(example_params, c_s, c_q):
     # unchecked, these gave NaN or zero thresholds, a ZeroDivisionError, or a capacity
     v = centrality(generate("star", 15), example_params)
     state = PresetState.neutral(15, 1.0, 1.0)
-    named = "costs must be positive and finite|c_[sq] must be a finite real number"
+    named = r"c_[sq] must lie in \[|c_[sq] must be a finite real number"
     with pytest.raises(ValueError, match=named):
         thresholds(1.0, 1.0, example_params, 15, c_s, c_q)
     with pytest.raises(ValueError, match=named):

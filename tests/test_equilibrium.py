@@ -564,14 +564,14 @@ def test_saturated_case_reached(example_params):
 
 def test_rejects_budget_below_quality_floor(example_params):
     g = generate("balanced", 4)
-    with pytest.raises(ValueError, match="afford"):
+    with pytest.raises(ValueError, match=r"K_a must lie in \["):
         solve_nash(g, example_params, BudgetSpec(1e-9, 1.0, 1.0, 1.0))
 
 
 def test_budget_spec_validation():
-    with pytest.raises(ValueError, match="costs"):
+    with pytest.raises(ValueError, match=r"c_s must lie in \["):
         BudgetSpec(1.0, 1.0, 0.0, 1.0)
-    with pytest.raises(ValueError, match="nonnegative"):
+    with pytest.raises(ValueError, match=r"K_a must lie in \["):
         BudgetSpec(-1.0, 1.0, 1.0, 1.0)
 
 
@@ -588,12 +588,13 @@ def test_budget_spec_rejects_non_finite(field, bad):
 # the ids keep the earlier wording of each refusal, so the test names stay put
 @pytest.mark.parametrize(
     "K, c_s, c_q, named",
-    [pytest.param(math.nan, 1.0, 1.0, "K_a must be a finite real number",
+    [pytest.param(math.nan, 1.0, 1.0, "K must be a finite real number",
                   id="nan-1.0-1.0-must be finite"),
-     pytest.param(math.inf, 1.0, 1.0, "K_a must be a finite real number",
+     pytest.param(math.inf, 1.0, 1.0, "K must be a finite real number",
                   id="inf-1.0-1.0-must be finite"),
-     (2.0, 0.0, 1.0, "costs must be positive"), (2.0, -1.0, 1.0, "costs must be positive"),
-     (2.0, 1.0, 0.0, "costs must be positive"),
+     pytest.param(2.0, 0.0, 1.0, r"c_s must lie in \[", id="2.0-0.0-1.0-costs must be positive"),
+     pytest.param(2.0, -1.0, 1.0, r"c_s must lie in \[", id="2.0--1.0-1.0-costs must be positive"),
+     pytest.param(2.0, 1.0, 0.0, r"c_q must lie in \[", id="2.0-1.0-0.0-costs must be positive"),
      pytest.param(2.0, 1.0, math.nan, "c_q must be a finite real number",
                   id="2.0-1.0-nan-must be finite")],
 )

@@ -151,7 +151,7 @@ _SYMMETRIC_ENTRY_POINTS = {
 def test_symmetric_entry_points_reject_bad_budgets(example_params, entry, K, c_s, c_q):
     # refused before any solve: unchecked, an infinite budget gives infinite
     # quality, a NaN one a SolverError and a zero cost a ZeroDivisionError
-    with pytest.raises(ValueError, match="budgets|costs|must be a finite real number"):
+    with pytest.raises(ValueError, match=r"(K_a|c_s|c_q) must lie in \[|must be a finite real number"):
         _SYMMETRIC_ENTRY_POINTS[entry](example_params, K, c_s, c_q)
 
 

@@ -131,7 +131,7 @@ def test_random_generator_refuses_density_outside_unit_interval(density):
     # 0, -1 and NaN redrew empty rows forever; 2, inf and True gave the complete
     # graph; "0.5" and None raised TypeError
     if isinstance(density, float) and math.isfinite(density):
-        message = re.escape(f"density must lie in (0, 1], got {density!r}")
+        message = re.escape(f"density must lie in [{math.ulp(0.0)}, 1.0], got {density!r}")
     else:
         message = re.escape(f"density must be a finite real number, got {density!r}")
     with alarm(2), pytest.raises(ValueError, match=message):
@@ -285,10 +285,12 @@ def from_dict_loop(data: dict) -> SocialGraph:
     seen = set()
     for entry in edges:
         if len(entry) != 3:
-            raise ValueError(f"edge entry {entry!r} is not [i, j, weight] with integer i and j")
+            raise ValueError(f"edge entry {entry!r} is not [i, j, weight] with integer i and j, "
+                             "a real weight and no bool")
         i, j, wt = int(entry[0]), int(entry[1]), float(entry[2])
         if (i, j) != (entry[0], entry[1]):
-            raise ValueError(f"edge entry {entry!r} is not [i, j, weight] with integer i and j")
+            raise ValueError(f"edge entry {entry!r} is not [i, j, weight] with integer i and j, "
+                             "a real weight and no bool")
         if not (0 <= i < n and 0 <= j < n):
             raise ValueError(f"edge ({i}, {j}) out of range for n={n}")
         if (i, j) in seen:
@@ -333,7 +335,8 @@ def test_from_dict_matches_loop_reference():
     # and truncated agent indices: the first of these loaded the 3-cycle
     for entry in ([0.5, 1.9, 1.0], [-0.5, 2, 1.0], [3.5, 0, 1.0]):
         data = {"n": 3, "edges": [[1, 2, 1.0], entry, [2, 0, 1.0]]}
-        want = f"edge entry {entry!r} is not [i, j, weight] with integer i and j"
+        want = (f"edge entry {entry!r} is not [i, j, weight] with integer i and j, "
+                "a real weight and no bool")
         assert _outcome(SocialGraph.from_dict, data) == _outcome(from_dict_loop, data) == want
     faults = 0
     for trial in range(300):

@@ -48,7 +48,7 @@ def test_frozen():
 def test_quality_floor():
     p = ModelParams(alpha=1.0, beta=1.0, delta=0.5, epsilon=0.01)
     require_qualities(p, 0.01, 1.0)
-    with pytest.raises(ValueError, match="at least epsilon"):
+    with pytest.raises(ValueError, match=r"q_a must lie in \[0.01, inf\], got 0.005"):
         require_qualities(p, 0.005, 1.0)
 
 

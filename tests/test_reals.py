@@ -6,7 +6,11 @@ too), a string, ``None``, a list, a 1-d array, NaN, infinities and an
 integer beyond the float range; each must raise ``ValueError`` naming
 the argument.  A finite real may return or raise ``ValueError``, and the
 same value as a Python int, a numpy float64, float32 or int64, or a 0-d
-array must give exactly what the Python float gives.  Each CLI flag that
+array must give exactly what the Python float gives.  A bounded argument is
+taken at each end of its closed range (5e-324 for an open bound at 0),
+and the nearest double outside it is refused as ``<name> must lie in
+[low, high], got <x>``; a tiny cost or density that passes its range
+check and then fails on its way is a strict ``xfail``.  Each CLI flag that
 takes a float must exit 2 with one ``error:`` line, which names the flag,
 on values that are no finite real.  Each call runs under a 2 s alarm, so
 a hang fails the test instead of stalling it.
@@ -44,9 +48,10 @@ from netgame import (
     water_fill_seeding,
 )
 from netgame.cli import EXIT_INVALID, main
+from netgame.equilibrium import COND_TOL, SolverError
 from netgame.params import require_real
 
-from conftest import alarm, outcome
+from conftest import Hang, alarm, outcome
 
 P = ModelParams(alpha=1.0, beta=1.0, delta=0.5)
 G4 = generate("star", 4)
@@ -67,7 +72,7 @@ TAKERS = {
     "PresetState q_a": ("q_a", lambda x: PresetState(x, 1.0, Y4)),
     "PresetState q_b": ("q_b", lambda x: PresetState(1.0, x, Y4)),
     "water_fill_seeding amount": ("seeding amount", lambda x: water_fill_seeding(V4, x)),
-    "best_response_quality K": ("K_a", lambda x: best_response_quality(V4, P, x, 1.0, 1.0, 1.0)),
+    "best_response_quality K": ("K", lambda x: best_response_quality(V4, P, x, 1.0, 1.0, 1.0)),
     "best_response_quality c_s": ("c_s", lambda x: best_response_quality(V4, P, 2.0, x, 1.0, 1.0)),
     "best_response_quality c_q": ("c_q", lambda x: best_response_quality(V4, P, 2.0, 1.0, x, 1.0)),
     "best_response_quality q_opp": ("q_opp", lambda x: best_response_quality(V4, P, 2.0, 1.0, 1.0, x)),
@@ -150,6 +155,94 @@ def test_require_real_returns_a_float(x):
 def test_require_real_refusals(x, shown):
     with pytest.raises(ValueError, match=re.escape(f"x must be a finite real number, got {shown}")):
         require_real("x", x)
+
+
+U = math.ulp(0.0)  # the closed form of an open bound at 0
+AFFORD = P.epsilon - COND_TOL  # the least budget that affords quality epsilon at c_q = 1
+# each bounded taker of TAKERS with the closed range [low, high] it accepts; None is no bound
+RANGES = {
+    "BudgetSpec K_a": (0.0, None),
+    "BudgetSpec K_b": (0.0, None),
+    "BudgetSpec c_s": (U, None),
+    "BudgetSpec c_q": (U, None),
+    "PresetState q_a": (U, None),
+    "PresetState q_b": (U, None),
+    "water_fill_seeding amount": (-COND_TOL, len(V4.values) / 2.0 + COND_TOL),
+    "best_response_quality K": (AFFORD, None),
+    "best_response_quality c_s": (U, None),
+    "best_response_quality c_q": (U, None),
+    "best_response_quality q_opp": (P.epsilon - COND_TOL, None),
+    "thresholds q_a": (P.epsilon, None),
+    "thresholds q_b": (P.epsilon, None),
+    "thresholds c_s": (U, None),
+    "thresholds c_q": (U, None),
+    "allocate_budget K": (0.0, None),
+    "allocate_budget c_s": (U, None),
+    "allocate_budget c_q": (U, None),
+    "seeding_capacity c_s": (U, None),
+    "seeding_capacity c_q": (U, None),
+    "symmetric_nash K": (AFFORD, None),
+    "symmetric_nash c_s": (U, None),
+    "symmetric_nash c_q": (U, None),
+    "symmetric_seeding_extremes K": (AFFORD, None),
+    "symmetric_seeding_extremes c_s": (U, None),
+    "symmetric_seeding_extremes c_q": (U, None),
+    "budget_regime c_s": (U, None),
+    "externality_drift q_a": (P.epsilon, None),
+    "externality_drift q_b": (P.epsilon, None),
+    "simulate q_a": (P.epsilon, None),
+    "simulate q_b": (P.epsilon, None),
+    "discounted_utilities q_a": (P.epsilon, None),
+    "discounted_utilities q_b": (P.epsilon, None),
+    "discounted_utilities tol": (U, None),
+    "horizon_for_tolerance tol": (U, None),
+    "generate density": (U, 1.0),
+}
+BOUNDS = [
+    (f"{name} {side}", name, bound, outward)
+    for name, ends in RANGES.items()
+    for side, bound, outward in zip(("low", "high"), ends, (-math.inf, math.inf))
+    if bound is not None
+]
+# a cost of 5e-324 passes its range check and then overflows the budget-to-cost
+# ratios, and a density of 5e-324 redraws an empty row for ever
+_FAULTS_AT_BOUND = {
+    "best_response_quality c_q low": RuntimeWarning,
+    "allocate_budget c_q low": RuntimeWarning,
+    "symmetric_nash c_s low": SolverError,
+    "symmetric_nash c_q low": RuntimeWarning,
+    "symmetric_seeding_extremes c_s low": SolverError,
+    "symmetric_seeding_extremes c_q low": RuntimeWarning,
+    "budget_regime c_s low": ValueError,
+    "generate density low": Hang,
+}
+
+
+@pytest.mark.parametrize(
+    "name, bound",
+    [
+        pytest.param(
+            name, bound, id=id_,
+            marks=[pytest.mark.xfail(raises=_FAULTS_AT_BOUND[id_], strict=True)]
+            if id_ in _FAULTS_AT_BOUND else [],
+        )
+        for id_, name, bound, _ in BOUNDS
+    ],
+)
+def test_each_bound_is_accepted(name, bound):
+    with alarm(2):
+        TAKERS[name][1](bound)
+
+
+@pytest.mark.parametrize(
+    "name, bound, outward", [b[1:] for b in BOUNDS], ids=[b[0] for b in BOUNDS]
+)
+def test_the_nearest_double_outside_each_bound_is_refused(name, bound, outward):
+    argument, call = TAKERS[name]
+    x = math.nextafter(bound, outward)
+    message = rf"{re.escape(argument)} must lie in \[.*\], got {re.escape(repr(x))}$"
+    with alarm(2), pytest.raises(ValueError, match=message):
+        call(x)
 
 
 # each ends with the float flag whose value is under test; the rest is a valid command
