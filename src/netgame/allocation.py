@@ -198,7 +198,7 @@ def max_seeding_capacity_bound(
     # a capacity is 1/2 - y0 or 1/2 + y0, so it lies in [0, 1]
     caps = np.sort(require_vector("capacities", capacities, n, -TIE_TOL, 1.0 + TIE_TOL))[::-1]
     k = min(
-        math.floor(n * p.delta / ((v_c - 1.0) * (2.0 * p.beta - p.delta)) + 1e-9), n
+        math.floor(n * p.delta / ((v_c - 1.0) * (2.0 * p.beta - p.delta)) + 1e-9), len(caps)
     )
     if v_c < peripheral:
         min_count = 2

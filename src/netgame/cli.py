@@ -117,6 +117,8 @@ def _resolve_graph(args):
     if args.generate:
         if args.n is None:
             raise ValueError("--generate requires --n")
+        if args.generate == "random" and args.seed is None:
+            raise ValueError("--generate random requires --seed")
         g = generate(args.generate, args.n, l=args.l, seed=args.seed)
         return g, {
             "source": "generate",

@@ -22,7 +22,7 @@ from .allocation import regime_by_endpoints
 from .centrality import balanced_centrality, l_star_centralities, star_centralities
 from .equilibrium import CASE_INTERIOR, CASE_SATURATED, BudgetSpec, _solve_sequence, solve_nash
 from .graphs import SocialGraph, generate
-from .params import ModelParams, require_real
+from .params import ModelParams, require_count, require_real
 
 VERIFY_TOL = 1e-9
 
@@ -135,6 +135,7 @@ def budget_regime(n: int, p: ModelParams, K: float, c_s: float = 1.0) -> dict:
     ``c_s`` must be positive.
     """
     K, c_s = require_real("K", K), require_real("c_s", c_s, math.ulp(0.0))
+    n = require_count("n", n, 2)  # a numpy integer would make the endpoints numpy floats
     hub, peripheral = star_centralities(n, p)
     lam = p.quality_weight(n)
     v_bar = balanced_centrality(p)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import os
 import zipfile
 from dataclasses import dataclass, field
 from itertools import chain
@@ -245,8 +246,12 @@ def _edge_array(edges) -> np.ndarray:
 _CSR_KEYS = ("n", "indptr", "indices", "data")
 
 
-def _is_npz(path: str) -> bool:
-    return str(path).endswith(".npz")
+def _is_npz(path) -> bool:
+    """Whether ``path`` ends in ``.npz``; a path that is no ``str`` or ``os.PathLike`` of one raises
+    ``ValueError`` (``open`` would take a bool or an int as a file descriptor, and close it)."""
+    if not isinstance(path, (str, os.PathLike)) or not isinstance(os.fspath(path), str):
+        raise ValueError(f"path must be a str or an os.PathLike of one, got {path!r}")
+    return os.fspath(path).endswith(".npz")
 
 
 def _read_npz(path: str) -> SocialGraph:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netgame import (
+    CentralityVector,
     GraphValidationError,
     ModelParams,
     balanced_centrality,
@@ -157,14 +158,19 @@ def test_closed_form_unknown_kind(example_params):
         closed_form_centrality("l_star", 15, example_params)
 
 
-def test_l_star_formula_rejects_bad_l(example_params):
-    # a scalar l takes the route of an array, with the same wording
-    for l, refusal in (
-        (1, "l[0] must be an integer in [2, 15], got 1"),
-        (np.array([2, 16]), "l[1] must be an integer in [2, 15], got 16"),
-    ):
-        with pytest.raises(ValueError, match=re.escape(refusal)):
-            l_star_centralities(15, l, example_params)
+@pytest.mark.parametrize(
+    "values, order, named",
+    [
+        ([1.0, 2.0], [0, 5], "order[1] must be an integer in [0, 1], got 5"),
+        ([3.0, 2.0, 1.0], [0, 0, 1], "order must be a permutation of range(3)"),
+        ([3.0, 2.0, 1.0], [2, 1, 0], "values must not increase along order"),
+    ],
+)
+def test_centrality_vector_refuses_what_is_no_ordering(values, order, named):
+    # the first raised IndexError; the others were kept, and water_fill_seeding
+    # then handed 0.5 to one agent and reported two seeded
+    with pytest.raises(ValueError, match=re.escape(named)):
+        CentralityVector(values, order)
 
 
 @pytest.fixture

@@ -1,6 +1,3 @@
-import math
-import re
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -35,18 +32,6 @@ def test_drift_value(example_params):
     assert externality_drift(2.0, 2.0, example_params) == 0.0
 
 
-def test_drift_rejects_quality_below_floor(example_params):
-    with pytest.raises(ValueError):
-        externality_drift(0.0, 1.0, example_params)
-
-
-@pytest.mark.parametrize("q_a, q_b", [(10**400, 1.0), (1.0, 10**400)], ids=["q_a", "q_b"])
-def test_drift_rejects_an_integer_quality_past_the_float_range(example_params, q_a, q_b):
-    # it compares below infinity, and raised OverflowError in the arithmetic
-    with pytest.raises(ValueError, match="q_[ab] must be a finite real number, got 1000"):
-        externality_drift(q_a, q_b, example_params)
-
-
 def test_step_is_the_linear_update(rng):
     p = draw_params(rng)
     g = draw_graph(rng, 8)
@@ -76,26 +61,13 @@ def test_sparse_rows_match_dense_matvec(rng):
         assert agent_utility(g, p, q_a, q_b, i, y_i, y) == pytest.approx(dense_payoff, rel=1e-13)
 
 
-def test_nan_state_or_seeding_is_refused(example_params):
+def test_nan_state_is_refused_by_the_agent_utility_oracle(example_params):
     p, g = example_params, generate("star", 5)
     nan_state = np.array([0.1, np.nan, 0.0, 0.0, 0.0])
-    with pytest.raises(ValueError, match=r"y0\[1\] must be a finite real in .*, got nan"):
-        simulate(g, p, 2.0, 1.0, nan_state, 3)
     with pytest.raises(ValueError, match=r"y\[1\] must be a finite real in .*, got nan"):
         agent_utility(g, p, 2.0, 1.0, 0, 0.1, nan_state)
     with pytest.raises(ValueError, match="y_i=nan outside"):
         agent_utility(g, p, 2.0, 1.0, 0, float("nan"), np.zeros(5))
-    zero, nan_seeding = np.zeros(5), np.array([0.0, 0.2, np.nan, 0.0, 0.0])
-    for mode in ("closed_form", "simulated"):
-        for s_a, s_b in ((nan_seeding, zero), (zero, nan_seeding)):
-            with pytest.raises(ValueError, match=r"s_[ab]\[2\] must be a finite real in .*, got nan"):
-                discounted_utilities(g, p, 2.0, 1.0, s_a, s_b, mode=mode)
-
-
-def test_step_rejects_state_outside_range(example_params):
-    g = generate("balanced", 3)
-    with pytest.raises(ValueError, match=r"y0\[0\] must be a finite real in .*, got 0.7"):
-        simulate(g, example_params, 1.0, 1.0, np.array([0.7, 0.0, 0.0]), 1)
 
 
 def test_step_matches_per_agent_maximization(rng):
@@ -233,22 +205,6 @@ def test_simulated_utilities_match_closed_form(rng):
         assert approx.base == exact.base and approx.quality == exact.quality
 
 
-def test_utilities_reject_bad_seeding(example_params):
-    g = generate("balanced", 4)
-    with pytest.raises(ValueError, match=r"s_a\[0\] must be a finite real in .*, got 0.6"):
-        discounted_utilities(
-            g, example_params, 1.0, 1.0, np.full(4, 0.6), np.zeros(4)
-        )
-
-
-def test_utilities_unknown_mode(example_params):
-    g = generate("balanced", 4)
-    with pytest.raises(ValueError, match="unknown mode"):
-        discounted_utilities(
-            g, example_params, 1.0, 1.0, np.zeros(4), np.zeros(4), mode="exact"
-        )
-
-
 def test_report_serialization(example_params):
     g = generate("star", 5)
     rep = discounted_utilities(g, example_params, 2.0, 1.0, np.zeros(5), np.zeros(5))
@@ -256,27 +212,6 @@ def test_report_serialization(example_params):
     assert set(d) == {"U_a", "U_b", "lambda", "breakdown", "mode", "horizon"}
     assert d["lambda"] == example_params.quality_weight(5)
     assert set(d["breakdown"]) == {"base", "seeding_a", "seeding_b", "quality"}
-
-
-def test_negative_horizon_is_refused(example_params):
-    g = generate("balanced", 4)
-    y0 = np.zeros(4)
-    with pytest.raises(ValueError, match="T must be nonnegative, got -3"):
-        simulate(g, example_params, 2.0, 1.0, y0, -3)
-    with pytest.raises(ValueError, match="T must be nonnegative, got -1"):
-        discounted_utilities(g, example_params, 2.0, 1.0, y0, y0, mode="simulated", T=-1)
-
-
-@pytest.mark.parametrize("T", [2.5, np.float64(2.0), "3", True, None])
-def test_non_integer_horizon_is_refused(example_params, T):
-    # 2.5, 2.0 and "3" raised TypeError from range or numpy, and True ran one step
-    g = generate("balanced", 4)
-    y0 = np.zeros(4)
-    with pytest.raises(ValueError, match=f"T must be an integer, got {re.escape(repr(T))}"):
-        simulate(g, example_params, 2.0, 1.0, y0, T)
-    if T is not None:  # None asks discounted_utilities for the tolerance horizon
-        with pytest.raises(ValueError, match="T must be an integer"):
-            discounted_utilities(g, example_params, 2.0, 1.0, y0, y0, mode="simulated", T=T)
 
 
 def test_numpy_integers_are_accepted_as_horizon_and_agent_count(example_params):
@@ -291,30 +226,3 @@ def test_numpy_integers_are_accepted_as_horizon_and_agent_count(example_params):
         g, example_params, 2.0, 1.0, y0, np.zeros(4), mode="simulated", T=np.int64(3)
     )
     assert rep.horizon == 3
-
-
-@pytest.mark.parametrize("n", [0, -1, np.int64(0), 0.5, 2.5, math.nan, True])
-def test_horizon_refuses_bad_agent_counts(example_params, n):
-    # n = 0 raised ZeroDivisionError, n = -1 "math domain error", and
-    # 2.5 and True returned horizons
-    if isinstance(n, (bool, float)):
-        message = f"n must be an integer, got {re.escape(repr(n))}"
-    else:
-        message = f"n must be at least 1, got {n}"
-    with pytest.raises(ValueError, match=message):
-        horizon_for_tolerance(example_params, n)
-
-
-def test_tolerance_that_is_no_number_is_refused(example_params):
-    # the comparison with 0 raised TypeError
-    with pytest.raises(ValueError, match="tol must be a finite real number, got 'x'"):
-        horizon_for_tolerance(example_params, 5, tol="x")
-
-
-def test_nan_tolerance_is_refused(example_params):
-    g = generate("balanced", 4)
-    with pytest.raises(ValueError, match="tol must be a finite real number, got nan"):
-        horizon_for_tolerance(example_params, 4, float("nan"))
-    with pytest.raises(ValueError, match="tol must be a finite real number, got nan"):
-        discounted_utilities(g, example_params, 2.0, 1.0, np.zeros(4), np.zeros(4),
-                             mode="simulated", tol=float("nan"))

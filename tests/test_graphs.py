@@ -22,7 +22,7 @@ from netgame import (
 from netgame.cli import main
 from netgame.graphs import require_valid
 
-from conftest import alarm, dense_graph, draw_graph
+from conftest import dense_graph, draw_graph
 
 
 def test_validation_reports_nonzero_diagonal():
@@ -87,17 +87,6 @@ def test_l_star_generator_valid(n, l):
     assert np.all(g.weights[l:, l:] == 0.0)
 
 
-def test_l_star_rejects_bad_l():
-    for l in (None, 1, 15):
-        with pytest.raises(ValueError):
-            generate("l_star", 15, l=l)
-
-
-def test_unknown_kind_rejected():
-    with pytest.raises(ValueError, match="unknown graph kind"):
-        generate("wheel", 5)
-
-
 def test_balanced_is_a_cycle():
     g = generate("balanced", 5)
     assert np.array_equal(np.nonzero(g.weights[0])[0], [1])
@@ -122,27 +111,6 @@ def test_random_generator_survives_sparse_density():
     # density low enough that all-zero rows must get redrawn
     g = generate("random", 6, seed=7, density=0.05)
     assert g.violations == ()
-
-
-@pytest.mark.parametrize(
-    "density", [0.0, -1.0, float("nan"), 2.0, float("inf"), "0.5", True, None]
-)
-def test_random_generator_refuses_density_outside_unit_interval(density):
-    # 0, -1 and NaN redrew empty rows forever; 2, inf and True gave the complete
-    # graph; "0.5" and None raised TypeError
-    if isinstance(density, float) and math.isfinite(density):
-        message = re.escape(f"density must lie in [{math.ulp(0.0)}, 1.0], got {density!r}")
-    else:
-        message = re.escape(f"density must be a finite real number, got {density!r}")
-    with alarm(2), pytest.raises(ValueError, match=message):
-        generate("random", 10, seed=1, density=density)
-
-
-@pytest.mark.parametrize("seed", [2.5, "3"])
-def test_random_generator_refuses_a_seed_that_is_no_integer(seed):
-    # numpy's SeedSequence raised TypeError
-    with pytest.raises(ValueError, match=re.escape(f"seed must be an integer, got {seed!r}")):
-        generate("random", 5, seed=seed)
 
 
 def test_random_generator_at_density_one_is_complete():
@@ -332,6 +300,15 @@ def test_from_dict_matches_loop_reference():
     for n in (2.7, 2.0, "2", True, None, -2):
         data = {"n": n, "edges": [[0, 1, 1.0], [1, 0, 1.0]]}
         assert _outcome(SocialGraph.from_dict, data) == _outcome(from_dict_loop, data)
+    for n in (math.nan, math.inf, -math.inf, 2.5):
+        want = f"graph 'n' must be an integer, got {n!r}"
+        assert _outcome(SocialGraph.from_dict, {"n": n, "edges": []}) == want
+    # numpy integers and 0-d arrays give what the Python int gives
+    for k in (3, -2):
+        want = _outcome(SocialGraph.from_dict, {"n": k, "edges": [[0, 1, 1.0]]})
+        for n in (np.int64(k), np.int32(k), np.array(k)):
+            got = _outcome(SocialGraph.from_dict, {"n": n, "edges": [[0, 1, 1.0]]})
+            assert np.array_equal(got, want), n
     # and truncated agent indices: the first of these loaded the 3-cycle
     for entry in ([0.5, 1.9, 1.0], [-0.5, 2, 1.0], [3.5, 0, 1.0]):
         data = {"n": 3, "edges": [[1, 2, 1.0], entry, [2, 0, 1.0]]}
