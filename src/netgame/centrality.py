@@ -175,6 +175,7 @@ def closed_form_centrality(
 ) -> dict[str, float]:
     """Known centralities by role for the graphs that admit closed forms (n >= 2)."""
     require_count("n", n, 2)
+    l_star = None if l is None else l_star_centralities(n, l, p)  # l is checked for every kind
     if kind == "balanced":
         v = balanced_centrality(p)
         return {"all": v}
@@ -182,8 +183,8 @@ def closed_form_centrality(
         hub, peripheral = star_centralities(n, p)
         return {"hub": hub, "peripheral": peripheral}
     if kind == "l_star":
-        if l is None:
+        if l_star is None:
             raise ValueError("l_star needs l")
-        hub, peripheral = l_star_centralities(n, l, p)
+        hub, peripheral = l_star
         return {"hub": hub, "peripheral": peripheral}
     raise ValueError(f"no closed form for graph kind {kind!r}")

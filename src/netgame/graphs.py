@@ -135,7 +135,11 @@ class SocialGraph:
 
     @classmethod
     def from_json(cls, text: str) -> "SocialGraph":
-        return cls.from_dict(json.loads(text))
+        try:
+            data = json.loads(text)
+        except RecursionError as exc:  # nested deeper than the decoder goes
+            raise ValueError(str(exc)) from None
+        return cls.from_dict(data)
 
     @classmethod
     def from_csr(cls, n, indptr, indices, data) -> "SocialGraph":
@@ -281,7 +285,11 @@ def load_graph(path: str) -> SocialGraph:
         g = _read_npz(path)
     else:
         with open(path, "r", encoding="utf-8") as fh:
-            g = SocialGraph.from_json(fh.read())
+            try:
+                data = json.loads(fh.read())
+            except (ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError
+                raise ValueError(f"graph file {path} is not a JSON graph: {exc}") from exc
+        g = SocialGraph.from_dict(data)
     require_valid(g)
     return g
 
@@ -350,6 +358,10 @@ def generate(
         ``seed``, a nonnegative integer; ``density`` must lie in (0, 1].
     """
     n = require_count("n", n, 2)
+    # checked whatever the kind; at a density of 0 or below no row gets an edge
+    l = None if l is None and kind != "l_star" else require_count("l", l, 2)
+    seed = None if seed is None else require_count("seed", seed, 0)
+    density = require_real("density", density, math.ulp(0.0), 1.0)
     # each kind lists its rows' influencer counts, then the influencers and
     # their weights row by row, in increasing index within each row
     ones = np.ones(n - 1)
@@ -362,7 +374,6 @@ def generate(
         cols = np.r_[np.arange(1, n), np.zeros(n - 1, dtype=np.intp)]
         w = np.r_[np.full(n - 1, 1.0 / (n - 1)), ones]
     elif kind == "l_star":
-        l = require_count("l", l, 2)
         if l > n - 1:
             raise ValueError(f"l_star requires 2 <= l <= n-1, got l={l}, n={n}")
         hubs = np.arange(l)
@@ -375,9 +386,7 @@ def generate(
         cols = np.r_[1, np.zeros(n - 1, dtype=np.intp)]
         w = np.r_[1.0, ones]
     elif kind == "random":
-        # at 0 or below no row gets an edge
-        density = require_real("density", density, math.ulp(0.0), 1.0)
-        rng = np.random.default_rng(None if seed is None else require_count("seed", seed, 0))
+        rng = np.random.default_rng(seed)
         counts = np.empty(n, dtype=np.intp)
         row_cols, row_w = [], []
         for i in range(n):

@@ -26,9 +26,11 @@ from netgame import (
     centrality,
     discounted_utilities,
     generate,
+    l_star_centralities,
     max_centrality_sequence,
     max_seeding_capacity_bound,
     min_centrality_sequence,
+    seeding_capacity,
     simulate,
     solve_nash,
     star_centralities,
@@ -37,7 +39,7 @@ from netgame import (
     water_fill_seeding,
 )
 import netgame
-from netgame.equilibrium import SolverError
+from netgame.equilibrium import CASE_BOUNDARY, CASE_INTERIOR, SolverError
 
 from conftest import (
     _assert_quality_floor_binds,
@@ -49,6 +51,7 @@ from conftest import (
     draw_instance,
     draw_params,
     draw_seedings,
+    random_seeding,
     solve_nash_iterative,
 )
 
@@ -80,15 +83,19 @@ def test_criterion_02_centrality_frozen_values():
         v_3 = centrality(generate("l_star", 15, l=3), p)
         elapsed = time.perf_counter() - t0
         assert elapsed < 0.1, f"centrality solves took {elapsed:.3f}s"
-        assert np.allclose(v_bal.values, 4.0 / 3.0, atol=1e-9)
+        assert abs(balanced_centrality(p) - 4.0 / 3.0) <= 1e-12
+        assert np.abs(v_bal.values - 4.0 / 3.0).max() <= 1e-12
         hub, peripheral = star_centralities(15, p)
+        assert abs(hub - 4.8) <= 1e-12 and abs(peripheral - 38.0 / 35.0) <= 1e-12
         assert abs(float(v_star.sorted_values[0]) - 4.8) <= 1e-9
-        solved_peripheral = float(v_star.sorted_values[1])
-        assert abs(solved_peripheral - peripheral) <= 1e-9
+        assert np.abs(v_star.sorted_values - np.r_[hub, np.full(14, peripheral)]).max() <= 1e-9
+        assert v_star.order[0] == 0
         # the two-decimal figure 1.08 truncates 38/35 = 1.085714...; one
         # unit in the second decimal is the printout-consistency bound
-        assert abs(solved_peripheral - 1.08) <= 1e-2
-        assert abs(float(v_3.sorted_values[0]) - 8.0 / 3.0) <= 1e-9
+        assert abs(float(v_star.sorted_values[1]) - 1.08) <= 1e-2
+        hub, peripheral = l_star_centralities(15, 3, p)
+        assert abs(hub - 8.0 / 3.0) <= 1e-12 and peripheral == 1.0
+        assert np.abs(v_3.sorted_values - np.r_[np.full(3, hub), np.ones(12)]).max() <= 1e-9
 
 
 def test_criterion_03_symmetric_equilibria():
@@ -102,20 +109,26 @@ def test_criterion_03_symmetric_equilibria():
             return out
 
         out = timed(generate("balanced", 15))
-        assert abs(out.strategy_a.seeding_total - 0.125) <= 1e-6
-        assert abs(out.strategy_a.quality - 1.875) <= 1e-6
+        assert abs(out.strategy_a.seeding_total - 0.125) <= 1e-12
+        assert abs(out.strategy_a.quality - 1.875) <= 1e-12
+        assert out.k == 1 and out.case_a == CASE_INTERIOR
+        assert abs(out.v_tilde_k - 4.0 / 3.0) <= 1e-12
 
         out = timed(generate("l_star", 15, l=3))
-        assert abs(out.strategy_a.seeding_total - 17.0 / 16.0) <= 1e-6
+        assert abs(out.strategy_a.seeding_total - 17.0 / 16.0) <= 1e-12
+        assert abs(out.strategy_a.quality - 15.0 / 16.0) <= 1e-12
         expected = np.zeros(15)
         expected[:2] = 0.5
         expected[2] = 1.0 / 16.0
         got = np.sort(out.strategy_a.seeding)[::-1]
-        assert np.allclose(got, expected, atol=1e-6)
+        assert np.abs(got - expected).max() <= 1e-12
+        assert out.k == 3 and out.case_a == CASE_INTERIOR
 
         out = timed(generate("star", 15))
-        assert abs(out.strategy_a.seeding_total - 0.5) <= 1e-6
-        assert abs(out.v_tilde_k - 5.0 / 3.0) <= 1e-6
+        assert abs(out.strategy_a.seeding_total - 0.5) <= 1e-12
+        assert abs(out.strategy_a.quality - 1.5) <= 1e-12
+        assert out.k == 2 and out.case_a == CASE_BOUNDARY
+        assert abs(out.v_tilde_k - 5.0 / 3.0) <= 1e-12
 
 
 def test_criterion_04_thresholds_and_capacities():
@@ -123,46 +136,53 @@ def test_criterion_04_thresholds_and_capacities():
         p = ModelParams(1.0, 1.0, 0.5)
         n = 15
         v_c_a, v_c_b = thresholds(1.0, 1.0, p, n, 1.0, 1.0)
-        assert abs(v_c_a - 2.5) <= 1e-9
-        assert abs(v_c_b - 2.5) <= 1e-9
+        assert abs(v_c_a - 2.5) <= 1e-12
+        assert abs(v_c_b - 2.5) <= 1e-12
         bound = max_seeding_capacity_bound(n, p, 2.5, np.full(n, 0.5))
-        assert bound.k == 3
-        assert abs(bound.max_capacity - 1.5) <= 1e-9
+        assert bound.k == 3 and bound.min_agent_count == 0
+        assert abs(bound.max_capacity - 1.5) <= 1e-12
         state = PresetState.neutral(n, 1.0, 1.0)
-        from netgame import seeding_capacity
-
         for kind, l, expect in (
             ("l_star", 3, 1.5),
             ("star", None, 0.5),
             ("balanced", None, 0.0),
         ):
-            g = generate(kind, n, l=l) if l is not None else generate(kind, n)
-            cap = seeding_capacity(centrality(g, p), state, "a", p, 1.0, 1.0)
-            assert abs(cap - expect) <= 1e-9, f"{kind}: capacity {cap} != {expect}"
+            cap = seeding_capacity(centrality(generate(kind, n, l=l), p), state, "a", p, 1.0, 1.0)
+            assert abs(cap - expect) <= 1e-12, f"{kind}: capacity {cap} != {expect}"
 
 
-def _deviation_slack(v, lam, eps, n, k, c_s, c_q, own, opp):
-    """Largest utility gain over 200 water-filled quality-grid deviations.
+def _deviation_slack(v, lam, eps, n, k, c_s, c_q, own, opp, rng):
+    """Largest utility gain over water-filled deviations on two quality grids,
+    200 points from eps and 40 from q_lo, the least quality that leaves no
+    money unspent, and 10 deviations that spread the spend at random (drawn
+    from ``rng``).
 
     Either firm's utility, seen from its own side, is v . (own - opp)
     plus lam * (q_own - q_opp) / (q_own + q_opp) up to a shared constant.
     """
-    base = float(v.values @ (own.seeding - opp.seeding)) + lam * (
-        own.quality - opp.quality
-    ) / (own.quality + opp.quality)
-    worst = -np.inf
-    for q in np.linspace(eps, k / c_q, 200):
-        spend = min((k - c_q * q) / c_s, n / 2.0)
-        seeding, _ = water_fill_seeding(v, max(spend, 0.0))
-        val = float(v.values @ (seeding - opp.seeding)) + lam * (
+
+    def value(seeding, q):
+        return float(v.values @ (seeding - opp.seeding)) + lam * (
             q - opp.quality
         ) / (q + opp.quality)
-        worst = max(worst, val - base)
-    return worst
+
+    q_lo = max(eps, (k - c_s * n / 2.0) / c_q)
+    deviations = [
+        (water_fill_seeding(v, max(min((k - c_q * q) / c_s, n / 2.0), 0.0))[0], q)
+        for q in np.r_[np.linspace(eps, k / c_q, 200), np.linspace(q_lo, k / c_q, 40)]
+    ]
+    deviations += [
+        (random_seeding(rng, n, (k - c_q * q) / c_s), q)
+        for q in rng.uniform(q_lo, k / c_q, size=10)
+    ]
+    return max(value(s, q) for s, q in deviations) - value(own.seeding, own.quality)
 
 
 def test_criterion_05_solver_routes_and_deviations(rng):
     with criterion(5, "case search matches iteration; no profitable deviations (50 draws)"):
+        # the random deviations come from a generator of their own, so the
+        # instances rng draws stay as they were
+        spread = np.random.default_rng(5)
         for _ in range(50):
             g, p, budget = draw_instance(rng, n_max=10)
             enum = solve_nash(g, p, budget)
@@ -171,17 +191,17 @@ def test_criterion_05_solver_routes_and_deviations(rng):
                 (enum.strategy_a, iterated.strategy_a),
                 (enum.strategy_b, iterated.strategy_b),
             ):
-                assert abs(a.quality - b.quality) <= 1e-4
-                assert abs(a.seeding_total - b.seeding_total) <= 1e-4
+                assert abs(a.quality - b.quality) <= 1e-6
+                assert abs(a.seeding_total - b.seeding_total) <= 1e-6
             v = centrality(g, p)
             lam = p.quality_weight(g.n)
             slack_a = _deviation_slack(
                 v, lam, p.epsilon, g.n, budget.K_a, budget.c_s, budget.c_q,
-                enum.strategy_a, enum.strategy_b,
+                enum.strategy_a, enum.strategy_b, spread,
             )
             slack_b = _deviation_slack(
                 v, lam, p.epsilon, g.n, budget.K_b, budget.c_s, budget.c_q,
-                enum.strategy_b, enum.strategy_a,
+                enum.strategy_b, enum.strategy_a, spread,
             )
             assert slack_a <= 1e-6, f"firm a improves by {slack_a}"
             assert slack_b <= 1e-6, f"firm b improves by {slack_b}"
@@ -199,8 +219,13 @@ def test_criterion_06_utility_consistency(rng):
             sim = discounted_utilities(
                 g, p, q_a, q_b, s_a, s_b, mode="simulated", tol=1e-12
             )
-            assert abs(sim.u_a - closed.u_a) / abs(closed.u_a) <= 1e-8
-            assert abs(sim.u_b - closed.u_b) / abs(closed.u_b) <= 1e-8
+            assert abs(sim.u_a - closed.u_a) / abs(closed.u_a) <= 1e-10
+            assert abs(sim.u_b - closed.u_b) / abs(closed.u_b) <= 1e-10
+            assert sim.horizon is not None
+            # the breakdown stays the closed form in simulated mode
+            assert sim.base == closed.base and sim.quality == closed.quality
+            parts = closed.base + closed.seeding_a - closed.seeding_b + closed.quality
+            assert abs(closed.u_a - parts) <= 1e-12
             fixed_sum = n / (1.0 - p.delta)
             assert abs(closed.u_a + closed.u_b - fixed_sum) <= 1e-9
             assert abs(sim.u_a + sim.u_b - fixed_sum) <= 1e-9
@@ -316,43 +341,52 @@ def _suite_quality_monotonicity(rng, sweeps):
         c_s, c_q = draw_costs(rng)
         k = draw_budget(rng, n, c_s, c_q)
         q_b = float(rng.uniform(0.2, 3.0))
-        totals = []
-        for q_a in np.linspace(0.2, 3.0, 6):
-            state = PresetState.neutral(n, float(q_a), q_b)
-            totals.append(float(allocate_budget(v, state, "a", k, c_s, c_q, p).seeding.sum()))
+
+        def seeded(q_a, q_b):
+            state = PresetState.neutral(n, float(q_a), float(q_b))
+            return float(allocate_budget(v, state, "a", k, c_s, c_q, p).seeding.sum())
+
+        totals = [seeded(q_a, q_b) for q_a in np.linspace(0.2, 3.0, 16)]
         assert all(np.diff(totals) >= -1e-9), f"not rising in own quality: {totals}"
 
+        # rival qualities at random and on an 8-point grid each side of q_a
         q_a = float(rng.uniform(0.4, 3.0))
-        below = np.sort(rng.uniform(0.2, q_a, size=3))
-        above = np.sort(rng.uniform(q_a, 3.0, size=3))
-        totals_b = []
-        for qb in np.concatenate([below, [q_a], above]):
-            state = PresetState.neutral(n, q_a, float(qb))
-            totals_b.append(float(allocate_budget(v, state, "a", k, c_s, c_q, p).seeding.sum()))
-        assert all(np.diff(totals_b[:4]) <= 1e-9), f"{totals_b[:4]}"
-        assert all(np.diff(totals_b[3:]) >= -1e-9), f"{totals_b[3:]}"
-        done += 13
+        below = np.sort(np.r_[rng.uniform(0.2, q_a, size=3), np.linspace(0.2, q_a, 8)])
+        above = np.sort(np.r_[rng.uniform(q_a, 3.0, size=3), np.linspace(q_a, 3.0, 8)])
+        falling = [seeded(q_a, q) for q in below]
+        rising = [seeded(q_a, q) for q in above]
+        assert all(np.diff(falling) <= 1e-9), f"{falling}"
+        assert all(np.diff(rising) >= -1e-9), f"{rising}"
+        done += 38
     assert done >= 200
 
 
-def _suite_centrality_bounds(rng, count):
+def _graphs(rng, count, own, seeded):
+    """``count`` drawn (n, p, graph) triples, then ``seeded`` ``generate("random")`` graphs
+    whose sizes, seeds and parameters ``own`` draws, so ``rng``'s draws stay as they were."""
     for _ in range(count):
         n = int(rng.integers(2, 13))
         p = draw_params(rng)
-        v = centrality(draw_graph(rng, n), p)
+        yield n, p, draw_graph(rng, n)
+    for _ in range(seeded):
+        n = int(own.integers(2, 15))
+        yield n, draw_params(own), generate("random", n, seed=int(own.integers(2**32)))
+
+
+def _suite_centrality_bounds(graphs):
+    for n, p, g in graphs:
+        v = centrality(g, p)
         hub, _ = star_centralities(n, p)
         mean = balanced_centrality(p)
         assert float(v.values.min()) >= 1.0 - 1e-9
         assert mean - 1e-9 <= float(v.values.max()) <= hub + 1e-9
         total = 2.0 * p.beta * n / (2.0 * p.beta - p.delta)
-        assert abs(float(v.values.sum()) - total) <= 1e-9
+        assert abs(v.total - total) <= 1e-12 * total
 
 
-def _suite_extremal_domination(rng, count):
-    for _ in range(count):
-        n = int(rng.integers(2, 13))
-        p = draw_params(rng)
-        v = centrality(draw_graph(rng, n), p)
+def _suite_extremal_domination(graphs):
+    for n, p, g in graphs:
+        v = centrality(g, p)
         hi = max_centrality_sequence(n, p)
         lo = min_centrality_sequence(n, p)
         assert np.all(v.sorted_values <= hi + 1e-9), f"level above envelope at n={n}"
@@ -361,12 +395,13 @@ def _suite_extremal_domination(rng, count):
 
 def test_criterion_08_property_suites(rng):
     with criterion(8, "seven property suites, 200+ instances each, zero violations"):
+        own = np.random.default_rng(8)  # the seeded random graphs' own draws
         _suite_ordering_and_budgets(rng, 200)  # covers the first two suites
         _suite_budget_monotonicity(rng, 25)
         _suite_quality_comparison(rng, 200)
         _suite_quality_monotonicity(rng, 16)
-        _suite_centrality_bounds(rng, 200)
-        _suite_extremal_domination(rng, 200)
+        _suite_centrality_bounds(_graphs(rng, 200, own, 50))
+        _suite_extremal_domination(_graphs(rng, 200, own, 50))
 
 
 def test_criterion_09_agent_count_bound_brute_force(rng):

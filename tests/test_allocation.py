@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from netgame import (
-    ModelParams,
     allocate_budget,
     centrality,
     generate,
@@ -20,25 +19,10 @@ from netgame.centrality import dot
 from conftest import draw_costs, draw_graph, draw_params, random_seeding
 
 
-def test_thresholds_example(example_params):
-    v_c_a, v_c_b = thresholds(1.0, 1.0, example_params, 15, 1.0, 1.0)
-    assert v_c_a == pytest.approx(2.5, abs=1e-12)
-    assert v_c_b == pytest.approx(2.5, abs=1e-12)
-
-
 def test_thresholds_scale_with_opponent_quality(example_params):
     v_c_a, v_c_b = thresholds(3.0, 1.0, example_params, 15, 1.0, 1.0)
     assert v_c_a / v_c_b == pytest.approx(1.0 / 3.0, rel=1e-12)
     assert v_c_a == pytest.approx(0.625, abs=1e-12)
-
-
-def test_capacities_example(example_params):
-    state = PresetState.neutral(15, 1.0, 1.0)
-    for kind, l, expected in (("l_star", 3, 1.5), ("star", None, 0.5), ("balanced", None, 0.0)):
-        v = centrality(generate(kind, 15, l=l), example_params)
-        assert seeding_capacity(v, state, "a", example_params, 1.0, 1.0) == pytest.approx(
-            expected, abs=1e-12
-        )
 
 
 def test_capacity_respects_preexisting_tilts(example_params):
@@ -120,61 +104,6 @@ def test_agents_exactly_at_threshold_go_unseeded(example_params):
     assert res.quality_improvement == pytest.approx(2.0)
 
 
-def test_quality_comparison_equal_budgets(rng):
-    # the lower-quality firm faces the higher threshold, so it seeds less
-    for _ in range(20):
-        n = int(rng.integers(3, 12))
-        p = draw_params(rng)
-        g = draw_graph(rng, n)
-        v = centrality(g, p)
-        c_s, c_q = draw_costs(rng)
-        qs = sorted((float(rng.uniform(0.3, 3.0)), float(rng.uniform(0.3, 3.0))))
-        state = PresetState.neutral(n, qs[0], qs[1])
-        K = float(rng.uniform(0.1, c_s * n / 2.0))
-        res_a = allocate_budget(v, state, "a", K, c_s, c_q, p)
-        res_b = allocate_budget(v, state, "b", K, c_s, c_q, p)
-        assert res_a.seeding.sum() <= res_b.seeding.sum() + 1e-9
-
-
-def test_quality_monotonicity_sweeps(rng):
-    for _ in range(10):
-        n = int(rng.integers(3, 10))
-        p = draw_params(rng)
-        g = draw_graph(rng, n)
-        v = centrality(g, p)
-        K = float(rng.uniform(0.2, n / 2.0))
-        q_b = float(rng.uniform(0.5, 2.5))
-        totals = [
-            allocate_budget(
-                v, PresetState.neutral(n, q_a, q_b), "a", K, 1.0, 1.0, p
-            ).seeding.sum()
-            for q_a in np.linspace(0.3, 3.0, 12)
-        ]
-        assert np.all(np.diff(totals) >= -1e-9)
-        q_a = float(rng.uniform(0.5, 2.5))
-        below = [
-            allocate_budget(
-                v, PresetState.neutral(n, q_a, q), "a", K, 1.0, 1.0, p
-            ).seeding.sum()
-            for q in np.linspace(0.3, q_a, 8)
-        ]
-        above = [
-            allocate_budget(
-                v, PresetState.neutral(n, q_a, q), "a", K, 1.0, 1.0, p
-            ).seeding.sum()
-            for q in np.linspace(q_a, 3.0, 8)
-        ]
-        assert np.all(np.diff(below) <= 1e-9)
-        assert np.all(np.diff(above) >= -1e-9)
-
-
-def test_capacity_bound_example(example_params):
-    bound = max_seeding_capacity_bound(15, example_params, 2.5, np.full(15, 0.5))
-    assert bound.k == 3
-    assert bound.max_capacity == pytest.approx(1.5, abs=1e-12)
-    assert bound.min_agent_count == 0
-
-
 def test_capacity_bound_min_counts(example_params):
     hub, peripheral = star_centralities(15, example_params)
     caps = np.full(15, 0.5)
@@ -195,26 +124,6 @@ def test_capacity_bound_rejects_trivial_thresholds(example_params):
         max_seeding_capacity_bound(15, example_params, 0.9, np.full(15, 0.5))
     with pytest.raises(ValueError, match="outside"):
         max_seeding_capacity_bound(15, example_params, 5.0, np.full(15, 0.5))
-
-
-def _brute_force_count(n: int, p: ModelParams, v_c: float) -> int:
-    # largest k with k agents above v_c, the rest at the floor of 1, under
-    # the fixed centrality total
-    total = 2.0 * p.beta * n / (2.0 * p.beta - p.delta)
-    for k in range(n, -1, -1):
-        if k * v_c + (n - k) <= total + 1e-12:
-            return k
-    return 0
-
-
-def test_capacity_bound_matches_brute_force(rng):
-    for _ in range(15):
-        n = int(rng.integers(2, 9))
-        p = draw_params(rng)
-        hub, _ = star_centralities(n, p)
-        v_c = float(rng.uniform(1.0 + 1e-3, hub - 1e-3))
-        bound = max_seeding_capacity_bound(n, p, v_c, np.full(n, 0.5))
-        assert bound.k == _brute_force_count(n, p, v_c)
 
 
 def test_threshold_regimes(example_params):

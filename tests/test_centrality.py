@@ -4,19 +4,14 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from netgame import (
     CentralityVector,
     GraphValidationError,
     ModelParams,
-    balanced_centrality,
     centrality,
     closed_form_centrality,
     generate,
-    l_star_centralities,
-    star_centralities,
 )
 from netgame.centrality import _term_count
 
@@ -30,31 +25,6 @@ def centrality_dense(g, p):
     """
     w_t = g.weights.T / (2.0 * p.beta)
     return np.linalg.solve(np.eye(g.n) - p.delta * w_t, np.ones(g.n))
-
-
-def test_balanced_value_example(example_params):
-    assert balanced_centrality(example_params) == pytest.approx(4.0 / 3.0, abs=1e-12)
-    v = centrality(generate("balanced", 15), example_params)
-    assert np.allclose(v.values, 4.0 / 3.0, atol=1e-12)
-
-
-def test_star_values_example(example_params):
-    hub, peripheral = star_centralities(15, example_params)
-    assert hub == pytest.approx(4.8, abs=1e-12)
-    assert peripheral == pytest.approx(38.0 / 35.0, abs=1e-12)
-    v = centrality(generate("star", 15), example_params)
-    assert v.sorted_values[0] == pytest.approx(hub, abs=1e-9)
-    assert np.allclose(v.sorted_values[1:], peripheral, atol=1e-9)
-    assert v.order[0] == 0
-
-
-def test_three_star_values_example(example_params):
-    hub, peripheral = l_star_centralities(15, 3, example_params)
-    assert hub == pytest.approx(8.0 / 3.0, abs=1e-12)
-    assert peripheral == 1.0
-    v = centrality(generate("l_star", 15, l=3), example_params)
-    assert np.allclose(v.sorted_values[:3], hub, atol=1e-9)
-    assert np.allclose(v.sorted_values[3:], 1.0, atol=1e-9)
 
 
 def test_near_star_values_example(example_params):
@@ -87,18 +57,12 @@ def test_rejects_invalid_graph(example_params):
         centrality(dense_graph(w), example_params)
 
 
-@settings(max_examples=60, deadline=None)
-@given(n=st.integers(2, 12), seed=st.integers(0, 10**6), pseed=st.integers(0, 10**6))
-def test_direct_solve_matches_power_series(n, seed, pseed):
-    p = draw_params(np.random.default_rng(pseed))
-    g = generate("random", n, seed=seed)
-    direct = centrality_dense(g, p)
-    series = centrality(g, p).values
-    assert np.allclose(direct, series, atol=1e-11)
-
-
 def test_series_matches_dense_solve_oracle(rng):
     graphs = oracle_graphs(rng) + [draw_graph(rng, 500, density=0.02) for _ in range(3)]
+    # seeded generate("random") graphs, whose sizes and seeds a generator of their own draws
+    own = np.random.default_rng(1)
+    graphs += [generate("random", int(n), seed=int(seed))
+               for n, seed in zip(own.integers(2, 13, size=60), own.integers(2**32, size=60))]
     for g in graphs:
         p = draw_params(rng)
         dense = centrality_dense(g, p)
@@ -118,20 +82,6 @@ def test_symmetric_agents_tie_exactly_and_order_by_index(rng, n):
             assert len(set(v.values[:l].tolist())) == 1
             assert set(v.values[l:].tolist()) == {1.0}
             assert v.order.tolist() == list(range(n))
-
-
-@settings(max_examples=80, deadline=None)
-@given(n=st.integers(2, 14), seed=st.integers(0, 10**6), pseed=st.integers(0, 10**6))
-def test_bounds_and_total_identity(n, seed, pseed):
-    rng = np.random.default_rng(pseed)
-    p = draw_params(rng)
-    g = draw_graph(rng, n) if seed % 2 else generate("random", n, seed=seed)
-    v = centrality(g, p)
-    hub, _ = star_centralities(n, p)
-    assert v.values.min() >= 1.0 - 1e-9
-    assert balanced_centrality(p) - 1e-9 <= v.values.max() <= hub + 1e-9
-    expected_total = 2.0 * p.beta * n / (2.0 * p.beta - p.delta)
-    assert v.total == pytest.approx(expected_total, rel=1e-12)
 
 
 def test_sorted_values_descending(rng):

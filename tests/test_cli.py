@@ -284,14 +284,22 @@ def test_simulate_negative_horizon_exits_2(capsys):
                      "edge entry [True, 0, 1.0] is not [i, j, weight]", id="bool-index"),
         pytest.param('{"n": 2, "edges": [[true, false, true], [false, true, true]]}',
                      "edge entry [True, False, True] is not [i, j, weight]", id="bool-entries"),
+        # json's message named no file, and deep nesting exited 1 with a RecursionError
+        pytest.param("", "error: graph file {path} is not a JSON graph: Expecting value",
+                     id="empty"),
+        pytest.param(b"\xff\xfe\x00\x81",
+                     "error: graph file {path} is not a JSON graph: 'utf-8' codec can't decode",
+                     id="binary"),
+        pytest.param("[" * 100_000, "error: graph file {path} is not a JSON graph: maximum "
+                     "recursion depth exceeded", id="nested-100000-deep"),
     ],
 )
 def test_malformed_graph_file_exits_2(tmp_path, capsys, text, named):
     path = tmp_path / "bad.json"
-    path.write_text(text)
-    code, _, err = _run(capsys, "centrality", "--graph", str(path))
-    assert code == EXIT_INVALID
-    assert named in err
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
+    code, out, err = _run(capsys, "centrality", "--graph", str(path))
+    assert code == EXIT_INVALID and out == ""
+    assert err.count("error:") == 1 and named.format(path=path) in err
 
 
 @pytest.mark.parametrize("builder", ["load_graph", "generate"])

@@ -40,7 +40,6 @@ from conftest import (
     draw_instance,
     draw_params,
     oracle_graphs,
-    random_seeding,
     solve_nash_iterative,
 )
 
@@ -146,33 +145,6 @@ def test_best_response_spends_whole_budget(rng):
     v = centrality(g, p)
     q, seeding, _ = best_response_quality(v, p, 2.0, 1.0, 1.0, 1.0)
     assert seeding.sum() + q == pytest.approx(2.0, abs=1e-9)
-
-
-def test_symmetric_balanced_example(example_params):
-    out = symmetric_nash(generate("balanced", 15), example_params, 2.0, 1.0, 1.0)
-    assert out.strategy_a.seeding_total == pytest.approx(0.125, abs=1e-12)
-    assert out.strategy_a.quality == pytest.approx(1.875, abs=1e-12)
-    assert out.k == 1 and out.case_a == CASE_INTERIOR
-    assert out.v_tilde_k == pytest.approx(4.0 / 3.0, abs=1e-12)
-
-
-def test_symmetric_three_star_example(example_params):
-    out = symmetric_nash(generate("l_star", 15, l=3), example_params, 2.0, 1.0, 1.0)
-    assert out.strategy_a.seeding_total == pytest.approx(17.0 / 16.0, abs=1e-12)
-    assert out.strategy_a.quality == pytest.approx(15.0 / 16.0, abs=1e-12)
-    s = out.strategy_a.seeding[out.strategy_a.seeding.argsort()[::-1]]
-    assert np.allclose(s[:2], 0.5, atol=1e-12)
-    assert s[2] == pytest.approx(1.0 / 16.0, abs=1e-12)
-    assert np.allclose(s[3:], 0.0, atol=1e-12)
-    assert out.k == 3 and out.case_a == CASE_INTERIOR
-
-
-def test_symmetric_star_example(example_params):
-    out = symmetric_nash(generate("star", 15), example_params, 2.0, 1.0, 1.0)
-    assert out.strategy_a.seeding_total == pytest.approx(0.5, abs=1e-12)
-    assert out.strategy_a.quality == pytest.approx(1.5, abs=1e-12)
-    assert out.case_a == CASE_BOUNDARY and out.k == 2
-    assert out.v_tilde_k == pytest.approx(5.0 / 3.0, abs=1e-12)
 
 
 def test_symmetric_matches_general_solver(example_params):
@@ -290,46 +262,6 @@ def test_outcome_invariants(rng):
         )
         # one closed form: both routes give the same floats
         assert (out.utility_a, out.utility_b) == (rep.u_a, rep.u_b)
-
-
-def test_enumeration_matches_iteration(rng):
-    for _ in range(10):
-        g, p, budget = draw_instance(rng)
-        enum = solve_nash(g, p, budget)
-        iter_ = solve_nash_iterative(g, p, budget)
-        assert enum.strategy_a.quality == pytest.approx(
-            iter_.strategy_a.quality, abs=1e-6
-        )
-        assert enum.strategy_b.quality == pytest.approx(
-            iter_.strategy_b.quality, abs=1e-6
-        )
-        assert enum.strategy_a.seeding_total == pytest.approx(
-            iter_.strategy_a.seeding_total, abs=1e-6
-        )
-
-
-def test_no_profitable_deviation(rng):
-    for _ in range(4):
-        g, p, budget = draw_instance(rng, n_max=7)
-        n = g.n
-        c_s, c_q, k_a = budget.c_s, budget.c_q, budget.K_a
-        out = solve_nash(g, p, budget)
-        v = centrality(g, p)
-        lam = p.quality_weight(n)
-
-        def utility_a(s_a, q_a):
-            gap = lam * (q_a - out.strategy_b.quality) / (q_a + out.strategy_b.quality)
-            return float(v.values @ (s_a - out.strategy_b.seeding)) + gap
-
-        base_val = utility_a(out.strategy_a.seeding, out.strategy_a.quality)
-        q_lo = max(p.epsilon, (k_a - c_s * n / 2.0) / c_q)
-        for q in np.linspace(q_lo, k_a / c_q, 40):
-            seeding, _ = water_fill_seeding(v, min((k_a - c_q * q) / c_s, n / 2.0))
-            assert utility_a(seeding, q) <= base_val + 1e-6
-        for _ in range(10):
-            q = float(rng.uniform(q_lo, k_a / c_q))
-            spend = min((k_a - c_q * q) / c_s, n / 2.0)
-            assert utility_a(random_seeding(rng, n, spend), q) <= base_val + 1e-6
 
 
 def _enumerated_cases(K, c_s, c_q, eps, n):

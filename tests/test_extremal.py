@@ -88,16 +88,6 @@ def test_witness_graphs_attain_envelopes(example_params):
     assert np.allclose(near[2:], 1.0, atol=1e-9)
 
 
-def test_domination_of_random_graphs(rng):
-    for _ in range(25):
-        n = int(rng.integers(2, 12))
-        p = draw_params(rng)
-        g = draw_graph(rng, n)
-        s = centrality(g, p).sorted_values
-        assert np.all(s <= max_centrality_sequence(n, p) + 1e-9)
-        assert np.all(s >= min_centrality_sequence(n, p) - 1e-9)
-
-
 def test_seeding_extremes_example(example_params):
     ext = symmetric_seeding_extremes(15, example_params, 2.0, 1.0, 1.0)
     assert ext.maximum.seeding_total == pytest.approx(17.0 / 16.0, abs=1e-12)

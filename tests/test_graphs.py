@@ -142,6 +142,26 @@ def test_load_rejects_invalid_graph(tmp_path):
         load_graph(str(path))
 
 
+@pytest.mark.parametrize("content, refusal", [
+    (b"", "graph file {path} is not a JSON graph: Expecting value"),
+    (b"\xff\xfe", "graph file {path} is not a JSON graph: 'utf-8' codec can't decode"),
+    (b"[" * 100_000, "graph file {path} is not a JSON graph: maximum recursion depth exceeded"),
+    # a JSON graph of the wrong shape keeps its own refusal
+    (b'{"n": 2}', "graph data must have 'n' and 'edges'"),
+], ids=["empty", "binary", "nested-100000-deep", "no-edges"])
+def test_load_graph_names_a_file_that_is_no_json_graph(tmp_path, content, refusal):
+    path = tmp_path / "g.json"
+    path.write_bytes(content)
+    with pytest.raises(ValueError) as exc:
+        load_graph(str(path))
+    assert str(exc.value).startswith(refusal.format(path=path)), exc.value
+
+
+def test_from_json_refuses_nesting_too_deep_to_decode():
+    with pytest.raises(ValueError, match="^maximum recursion depth exceeded"):
+        SocialGraph.from_json("[" * 100_000)
+
+
 def test_from_dict_rejects_duplicate_edge():
     with pytest.raises(ValueError, match="duplicate edge"):
         SocialGraph.from_dict({"n": 2, "edges": [[0, 1, 0.5], [0, 1, 0.5]]})

@@ -6,10 +6,6 @@ from netgame import ModelParams
 from netgame.params import require_qualities
 
 
-def test_quality_weight_example(example_params):
-    assert example_params.quality_weight(15) == pytest.approx(5.0, abs=1e-12)
-
-
 def test_quality_weight_scales_linearly_in_n(example_params):
     lam1 = example_params.quality_weight(1)
     assert example_params.quality_weight(30) == pytest.approx(30 * lam1, rel=1e-12)

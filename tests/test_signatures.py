@@ -64,6 +64,13 @@ def count(low, high=INF, **kw):
     return Arg("count", low, high, **kw)
 
 
+def on_kinds(**args: Arg) -> dict:
+    """Rows ``param star`` and ``param balanced`` for each argument: graphs that do not read it
+    check it."""
+    return {f"{param} {kind}": arg._replace(extra={**arg.extra, "kind": kind})
+            for param, arg in args.items() for kind in ("star", "balanced")}
+
+
 R, POS, Q = Arg("real"), Arg("real", U), Arg("real", P.epsilon)  # Q: a quality
 FIRM = Arg("choice", choices=("a", "b"), refusal="firm must be 'a' or 'b', got {!r}")
 PATH = Arg("path")
@@ -97,7 +104,8 @@ TABLE = {
     "closed_form_centrality": (dict(kind="l_star", n=8, p=P, l=2), dict(
         kind=Arg("choice", choices=("balanced", "star", "l_star"),
                  refusal="no closed form for graph kind {!r}"),
-        n=count(2), l=Arg("indices", 2, 8, optional=True, scalar=True))),
+        n=count(2), l=Arg("indices", 2, 8, optional=True, scalar=True),
+        **on_kinds(l=Arg("indices", 2, 8, optional=True, scalar=True)))),
     "discounted_utilities": (
         dict(g=G4, p=P, q_a=2.0, q_b=1.0, s_a=[0.0, 0.25, 0.5, 0.0], s_b=[0.5, 0.0, 0.0, 0.25],
              mode="simulated", T=None, tol=1e-10),
@@ -108,7 +116,8 @@ TABLE = {
     "generate": (dict(kind="random", n=4, l=2, seed=1, density=0.5), dict(
         kind=Arg("choice", choices=KINDS, refusal="unknown graph kind {!r}; choose from " + str(KINDS)),
         n=count(2), l=count(2, 3, extra=dict(kind="l_star")), seed=count(0, optional=True),
-        density=Arg("real", U, 1.0))),
+        density=Arg("real", U, 1.0), **on_kinds(
+            l=count(2, optional=True), seed=count(0, optional=True), density=Arg("real", U, 1.0)))),
     "horizon_for_tolerance": (dict(p=P, n=4, tol=1e-10), dict(n=count(1), tol=POS)),
     "l_star_centralities": (dict(n=8, l=[2, 5, 8], p=P),
                             dict(n=count(2, extra=dict(l=2)), l=Arg("indices", 2, 8, scalar=True))),
@@ -135,8 +144,9 @@ TABLE = {
     "water_fill_seeding": (dict(v=V4, amount=1.0), dict(
         amount=Arg("real", -COND_TOL, 2.0 + COND_TOL, named="seeding amount"))),
 }
-ROWS = {f"{name} {param}": (name, param, arg)
-        for name, (_, args) in TABLE.items() for param, arg in args.items()}
+# a row is named by its public name, its parameter and, for a second row of one parameter, a kind
+ROWS = {f"{name} {key}": (name, key.split()[0], arg)
+        for name, (_, args) in TABLE.items() for key, arg in args.items()}
 
 
 def public(name: str):
@@ -328,9 +338,6 @@ ARGV = {
     "allocate": ["allocate", *_GRAPH, "--qa", "1", "--qb", "1", "--budget", "2", "--firm", "a"],
     "extremal": ["extremal", "--n", "5", "--Ka", "2"],
 }
-# the graph a flag needs to reach its check: the star reads neither l nor seed
-CONTEXT = {"--l": ["--generate", "l_star", "--n", "8", "--l", "2"],
-           "--seed": ["--generate", "random", "--seed", "1"]}
 NOT_INTS = ("True", "2.5", "2.0", "nan", "inf", "1e400", "abc", "")
 NOT_REALS = ("nan", "inf", "-inf", "1e400", "-1e400", "abc", "True", "")
 SUBCOMMANDS = next(a for a in build_parser()._actions
@@ -338,7 +345,6 @@ SUBCOMMANDS = next(a for a in build_parser()._actions
 FLAGS = [(command, action.option_strings[0], action.type)
          for command, sub in SUBCOMMANDS.items()
          for action in sub._actions if action.type in (int, _real)]
-BASE = {(c, f): [*ARGV.get(c, [c]), *CONTEXT.get(f, [])] for c, f, _ in FLAGS}  # what f joins
 
 
 def run(argv: list) -> tuple:
@@ -356,7 +362,7 @@ def run(argv: list) -> tuple:
 def test_typed_flags_exit_2_naming_the_flag_on_a_value_of_no_kind(command, flag, kind):
     for value in NOT_INTS if kind is int else NOT_REALS:
         words = "invalid int value:" if kind is int else "must be a finite real number, got"
-        code, out, errors = run([*BASE[command, flag], f"{flag}={value}"])
+        code, out, errors = run([*ARGV[command], f"{flag}={value}"])
         assert code == EXIT_INVALID and out == "", value
         assert len(errors) == 1 and errors[0].endswith(f"argument {flag}: {words} {value!r}"), errors
 
@@ -370,7 +376,7 @@ CLI_FAULTS = {"nash --n=2"}
         raises=AssertionError, strict=True)] if f"{c} {f}={k}" in CLI_FAULTS else [])
     for c, f, kind in FLAGS if kind is int for k in COUNTS])
 def test_count_flags_exit_0_or_2_on_integers(command, flag, k):
-    code, out, errors = run([*BASE[command, flag], f"{flag}={k}"])
+    code, out, errors = run([*ARGV[command], f"{flag}={k}"])
     assert code in (EXIT_OK, EXIT_INVALID) and (k >= 0 or code == EXIT_INVALID), (code, errors)
     assert code == EXIT_OK or out == "" and len(errors) == 1, errors
 
@@ -393,16 +399,17 @@ def test_every_public_argument_has_a_row():
              and not (isinstance(obj, type) and issubclass(obj, Exception))]
     arguments = {f"{name} {param}" for name in [*names, *METHODS]
                  for param in inspect.signature(public(name)).parameters}
-    assert {a for a in arguments if not {a, a.split()[1]} & UNFUZZED} == set(ROWS)
+    rows = {f"{name} {param}" for name, param, _ in ROWS.values()}
+    assert {a for a in arguments if not {a, a.split()[1]} & UNFUZZED} == rows
 
 
 def test_every_typed_flag_has_a_case():
     for command, sub in SUBCOMMANDS.items():
         types = {action.type for action in sub._actions} - {None}
         assert types <= {int, _real}, (command, types)  # a float flag would take nan
-    for (command, flag), argv in BASE.items():
+    for command, argv in ARGV.items():
         code, _, errors = run(argv)
-        assert code == EXIT_OK and not errors, (command, flag)
+        assert code == EXIT_OK and not errors, command
 
 
 @pytest.mark.parametrize("arg, x, message", [
