@@ -89,36 +89,6 @@ def test_invalid_graph_file_exits_2(tmp_path, capsys):
     assert "row 0 sum 0.4" in err
 
 
-def test_missing_graph_source_exits_2(capsys):
-    code, _, err = _run(capsys, "centrality")
-    assert code == EXIT_INVALID
-    assert "graph is required" in err
-
-
-def test_unseeded_random_graph_exits_2(capsys):
-    # it drew a new graph, and so printed a new report, on each run
-    code, out, err = _run(capsys, "centrality", "--generate", "random", "--n", "5")
-    assert code == EXIT_INVALID and out == ""
-    assert err == "error: --generate random requires --seed\n"
-
-
-def test_both_graph_sources_exit_2(tmp_path, capsys):
-    path = tmp_path / "g.json"
-    save_graph(generate("balanced", 3), str(path))
-    code, _, _ = _run(
-        capsys, "centrality", "--graph", str(path), "--generate", "balanced", "--n", "3"
-    )
-    assert code == EXIT_INVALID
-
-
-def test_invalid_params_exit_2(capsys):
-    code, _, err = _run(
-        capsys, "centrality", "--generate", "balanced", "--n", "4", "--delta", "1.5"
-    )
-    assert code == EXIT_INVALID
-    assert "delta" in err
-
-
 def test_simulate_csv_trajectory(capsys):
     code, out, _ = _run(
         capsys,
@@ -166,13 +136,6 @@ def test_nash_command_matches_library(capsys):
         outcome.strategy_a.seeding_total
     )
     assert doc["result"]["case"]["a"] == outcome.case_a
-
-
-def test_nash_budget_below_floor_exits_2(capsys):
-    code, _, _ = _run(
-        capsys, "nash", "--generate", "balanced", "--n", "4", "--Ka", "0", "--Kb", "1"
-    )
-    assert code == EXIT_INVALID
 
 
 def test_nash_floor_corner_exits_3_naming_the_floored_firm(capsys):
@@ -252,15 +215,6 @@ def test_version_flag(capsys):
     assert "netgame" in capsys.readouterr().out
 
 
-def test_simulate_negative_horizon_exits_2(capsys):
-    code, _, err = _run(
-        capsys, "simulate", "--generate", "balanced", "--n", "4", "--qa", "2", "--qb", "1",
-        "--sa-total", "1", "--sb-total", "0.5", "--T", "-3",
-    )
-    assert code == EXIT_INVALID
-    assert "T must be nonnegative, got -3" in err
-
-
 @pytest.mark.parametrize(
     "text, named",
     [
@@ -318,11 +272,31 @@ def test_out_of_memory_exits_2(tmp_path, capsys, monkeypatch, builder):
     assert err.startswith("error: Unable to allocate 745. GiB")
 
 
-@pytest.mark.parametrize("n", ["1", "0", "-4"])
-def test_extremal_below_two_agents_exits_2(capsys, n):
-    code, out, err = _run(capsys, "extremal", "--n", n)
-    assert code == EXIT_INVALID
-    assert err == f"error: n must be at least 2, got {n}\n" and out == ""
+# each refused command line and the start of its one error line: the whole line where it
+# ends in a newline
+REFUSED = [
+    ("centrality", "a graph is required: pass --graph PATH or --generate KIND --n N\n"),
+    # an unseeded random graph drew a new graph, and so printed a new report, on each run
+    ("centrality --generate random --n 5", "--generate random requires --seed\n"),
+    ("centrality --graph g.json --generate balanced --n 3",
+     "pass either --graph or --generate, not both\n"),
+    ("centrality --generate balanced --n 4 --delta 1.5",
+     "invalid model parameters: delta=1.5 outside (0, 1)\n"),
+    ("nash --generate balanced --n 4 --Ka 0 --Kb 1", "K_a must lie in ["),
+    ("simulate --generate balanced --n 4 --qa 2 --qb 1 --sa-total 1 --sb-total 0.5 --T -3",
+     "T must be nonnegative, got -3\n"),
+    *[(f"extremal --n {n}", f"n must be at least 2, got {n}\n") for n in (1, 0, -4)],
+    # an l above n - 1: centrality refused it from the closed form, and nash ignored it
+    *[(f"{c} --generate star --n 5 --l 6", "l must be at most n - 1 = 4, got 6\n")
+      for c in ("centrality", "nash --Ka 2 --Kb 1")],
+]
+
+
+@pytest.mark.parametrize("argv, error", REFUSED, ids=[argv for argv, _ in REFUSED])
+def test_refused_input_exits_2_with_one_error_line(capsys, argv, error):
+    code, out, err = _run(capsys, *argv.split())
+    assert (code, out) == (EXIT_INVALID, "") and err.startswith(f"error: {error}"), err
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command", ["centrality", "nash", "allocate", "extremal", "reproduce"])

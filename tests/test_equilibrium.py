@@ -364,14 +364,25 @@ def test_solve_nash_matches_enumeration_oracle():
     assert refused > 0
 
 
-def test_solve_nash_tie_break_matches_oracle(example_params):
+def test_solve_nash_tie_break_matches_oracle(example_params, monkeypatch):
     # Random draws never accept two candidates; budgets on a 1/8 grid at
     # the worked parameters land exactly on case boundaries, where several
-    # candidates pass and the (k, l, case) tie-break decides.
+    # candidates pass and the (k, l, case) tie-break decides: roots sit on
+    # breakpoints, where only the neighbour enumeration in tie-break order
+    # gives the oracle's answer, so it must run
+    calls = []
+    cases_near = _QualityCurve.cases_near
+
+    def counted(self, lo, hi, slack):
+        calls.append((lo, hi))
+        return cases_near(self, lo, hi, slack)
+
+    monkeypatch.setattr(_QualityCurve, "cases_near", counted)
     for kind, n in itertools.product(("balanced", "star", "l_star"), (4, 9)):
         g = generate(kind, n, l=3 if kind == "l_star" else None)
         for k_a, k_b in itertools.product(np.arange(1, 4 * n + 1) / 8.0, (0.125, 0.5, 1.0, 3.0)):
             _assert_matches_oracle(g, example_params, BudgetSpec(float(k_a), k_b, 1.0, 1.0))
+    assert calls
 
 
 def test_one_pair_finish_holds_away_from_breakpoints(monkeypatch):
@@ -397,24 +408,6 @@ def test_one_pair_finish_holds_away_from_breakpoints(monkeypatch):
         assert out.to_dict() == enumerate_nash(g, p, budget).to_dict()
         cases_seen.add(out.case_a)
     assert cases_seen == {CASE_INTERIOR, CASE_BOUNDARY}
-
-
-def test_neighbour_enumeration_runs_on_the_tie_grid(example_params, monkeypatch):
-    # budgets on the 1/8 grid put roots exactly on breakpoints, where only
-    # the enumeration in tie-break order gives the oracle's answer
-    calls = []
-    cases_near = _QualityCurve.cases_near
-
-    def counted(self, lo, hi, slack):
-        calls.append((lo, hi))
-        return cases_near(self, lo, hi, slack)
-
-    monkeypatch.setattr(_QualityCurve, "cases_near", counted)
-    for kind, n in itertools.product(("balanced", "star", "l_star"), (4, 9)):
-        g = generate(kind, n, l=3 if kind == "l_star" else None)
-        for k_a, k_b in itertools.product(np.arange(1, 4 * n + 1) / 8.0, (0.125, 1.0)):
-            _assert_matches_oracle(g, example_params, BudgetSpec(float(k_a), k_b, 1.0, 1.0))
-    assert calls
 
 
 def test_floor_corner_is_refused_while_iteration_settles(example_params):
@@ -482,7 +475,7 @@ def test_saturated_case_reached(example_params):
     # budget big enough to fully seed everyone and still buy quality
     out = symmetric_nash(generate("balanced", 4), example_params, 5.0, 1.0, 1.0)
     assert out.case_a == CASE_SATURATED
-    assert np.allclose(out.strategy_a.seeding, 0.5, atol=1e-12)
+    assert np.abs(out.strategy_a.seeding - 0.5).max() <= 1e-12
     assert out.strategy_a.quality == pytest.approx(3.0, abs=1e-12)
 
 

@@ -2,8 +2,8 @@
 
 A dense weight matrix would take 8 * n^2 = 80 GB; the sparse graph, its
 centrality series, the utilities, a few spread steps, the equilibrium
-solve, a ``.npz`` graph file's round trip and a generated star stay
-O(n + m).
+solve, a ``.npz`` graph file's round trip and a generated star and
+random graph stay O(n + m).
 """
 
 import os
@@ -33,11 +33,16 @@ from netgame import (
 from netgame.centrality import dot
 
 
-def test_sparse_graph_at_n_1e5_runs_in_linear_memory():
+def tied_edges() -> list:
+    """n = 10^5 agents, each listening with weight 1/10 to the agents 10 fixed offsets away."""
     n, k = 100_000, 10
     offsets = np.random.default_rng(0).choice(np.arange(1, n), size=k, replace=False).tolist()
     agents = list(range(n))  # shared int objects keep the input list small
-    edges = [(agents[i], agents[(i + d) % n], 1.0 / k) for i in range(n) for d in offsets]
+    return [(agents[i], agents[(i + d) % n], 1.0 / k) for i in range(n) for d in offsets]
+
+
+def test_sparse_graph_at_n_1e5_runs_in_linear_memory():
+    edges, n = tied_edges(), 100_000
     p = ModelParams(alpha=1.0, beta=1.0, delta=0.5)
     tracemalloc.start()
     try:
@@ -62,16 +67,13 @@ def test_sparse_graph_at_n_1e5_runs_in_linear_memory():
 @pytest.fixture(scope="module")
 def scale_graphs():
     """The all-tied graph above, and one whose 10^5 centralities all differ."""
-    n, k = 100_000, 10
-    offsets = np.random.default_rng(0).choice(np.arange(1, n), size=k, replace=False).tolist()
-    agents = list(range(n))
-    tied = [(agents[i], agents[(i + d) % n], 1.0 / k) for i in range(n) for d in offsets]
+    n = 100_000
     w = np.random.default_rng(1).uniform(0.1, 1.0, size=(n, 3))
     w /= w.sum(axis=1, keepdims=True)
     cols = (np.arange(n)[:, None] + [1, 7, 331]) % n
     distinct = np.column_stack((np.repeat(np.arange(n), 3), cols.ravel(), w.ravel()))
     return {
-        "tied": SocialGraph.from_dict({"n": n, "edges": tied}),
+        "tied": SocialGraph.from_dict({"n": n, "edges": tied_edges()}),
         "distinct": SocialGraph.from_dict({"n": n, "edges": distinct.tolist()}),
     }
 
@@ -120,29 +122,29 @@ def test_npz_graph_file_at_n_1e5_round_trips_in_linear_memory(scale_graphs, tmp_
     assert peak < 256 * (g.n + len(g.data))
 
 
-def test_generated_star_at_n_1e5_takes_linear_memory():
+@pytest.mark.parametrize("kind", ["star", "random"])
+def test_generated_graphs_at_n_1e5_take_linear_memory(kind):
     n = 100_000
     tracemalloc.start()
     try:
-        g = generate("star", n)
+        g = generate(kind, n, seed=0, density=1e-4)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert g.violations == () and len(g.data) == 2 * (n - 1)
-    assert g.indptr[:3].tolist() == [0, n - 1, n] and g.data[0] == 1.0 / (n - 1)
+    assert g.violations == ()
+    if kind == "star":
+        assert len(g.data) == 2 * (n - 1) and g.data[0] == 1.0 / (n - 1)
+        assert g.indptr[:3].tolist() == [0, n - 1, n]
+    else:  # (n - 1) * density, about 10, influencers a row
+        assert abs(len(g.data) / (n * (n - 1) * 1e-4) - 1) < 0.01
     assert peak < 256 * (n + len(g.data))
 
 
 _BLAS_PROBE = """
-import numpy as np
-from netgame import (BudgetSpec, ModelParams, PresetState, SocialGraph, allocate_budget,
-                     best_response_quality, centrality, discounted_utilities, generate,
-                     solve_nash, water_fill_seeding)
+from netgame import (BudgetSpec, ModelParams, PresetState, allocate_budget, best_response_quality,
+                     centrality, discounted_utilities, generate, solve_nash, water_fill_seeding)
 n = 100_000
-w = np.random.default_rng(1).uniform(0.1, 1.0, size=(n, 3))
-w /= w.sum(axis=1, keepdims=True)
-cols = np.sort((np.arange(n)[:, None] + [1, 7, 331]) % n, axis=1)
-g = SocialGraph.from_csr(n, np.arange(0, 3 * n + 1, 3), cols.ravel(), w.ravel())
+g = generate("random", n, seed=1, density=3e-5)
 p = ModelParams(alpha=1.0, beta=1.0, delta=0.5)
 v = centrality(g, p)
 out = solve_nash(g, p, BudgetSpec(20_000.0, 15_000.0, 1.0, 1.0))
