@@ -128,10 +128,11 @@ def _powers(g: SocialGraph, powers: tuple, count: int) -> tuple:
 
     Each new power is W^T times the last, one pass over the edges.
     """
-    rows = g.rows()
+    # a writable copy: np.bincount would copy the read-only indices on every product
+    rows, cols = g.rows(), g.indices.copy()
     out = list(powers) or [np.ones(g.n)]
     while len(out) < count:
-        out.append(np.bincount(g.indices, g.data * out[-1][rows], minlength=g.n))
+        out.append(np.bincount(cols, g.data * out[-1][rows], minlength=g.n))
     for b in out[len(powers) :]:
         b.setflags(write=False)
     return tuple(out)

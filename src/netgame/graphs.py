@@ -14,6 +14,7 @@ read-only arrays, so ``require_valid`` only reads that verdict.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import numbers
@@ -75,11 +76,12 @@ class SocialGraph:
             rows, cols, data = rows[nonzero], cols[nonzero], data[nonzero]
         indptr = np.zeros(n + 1, dtype=np.intp)
         np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+        # before the freeze: np.bincount copies a read-only array it is given
+        object.__setattr__(self, "violations", _violations(n, rows, cols, data))
         for name, a in (("indptr", indptr), ("indices", cols), ("data", data)):
             a.setflags(write=False)
             object.__setattr__(self, name, a)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "violations", _violations(n, rows, cols, data))
         object.__setattr__(self, "_centrality", None)
 
     def rows(self) -> np.ndarray:
@@ -106,9 +108,10 @@ class SocialGraph:
         """Build from ``{"n": n, "edges": [[i, j, weight], ...]}``.
 
         Raises ``ValueError`` for an ``n`` that is not a nonnegative
-        integer (a float or a bool included), and for a malformed
-        entry (a non-integer index or a bool included), an index outside
-        ``[0, n)`` or a repeated ``(i, j)``, naming the first such entry.
+        integer (a float or a bool included), and for an entry that is no
+        list, tuple or 1-d array of three reals, no bool, with integer i
+        and j (see ``_edge_array``), an index outside ``[0, n)`` or a
+        repeated ``(i, j)``, naming the first such entry.
         The weights are not checked here; ``violations`` reports them.
         """
         try:
@@ -116,21 +119,19 @@ class SocialGraph:
         except (KeyError, TypeError) as exc:
             raise ValueError(f"graph data must have 'n' and 'edges': {exc}") from exc
         e = _edge_array(edges)
-        ij = e[:, :2]
-        outside = ~((ij > -1) & (ij < n)).all(axis=1)
-        if outside.any():
-            k = int(np.argmax(outside))
-            raise ValueError(f"edge ({int(ij[k, 0])}, {int(ij[k, 1])}) out of range for n={n}")
-        i, j = ij.astype(np.intp).T
+        if e.size and not (e[:2].min() >= 0 and e[:2].max() < n):
+            k = int(np.argmax(((e[:2] < 0) | (e[:2] >= n)).any(axis=0)))
+            raise ValueError(f"edge ({int(e[0, k])}, {int(e[1, k])}) out of range for n={n}")
+        i, j = e[:2].astype(np.intp)
         # first occurrence of each distinct (i, j), in row-major order
         _, first = np.unique(i * n + j, return_index=True)
-        if len(first) < len(e):
-            repeated = np.ones(len(e), dtype=bool)
+        if len(first) < len(i):
+            repeated = np.ones(len(i), dtype=bool)
             repeated[first] = False
             k = int(np.argmax(repeated))
             raise ValueError(f"duplicate edge ({i[k]}, {j[k]})")
         g = cls.__new__(cls)
-        g._store(n, i[first], j[first], e[first, 2])
+        g._store(n, i[first], j[first], e[2, first])
         return g
 
     @classmethod
@@ -161,7 +162,8 @@ class SocialGraph:
             ("indices", indices, "iu", "integer"),
             ("data", data, "iuf", "real"),
         ):
-            if isinstance(x, (list, tuple)) and _holds_bool(x):
+            # numpy reads a bool among numbers as 0 or 1
+            if isinstance(x, (list, tuple)) and not {bool, np.bool_}.isdisjoint(map(type, x)):
                 raise ValueError(f"graph '{name}' must be a 1-d {kind_name} array, got {x!r}")
             a = np.asarray(x)
             if a.ndim != 1 or a.dtype.kind not in kinds:
@@ -191,22 +193,21 @@ class SocialGraph:
         if outside.any():
             k = int(np.argmax(outside))
             raise ValueError(f"edge ({rows[k]}, {cols[k]}) out of range for n={n}")
-        # with every index in range, row-major keys rise iff each row's indices do
-        unsorted = np.diff(rows * n + cols) <= 0
+        # each index must exceed the one before it, unless it starts a row
+        unsorted = np.r_[False, cols[1:] <= cols[:-1]]
+        unsorted[indptr[indptr < m]] = False
         if unsorted.any():
-            i = rows[int(np.argmax(unsorted)) + 1]
+            i = rows[int(np.argmax(unsorted))]
             raise ValueError(f"graph row {i} has unsorted or repeated indices")
         g = cls.__new__(cls)
         g._store(n, rows, cols, w)
         return g
 
 
-def _holds_bool(entries) -> bool:
-    """Whether ``entries`` holds a bool, which numpy reads as 0 or 1 among numbers."""
-    return not {bool, np.bool_}.isdisjoint(map(type, entries))
-
-
 def _is_edge(entry) -> bool:
+    """Whether ``entry`` is a list, tuple or 1-d array of three reals, no bool, i and j integral."""
+    if isinstance(entry, np.ndarray) and entry.ndim == 1:
+        entry = entry.tolist()
     if not isinstance(entry, (list, tuple)) or len(entry) != 3:
         return False
     if not all(isinstance(x, numbers.Real) and not isinstance(x, bool) for x in entry):
@@ -219,32 +220,30 @@ def _is_edge(entry) -> bool:
 
 
 def _edge_array(edges) -> np.ndarray:
-    """``edges`` as an (m, 3) float array; ``ValueError`` names the first malformed entry.
+    """``edges`` as a (3, m) float array of contiguous rows i, j and weight.
 
-    A bool sends the entries to the one-by-one check, which refuses it.
+    Lists and tuples of three Python ints and floats, as JSON decodes,
+    take one typed pass: flattened once, each item's exact type checked
+    (which leaves bools out) and made one float array.  Anything else goes
+    through ``_is_edge`` one entry at a time; ``ValueError`` names the
+    first entry that is no edge.
     """
     if not isinstance(edges, (list, tuple)):
         raise ValueError(f"graph 'edges' must be a list, got {edges!r}")
-    try:
-        e = np.array(edges)
-    except ValueError:  # ragged entries
-        e = None
-    if (
-        e is not None
-        and e.shape == (len(edges), 3)
-        and e.dtype.kind in "iuf"
-        and np.isfinite(e[:, :2]).all()
-        and (e[:, :2] == np.trunc(e[:, :2])).all()
-        and not _holds_bool(chain.from_iterable(edges))
-    ):
-        return e.astype(float, copy=False)
+    if {list, tuple}.issuperset(map(type, edges)) and {3}.issuperset(map(len, edges)):
+        flat = list(chain.from_iterable(edges))
+        if {int, float}.issuperset(map(type, flat)):
+            with contextlib.suppress(OverflowError):  # an int beyond the float range
+                e = np.array(flat, dtype=float).reshape(-1, 3).T.copy()
+                if np.isfinite(e[:2]).all() and (np.trunc(e[:2]) == e[:2]).all():
+                    return e
     for entry in edges:
         if not _is_edge(entry):
             raise ValueError(
                 f"edge entry {entry!r} is not [i, j, weight] with integer i and j, "
                 "a real weight and no bool"
             )
-    return np.array(edges, dtype=float).reshape(-1, 3)
+    return np.array(edges, dtype=float).reshape(-1, 3).T.copy()
 
 
 _CSR_KEYS = ("n", "indptr", "indices", "data")

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import numbers
 import re
 from fractions import Fraction
 
@@ -278,8 +279,27 @@ def test_from_dict_rejects_edges_that_are_not_a_list(edges):
         SocialGraph.from_dict({"n": 2, "edges": edges})
 
 
+def _reference_edge(entry) -> tuple | None:
+    """``(i, j, weight)`` of an edge entry, or None: a list, tuple or 1-d array of three reals,
+    no bool, whose i and j are finite integers and whose items all fit a float."""
+    if isinstance(entry, np.ndarray) and entry.ndim == 1:
+        entry = list(entry)
+    if not isinstance(entry, (list, tuple)) or len(entry) != 3:
+        return None
+    if any(isinstance(x, (bool, np.bool_)) or not isinstance(x, numbers.Real) for x in entry):
+        return None
+    try:
+        i, j, w = (float(x) for x in entry)
+    except OverflowError:
+        return None
+    if not (math.isfinite(i) and math.isfinite(j) and i == int(i) and j == int(j)):
+        return None
+    return int(i), int(j), w
+
+
 def from_dict_loop(data: dict) -> SocialGraph:
-    """Reference for ``SocialGraph.from_dict``: one edge at a time."""
+    """Reference for ``SocialGraph.from_dict``: one edge at a time, every entry's form
+    checked first, then every index range, then repeats."""
     try:
         n = data["n"]
         edges = data["edges"]
@@ -289,18 +309,19 @@ def from_dict_loop(data: dict) -> SocialGraph:
         raise ValueError(f"graph 'n' must be an integer, got {n!r}")
     if n < 0:
         raise ValueError(f"graph 'n' must be nonnegative, got {n}")
-    w = np.zeros((n, n))
-    seen = set()
-    for entry in edges:
-        if len(entry) != 3:
+    if not isinstance(edges, (list, tuple)):
+        raise ValueError(f"graph 'edges' must be a list, got {edges!r}")
+    parsed = [_reference_edge(entry) for entry in edges]
+    for entry, edge in zip(edges, parsed):
+        if edge is None:
             raise ValueError(f"edge entry {entry!r} is not [i, j, weight] with integer i and j, "
                              "a real weight and no bool")
-        i, j, wt = int(entry[0]), int(entry[1]), float(entry[2])
-        if (i, j) != (entry[0], entry[1]):
-            raise ValueError(f"edge entry {entry!r} is not [i, j, weight] with integer i and j, "
-                             "a real weight and no bool")
+    for i, j, _ in parsed:
         if not (0 <= i < n and 0 <= j < n):
             raise ValueError(f"edge ({i}, {j}) out of range for n={n}")
+    w = np.zeros((n, n))
+    seen = set()
+    for i, j, wt in parsed:
         if (i, j) in seen:
             raise ValueError(f"duplicate edge ({i}, {j})")
         seen.add((i, j))
@@ -309,10 +330,12 @@ def from_dict_loop(data: dict) -> SocialGraph:
 
 
 def _outcome(build, data):
+    """The built graph's CSR arrays, as bytes, and its violations; or the refusal text."""
     try:
-        return build(data).weights
+        g = build(data)
     except ValueError as exc:
         return str(exc)
+    return g.indptr.tobytes(), g.indices.tobytes(), g.data.tobytes(), g.violations
 
 
 def _inject_fault(rng, edges: list, n: int) -> list:
@@ -333,9 +356,8 @@ def _inject_fault(rng, edges: list, n: int) -> list:
 
 def test_from_dict_matches_loop_reference():
     rng = np.random.default_rng(5)
-    assert np.array_equal(
-        _outcome(SocialGraph.from_dict, {"n": 3, "edges": []}), np.zeros((3, 3))
-    )
+    empty = {"n": 3, "edges": []}
+    assert _outcome(SocialGraph.from_dict, empty) == _outcome(from_dict_loop, empty)
     # int() used to truncate 2.7 to a 2-agent graph and read "2" and true as numbers
     for n in (2.7, 2.0, "2", True, None, -2):
         data = {"n": n, "edges": [[0, 1, 1.0], [1, 0, 1.0]]}
@@ -348,13 +370,17 @@ def test_from_dict_matches_loop_reference():
         want = _outcome(SocialGraph.from_dict, {"n": k, "edges": [[0, 1, 1.0]]})
         for n in (np.int64(k), np.int32(k), np.array(k)):
             got = _outcome(SocialGraph.from_dict, {"n": n, "edges": [[0, 1, 1.0]]})
-            assert np.array_equal(got, want), n
+            assert got == want, n
     # and truncated agent indices: the first of these loaded the 3-cycle
     for entry in ([0.5, 1.9, 1.0], [-0.5, 2, 1.0], [3.5, 0, 1.0]):
         data = {"n": 3, "edges": [[1, 2, 1.0], entry, [2, 0, 1.0]]}
         want = (f"edge entry {entry!r} is not [i, j, weight] with integer i and j, "
                 "a real weight and no bool")
         assert _outcome(SocialGraph.from_dict, data) == _outcome(from_dict_loop, data) == want
+    # a valid array row was named in place of the malformed entry after it
+    data = {"n": 2, "edges": [np.array([1, 0, 1.0]), [0, 1]]}
+    want = "edge entry [0, 1] is not [i, j, weight] with integer i and j, a real weight and no bool"
+    assert _outcome(SocialGraph.from_dict, data) == _outcome(from_dict_loop, data) == want
     faults = 0
     for trial in range(300):
         n = int(rng.integers(3, 25))
@@ -366,12 +392,64 @@ def test_from_dict_matches_loop_reference():
             edges = _inject_fault(rng, edges, n)
         data = {"n": n, "edges": edges}
         got, want = _outcome(SocialGraph.from_dict, data), _outcome(from_dict_loop, data)
-        if isinstance(want, str):
-            faults += 1
-            assert got == want
-        else:
-            assert np.array_equal(got, want)
+        faults += isinstance(want, str)
+        assert got == want
     assert faults == 150
+
+
+# items JSON decodes to, numpy scalars, and items that make an entry no edge
+ODD_ITEMS = (3.0, -0.0, np.int64(1), np.float64(2.0), True, np.True_, "1", None, [1],
+             10**400, math.nan, math.inf, -math.inf, -0.5)
+
+
+def _mixed_edges(rng, n: int) -> list:
+    """Edge entries over n agents as lists, tuples and 1-d arrays, some with an odd item
+    or of length 2 or 4."""
+    edges = []
+    for _ in range(int(rng.integers(0, 7))):
+        entry = [int(rng.integers(n)), int(rng.integers(n)), float(rng.uniform(0.1, 1.0))]
+        if rng.random() < 0.25:
+            entry[int(rng.integers(3))] = ODD_ITEMS[int(rng.integers(len(ODD_ITEMS)))]
+        length = rng.integers(20)  # one entry in 20 is short, one long
+        if length == 0:
+            entry = entry[:2]
+        elif length == 1:
+            entry.append(1.0)
+        shape = rng.random()
+        if shape < 0.15:
+            entry = tuple(entry)
+        elif shape < 0.3 and not any(isinstance(x, (str, list)) or x is None for x in entry):
+            entry = np.array(entry)
+        edges.append(entry)
+    return edges
+
+
+def _valid_by_reference(data: dict) -> SocialGraph:
+    """``from_dict_loop``'s graph, refused as ``load_graph`` refuses one with violations."""
+    g = from_dict_loop(data)
+    require_valid(g)
+    return g
+
+
+def test_typed_pass_matches_loop_reference(tmp_path):
+    rng = np.random.default_rng(24)
+    refused, path = [], tmp_path / "g.json"
+    for trial in range(2000):
+        n = int(rng.integers(2, 6))
+        edges = _mixed_edges(rng, n)
+        data = {"n": n, "edges": tuple(edges) if trial % 2 else edges}
+        want = _outcome(from_dict_loop, data)
+        assert _outcome(SocialGraph.from_dict, data) == want, data
+        refused.append(isinstance(want, str))
+        try:
+            text = json.dumps(data)
+        except TypeError:  # numpy integers, bools and arrays
+            continue
+        path.write_text(text)
+        want = _outcome(_valid_by_reference, json.loads(text))
+        assert _outcome(lambda _: load_graph(str(path)), None) == want, text
+    # both outcomes are common: about 40% of the lists load
+    assert 0.3 < np.mean(refused) < 0.7
 
 
 def violations_dense(w: np.ndarray) -> list[str]:
