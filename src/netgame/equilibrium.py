@@ -312,7 +312,7 @@ def solve_nash(g: SocialGraph, p: ModelParams, budget: BudgetSpec) -> NashOutcom
     brackets the root between breakpoints.  Each curve's piece at the
     bracket's midpoint gives that firm's case tag and marginal position,
     and that pair gets the closed-form solve for (q_a, q_b), accepted iff
-    every characterization condition holds within 1e-9.  Unless the root
+    ``_conditions_ok`` holds (within 1e-9).  Unless the root
     lies near a breakpoint, that is the answer.  Otherwise (or for a
     rejected pair, or at the quality floor) every pair of pieces near the
     bracket is solved, and ties between accepted candidates resolve to the
@@ -414,25 +414,20 @@ def _clipped_seed(K, c_s, c_q, idx, q, case):
 
 
 def _conditions_ok(budget, p, vd, n, q_a, q_b, vt_k, vt_l, k, l, case_a, case_b):
-    """Whether a solved candidate meets every characterization condition within 1e-9."""
+    """Whether a candidate meets, within 1e-9, what its closed form leaves open: qualities of at
+    least epsilon, an interior seed in [0, 1/2] and a pinned v~ in its centrality bounds.  A
+    pinned quality is ``_pin``'s, so its seed (0) or spend (n/2) holds by construction."""
     if q_a < p.epsilon - COND_TOL or q_b < p.epsilon - COND_TOL:
         return False
     for q, vt, idx, case, K in (
         (q_a, vt_k, k, case_a, budget.K_a),
         (q_b, vt_l, l, case_b, budget.K_b),
     ):
-        seed = _marginal_seed(K, budget.c_s, budget.c_q, idx, q)
         if case == CASE_INTERIOR:
-            ok = -COND_TOL <= seed <= 0.5 + COND_TOL
-        elif case == CASE_BOUNDARY:
-            ok = (
-                abs(seed) <= COND_TOL
-                and vt >= vd[idx - 1] - COND_TOL
-                and (idx == 1 or vt <= vd[idx - 2] + COND_TOL)
-            )
-        else:
-            spend = K / budget.c_s - (budget.c_q / budget.c_s) * q
-            ok = abs(spend - n / 2.0) <= COND_TOL and vt <= vd[n - 1] + COND_TOL
+            ok = -COND_TOL <= _marginal_seed(K, budget.c_s, budget.c_q, idx, q) <= 0.5 + COND_TOL
+        else:  # j agents fully seeded: v~ lies between the last one's centrality and the next's
+            j = idx if case == CASE_SATURATED else idx - 1
+            ok = (j == n or vt >= vd[j] - COND_TOL) and (j == 0 or vt <= vd[j - 1] + COND_TOL)
         if not ok:
             return False
     return True

@@ -7,9 +7,10 @@ themselves (zero diagonal) and every weight is finite.
 A graph is stored sparse, as compressed rows (CSR) of its nonzero
 weights, and built from a JSON edge list, from CSR arrays (a ``.npz``
 graph file) or by a named generator, with no n x n intermediate.
-It is checked once, when it is built, in O(n + m) for m edges:
-``SocialGraph`` stores the list of invariant violations next to its
-read-only arrays, so ``require_valid`` only reads that verdict.
+It is checked once, when it is built, in O(n + m) for m edges: the
+structure of outside input, and the weights of every graph, whose
+violations ``SocialGraph`` stores next to its read-only arrays, so
+``require_valid`` only reads that verdict.
 """
 
 from __future__ import annotations
@@ -66,23 +67,24 @@ class SocialGraph:
             "build a SocialGraph with from_csr, from_dict, from_json, load_graph or generate"
         )
 
-    def _store(self, n: int, rows: np.ndarray, cols: np.ndarray, data: np.ndarray) -> None:
-        """Keep fresh arrays of the entries, sorted by row and then column, as CSR.
-
-        An explicit zero weight, of either sign, is no edge, as in a dense matrix.
-        """
+    @classmethod
+    def _store(cls, n: int, rows: np.ndarray, cols: np.ndarray, data: np.ndarray) -> "SocialGraph":
+        """The graph owning these intp, intp and float arrays of its entries, sorted by row and then
+        column, as read-only CSR.  An explicit zero weight, of either sign, is no edge."""
         nonzero = data != 0.0
         if not nonzero.all():
             rows, cols, data = rows[nonzero], cols[nonzero], data[nonzero]
         indptr = np.zeros(n + 1, dtype=np.intp)
         np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+        g = cls.__new__(cls)
         # before the freeze: np.bincount copies a read-only array it is given
-        object.__setattr__(self, "violations", _violations(n, rows, cols, data))
+        object.__setattr__(g, "violations", _violations(n, rows, cols, data))
         for name, a in (("indptr", indptr), ("indices", cols), ("data", data)):
             a.setflags(write=False)
-            object.__setattr__(self, name, a)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_centrality", None)
+            object.__setattr__(g, name, a)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "_centrality", None)
+        return g
 
     def rows(self) -> np.ndarray:
         """The row (influenced agent) of each stored weight, aligned with ``indices``."""
@@ -130,9 +132,7 @@ class SocialGraph:
             repeated[first] = False
             k = int(np.argmax(repeated))
             raise ValueError(f"duplicate edge ({i[k]}, {j[k]})")
-        g = cls.__new__(cls)
-        g._store(n, i[first], j[first], e[2, first])
-        return g
+        return cls._store(n, i[first], j[first], e[2, first])
 
     @classmethod
     def from_json(cls, text: str) -> "SocialGraph":
@@ -146,62 +146,66 @@ class SocialGraph:
     def from_csr(cls, n, indptr, indices, data) -> "SocialGraph":
         """Build from compressed rows: row i's influencers are ``indices[indptr[i]:indptr[i + 1]]``.
 
-        The structure is checked in O(n + m): ``n`` is a nonnegative
-        integer, ``indptr`` and ``indices`` are 1-d integer arrays and
-        ``data`` a 1-d real one, ``indptr`` runs monotone from 0 to
-        ``m = len(indices) = len(data)``, and each row's indices lie in
-        ``[0, n)`` and strictly increase.  ``ValueError`` names the first
-        fault, a bool in a list included.  An explicit zero weight is no
-        edge, as in ``from_dict``.
-        The weights are not checked here; ``violations`` reports them.
+        ``n`` is a nonnegative integer, ``indptr`` and ``indices`` 1-d integer
+        arrays and ``data`` a 1-d real one, no bool; ``ValueError`` names the
+        first fault.  The copies (the caller's arrays stay writable and
+        unshared) get ``_csr_graph``'s structure check, as a ``.npz`` file's
+        arrays do.  The weights are left to ``violations``.
         """
-        n = require_count("graph 'n'", n, 0)
-        arrays = []
-        for name, x, kinds, kind_name in (
-            ("indptr", indptr, "iu", "integer"),
-            ("indices", indices, "iu", "integer"),
-            ("data", data, "iuf", "real"),
-        ):
-            # numpy reads a bool among numbers as 0 or 1
-            if isinstance(x, (list, tuple)) and not {bool, np.bool_}.isdisjoint(map(type, x)):
-                raise ValueError(f"graph '{name}' must be a 1-d {kind_name} array, got {x!r}")
-            a = np.asarray(x)
-            if a.ndim != 1 or a.dtype.kind not in kinds:
-                raise ValueError(
-                    f"graph '{name}' must be a 1-d {kind_name} array, "
-                    f"got shape {a.shape} and dtype {a.dtype}"
-                )
-            arrays.append(a)
-        indptr, indices, data = arrays
+        n, indptr, indices, data = _csr_kinds(n, indptr, indices, data)
         # copies: the graph makes its arrays read-only, the caller's stay writable
-        indptr, cols, w = indptr.astype(np.intp), indices.astype(np.intp), data.astype(float)
-        m = len(cols)
-        if len(w) != m:
-            raise ValueError(f"graph 'data' has {len(w)} entries, 'indices' has {m}")
-        if len(indptr) != n + 1:
-            raise ValueError(f"graph 'indptr' has {len(indptr)} entries, n + 1 = {n + 1}")
-        if indptr[0] != 0 or indptr[-1] != m:
-            raise ValueError(
-                f"graph 'indptr' must run from 0 to m={m}, got {indptr[0]} to {indptr[-1]}"
-            )
-        counts = np.diff(indptr)
-        if (counts < 0).any():
-            i = int(np.argmax(counts < 0))
-            raise ValueError(f"graph 'indptr' decreases at row {i}")
-        rows = np.repeat(np.arange(n), counts)
-        outside = (cols < 0) | (cols >= n)
-        if outside.any():
-            k = int(np.argmax(outside))
-            raise ValueError(f"edge ({rows[k]}, {cols[k]}) out of range for n={n}")
-        # each index must exceed the one before it, unless it starts a row
-        unsorted = np.r_[False, cols[1:] <= cols[:-1]]
-        unsorted[indptr[indptr < m]] = False
-        if unsorted.any():
-            i = rows[int(np.argmax(unsorted))]
-            raise ValueError(f"graph row {i} has unsorted or repeated indices")
-        g = cls.__new__(cls)
-        g._store(n, rows, cols, w)
-        return g
+        return _csr_graph(n, indptr.astype(np.intp), indices.astype(np.intp), data.astype(float))
+
+
+def _csr_kinds(n, indptr, indices, data) -> tuple:
+    """``n`` as an ``int`` and the three arrays as numpy arrays, each checked to be of its kind."""
+    arrays = [require_count("graph 'n'", n, 0)]
+    for name, x, kinds, kind_name in (
+        ("indptr", indptr, "iu", "integer"),
+        ("indices", indices, "iu", "integer"),
+        ("data", data, "iuf", "real"),
+    ):
+        # numpy reads a bool among numbers as 0 or 1
+        if isinstance(x, (list, tuple)) and not {bool, np.bool_}.isdisjoint(map(type, x)):
+            raise ValueError(f"graph '{name}' must be a 1-d {kind_name} array, got {x!r}")
+        a = np.asarray(x)
+        if a.ndim != 1 or a.dtype.kind not in kinds:
+            got = f"shape {a.shape} and dtype {a.dtype}"
+            raise ValueError(f"graph '{name}' must be a 1-d {kind_name} array, got {got}")
+        arrays.append(a)
+    return tuple(arrays)
+
+
+def _csr_graph(n: int, indptr: np.ndarray, cols: np.ndarray, w: np.ndarray) -> SocialGraph:
+    """The graph owning these CSR arrays (kept as they are if intp, intp and float), checked in
+    O(n + m): ``indptr`` runs monotone from 0 to ``m = len(cols) = len(w)``, and each row's
+    indices lie in ``[0, n)`` and strictly increase.  ``ValueError`` names the first fault."""
+    indptr, cols = indptr.astype(np.intp, copy=False), cols.astype(np.intp, copy=False)
+    w, m = w.astype(float, copy=False), len(cols)
+    if len(w) != m:
+        raise ValueError(f"graph 'data' has {len(w)} entries, 'indices' has {m}")
+    if len(indptr) != n + 1:
+        raise ValueError(f"graph 'indptr' has {len(indptr)} entries, n + 1 = {n + 1}")
+    if indptr[0] != 0 or indptr[-1] != m:
+        raise ValueError(
+            f"graph 'indptr' must run from 0 to m={m}, got {indptr[0]} to {indptr[-1]}"
+        )
+    counts = np.diff(indptr)
+    if (counts < 0).any():
+        i = int(np.argmax(counts < 0))
+        raise ValueError(f"graph 'indptr' decreases at row {i}")
+    rows = np.repeat(np.arange(n), counts)
+    outside = (cols < 0) | (cols >= n)
+    if outside.any():
+        k = int(np.argmax(outside))
+        raise ValueError(f"edge ({rows[k]}, {cols[k]}) out of range for n={n}")
+    # each index must exceed the one before it, unless it starts a row
+    unsorted = np.r_[False, cols[1:] <= cols[:-1]]
+    unsorted[indptr[indptr < m]] = False
+    if unsorted.any():
+        i = rows[int(np.argmax(unsorted))]
+        raise ValueError(f"graph row {i} has unsorted or repeated indices")
+    return SocialGraph._store(n, rows, cols, w)
 
 
 def _is_edge(entry) -> bool:
@@ -271,7 +275,8 @@ def _read_npz(path: str) -> SocialGraph:
                 arrays = [f[k] for k in _CSR_KEYS]
         except (ValueError, EOFError, zipfile.BadZipFile) as exc:
             raise ValueError(f"graph file {path} is not a CSR .npz graph: {exc}") from exc
-    return SocialGraph.from_csr(*arrays)
+    # the arrays just loaded are no one else's: kept, not copied
+    return _csr_graph(*_csr_kinds(*arrays))
 
 
 def load_graph(path: str) -> SocialGraph:
@@ -365,27 +370,26 @@ def generate(
         raise ValueError(f"l must be at most n - 1 = {n - 1}, got {l}")
     seed = None if seed is None else require_count("seed", seed, 0)
     density = require_real("density", density, math.ulp(0.0), 1.0)
-    # each kind lists its rows' influencer counts, then the influencers and
-    # their weights row by row, in increasing index within each row
-    ones = np.ones(n - 1)
+    # each kind lists its entries' rows, influencers and weights, row by row,
+    # in increasing influencer within each row
     if kind == "balanced":
-        counts = np.ones(n, dtype=np.intp)
-        cols = (np.arange(n) + 1) % n
+        rows = np.arange(n)
+        cols = (rows + 1) % n
         w = np.ones(n)
     elif kind == "star":
-        counts = np.r_[n - 1, np.ones(n - 1, dtype=np.intp)]
+        rows = np.r_[np.zeros(n - 1, dtype=np.intp), np.arange(1, n)]
         cols = np.r_[np.arange(1, n), np.zeros(n - 1, dtype=np.intp)]
-        w = np.r_[np.full(n - 1, 1.0 / (n - 1)), ones]
+        w = np.r_[np.full(n - 1, 1.0 / (n - 1)), np.ones(n - 1)]
     elif kind == "l_star":
         hubs = np.arange(l)
         hub_cols = np.tile(hubs, l).reshape(l, l)[~np.eye(l, dtype=bool)]
-        counts = np.r_[np.full(l, l - 1), np.full(n - l, l)]
+        rows = np.r_[np.repeat(hubs, l - 1), np.repeat(np.arange(l, n), l)]
         cols = np.r_[hub_cols, np.tile(hubs, n - l)]
         w = np.r_[np.full(l * (l - 1), 1.0 / (l - 1)), np.full((n - l) * l, 1.0 / l)]
     elif kind == "near_star_one_bidirectional":
-        counts = np.ones(n, dtype=np.intp)
+        rows = np.arange(n)
         cols = np.r_[1, np.zeros(n - 1, dtype=np.intp)]
-        w = np.r_[1.0, ones]
+        w = np.r_[1.0, np.ones(n - 1)]
     elif kind == "random":
         # slot f of a row's n - 1 holds its first edge with chance in proportion to
         # (1 - density)^f, drawn by inverse CDF at rate -(n - 1) log(1 - density), held at
@@ -403,11 +407,12 @@ def generate(
         key = np.concatenate((np.arange(n) * L + first, later + row + 1 + np.cumsum(first)[row]))
         key.sort()
         rows, slot = np.divmod(key, L)
-        counts, cols = np.bincount(rows, minlength=n), slot + (slot >= rows)
+        cols = slot + (slot >= rows)
         w = rng.uniform(0.1, 1.0, len(key))
         w /= np.bincount(rows, w)[rows]
     else:
         raise ValueError(f"unknown graph kind {kind!r}; choose from {KINDS}")
-    g = SocialGraph.from_csr(n, np.r_[0, np.cumsum(counts)], cols, w)
+    # built here, so the structure holds; the weights get their check
+    g = SocialGraph._store(n, rows, cols, w)
     require_valid(g)
     return g

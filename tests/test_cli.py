@@ -138,6 +138,15 @@ def test_nash_command_matches_library(capsys):
     assert doc["result"]["case"]["a"] == outcome.case_a
 
 
+def test_nash_at_a_vanishing_seeding_cost_exits_0(capsys):
+    # K - c_s*n/2 rounds to K here; every agent is seeded fully all the same
+    code, out, err = _run(
+        capsys, "nash", "--generate", "star", "--n", "4", "--Ka", "2", "--Kb", "2", "--cs", "1e-16"
+    )
+    assert code == EXIT_OK and err == ""
+    assert json.loads(out)["result"]["case"] == {"a": "saturated", "b": "saturated"}
+
+
 def test_nash_floor_corner_exits_3_naming_the_floored_firm(capsys):
     # firm a seeds all 15 agents and buys quality with the rest; firm b's
     # best quality is the floor epsilon, a corner solve_nash refuses

@@ -479,6 +479,18 @@ def test_saturated_case_reached(example_params):
     assert out.strategy_a.quality == pytest.approx(3.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("kind", ["star", "balanced"])
+@pytest.mark.parametrize("c_s", [1e-15, 2e-16, 1e-16, 1e-20, 1e-100, 5e-324])
+def test_saturated_at_a_vanishing_seeding_cost(example_params, kind, c_s):
+    # (K - c_s*n/2)/c_q rounds to K from c_s = 1e-16 down: a pinned quality
+    # spends the budget by construction, whatever the rounding leaves
+    out = symmetric_nash(generate(kind, 4), example_params, 2.0, c_s, 1.0)
+    assert out.case_a == out.case_b == CASE_SATURATED
+    for s in (out.strategy_a, out.strategy_b):
+        assert s.seeding.tolist() == [0.5] * 4
+        assert s.quality == pytest.approx((2.0 - c_s * 4 / 2) / 1.0, rel=1e-12)
+
+
 def test_rejects_budget_below_quality_floor(example_params):
     g = generate("balanced", 4)
     with pytest.raises(ValueError, match=r"K_a must lie in \["):

@@ -545,8 +545,16 @@ def test_generate_matches_dense_builder_bit_for_bit(kind, n):
 def test_from_csr_keeps_the_callers_arrays_writable():
     indptr, indices, data = np.array([0, 1, 2]), np.array([1, 0]), np.array([1.0, 1.0])
     g = SocialGraph.from_csr(2, indptr, indices, data)
+    for name, given in (("indptr", indptr), ("indices", indices), ("data", data)):
+        assert not np.shares_memory(getattr(g, name), given) and given.flags.writeable
     data[0] = 0.5
     assert g.data.tolist() == [1.0, 1.0] and not g.data.flags.writeable
+
+
+def test_npz_graph_holds_read_only_arrays(tmp_path):
+    save_graph(generate("random", 15, seed=4, density=0.3), str(tmp_path / "g.npz"))
+    g = load_graph(str(tmp_path / "g.npz"))
+    assert not any(getattr(g, k).flags.writeable for k in ("indptr", "indices", "data"))
 
 
 def test_from_csr_drops_explicit_zeros_as_from_dict_does():

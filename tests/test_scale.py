@@ -122,6 +122,22 @@ def test_npz_graph_file_at_n_1e5_round_trips_in_linear_memory(scale_graphs, tmp_
     assert peak < 256 * (g.n + len(g.data))
 
 
+def test_npz_load_keeps_the_loaded_arrays(scale_graphs, tmp_path):
+    # the arrays np.load reads are the graph's own: 29 bytes per agent and edge,
+    # where copying them took 44
+    g = scale_graphs["tied"]
+    path = str(tmp_path / "g.npz")
+    save_graph(g, path)
+    tracemalloc.start()
+    try:
+        back = load_graph(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert back.data.tobytes() == g.data.tobytes()
+    assert peak < 36 * (g.n + len(g.data))
+
+
 @pytest.mark.parametrize("kind", ["star", "random"])
 def test_generated_graphs_at_n_1e5_take_linear_memory(kind):
     n = 100_000
