@@ -2,11 +2,8 @@
 
 from .allocation import (
     AllocationResult,
-    CapacityBound,
     PresetState,
     allocate_budget,
-    max_seeding_capacity_bound,
-    regime_classify,
     seeding_capacity,
     thresholds,
 )
@@ -36,9 +33,11 @@ from .equilibrium import (
     water_fill_seeding,
 )
 from .extremal import (
+    CapacityBound,
     SeedingExtremes,
     budget_regime,
     max_centrality_sequence,
+    max_seeding_capacity_bound,
     min_centrality_sequence,
     symmetric_seeding_extremes,
 )
@@ -84,7 +83,6 @@ __all__ = [
     "max_centrality_sequence",
     "max_seeding_capacity_bound",
     "min_centrality_sequence",
-    "regime_classify",
     "save_graph",
     "seeding_capacity",
     "simulate",

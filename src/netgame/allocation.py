@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .centrality import CentralityVector, balanced_centrality, dot, star_centralities
+from .centrality import CentralityVector, dot
 from .params import ModelParams, require_count, require_qualities, require_real, require_vector
 
 TIE_TOL = 1e-12
@@ -157,97 +157,3 @@ def seeding_capacity(
     """Total seeding the firm would buy with an unlimited budget."""
     _, agents = _seedable(v, state, firm, p, c_s, c_q)
     return float(state.capacities(firm)[agents].sum())
-
-
-@dataclass(frozen=True)
-class CapacityBound:
-    """Extremal seeding-capacity facts at a given threshold.
-
-    ``k`` is the largest number of agents any graph can place strictly
-    above the threshold; ``max_capacity`` sums the k largest capacities.
-    ``min_agent_count`` is how many agents must sit above the threshold
-    in every graph (2, 1 or 0 depending on where the threshold falls);
-    ``min_capacity`` sums that many smallest capacities, which assumes
-    the scarce above-threshold agents carry the smallest capacities.
-    """
-
-    k: int
-    max_capacity: float
-    min_agent_count: int
-    min_capacity: float
-
-
-def max_seeding_capacity_bound(
-    n: int, p: ModelParams, v_c: float, capacities: np.ndarray
-) -> CapacityBound:
-    """Graph-independent bound on how much capacity can sit above ``v_c``.
-
-    Centralities sum to 2*beta*n/(2*beta - delta) with every agent at 1
-    or more, so at most floor(n*delta / ((v_c - 1)*(2*beta - delta)))
-    agents can exceed a threshold above 1 (capped at n).  ``v_c`` keeps its
-    own check, not ``require_real``'s closed range: its refusal says why
-    the range (1, hub centrality) is open.
-    """
-    hub, peripheral = star_centralities(n, p)
-    v_c = require_real("v_c", v_c)
-    if not 1.0 < v_c < hub:
-        raise ValueError(
-            f"threshold {v_c} outside (1, {hub}); outside that range the "
-            "bound is trivially n or 0"
-        )
-    # a capacity is 1/2 - y0 or 1/2 + y0, so it lies in [0, 1]
-    caps = np.sort(require_vector("capacities", capacities, n, -TIE_TOL, 1.0 + TIE_TOL))[::-1]
-    k = min(
-        math.floor(n * p.delta / ((v_c - 1.0) * (2.0 * p.beta - p.delta)) + 1e-9), len(caps)
-    )
-    if v_c < peripheral:
-        min_count = 2
-    elif v_c < balanced_centrality(p):
-        min_count = 1
-    else:
-        min_count = 0
-    min_capacity = float(caps[n - min_count :].sum()) if min_count else 0.0
-    return CapacityBound(
-        k=k,
-        max_capacity=float(caps[:k].sum()),
-        min_agent_count=min_count,
-        min_capacity=min_capacity,
-    )
-
-
-def regime_by_endpoints(context: str, value: float, endpoints: dict, regimes: tuple) -> dict:
-    """Place ``value`` among ``endpoints``, nondecreasing up to TIE_TOL.
-
-    Within TIE_TOL of an endpoint is "boundary"; otherwise the regime is
-    ``regimes[j]``, with j the number of endpoints below ``value``.
-    ``value`` goes through ``require_real``, named ``context``.
-    """
-    value = require_real(context, value)
-    if any(abs(value - e) <= TIE_TOL for e in endpoints.values()):
-        regime = "boundary"
-    else:
-        regime = regimes[sum(e <= value for e in endpoints.values())]
-    return {"context": context, "value": value, "endpoints": endpoints, "regime": regime}
-
-
-def regime_classify(n: int, p: ModelParams, v_c: float) -> dict:
-    """Compare star vs. balanced seeding capacity at threshold ``v_c``.
-
-    ``netgame.extremal.budget_regime`` makes the same comparison for a
-    symmetric equilibrium budget.
-    """
-    hub, peripheral = star_centralities(n, p)
-    endpoints = {
-        "all_agents": 1.0,
-        "star_peripheral": peripheral,
-        "balanced": balanced_centrality(p),
-        "star_hub": hub,
-    }
-    regimes = (
-        "all_graphs_full_capacity",
-        "star_balanced_equal_capacity",
-        "balanced_over_star",
-        "star_over_balanced",
-        "no_graph_seedable",
-    )
-    return regime_by_endpoints("threshold", v_c, endpoints, regimes)

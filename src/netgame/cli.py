@@ -28,13 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .allocation import (
-    PresetState,
-    allocate_budget,
-    max_seeding_capacity_bound,
-    seeding_capacity,
-    thresholds,
-)
+from .allocation import PresetState, allocate_budget, seeding_capacity, thresholds
 from .centrality import centrality, closed_form_centrality, l_star_centralities
 from .dynamics import (
     discounted_utilities,
@@ -52,6 +46,7 @@ from .equilibrium import (
 from .extremal import (
     budget_regime,
     max_centrality_sequence,
+    max_seeding_capacity_bound,
     min_centrality_sequence,
     symmetric_seeding_extremes,
 )
@@ -298,40 +293,41 @@ def example1_checks() -> list[Check]:
     v_star = centrality(star, p)
     v_three = centrality(three_star, p)
     checks += [
-        Check("balanced_centrality", 4.0 / 3.0, float(v_bal.sorted_values[0]), 1e-9),
+        Check("balanced_centrality", 4.0 / 3.0, float(v_bal.sorted_values[0]), 1e-12),
+        # the series-solved star and three-star hubs keep criterion 2's 1e-9 for them
         Check("star_hub_centrality", 4.8, float(v_star.sorted_values[0]), 1e-9),
         Check(
             "star_peripheral_formula",
             (1.0 + 0.25 / 14.0) / (1.0 - 0.25**2),
             float(v_star.sorted_values[1]),
-            1e-9,
+            1e-12,
         ),
         # the printed two-decimal 1.08 truncates 38/35 = 1.085714..., so the
         # printout-consistency tolerance is one unit in the second decimal
         Check("star_peripheral_printed", 1.08, float(v_star.sorted_values[1]), 1e-2),
         Check("three_star_hub", 8.0 / 3.0, float(v_three.sorted_values[0]), 1e-9),
-        Check("three_star_hub_formula", l_star_centralities(n, 3, p)[0], 8.0 / 3.0, 1e-9),
+        Check("three_star_hub_formula", l_star_centralities(n, 3, p)[0], 8.0 / 3.0, 1e-12),
     ]
     out_bal = symmetric_nash(balanced, p, K, 1.0, 1.0)
     out_three = symmetric_nash(three_star, p, K, 1.0, 1.0)
     out_star = symmetric_nash(star, p, K, 1.0, 1.0)
     marginal_seed = float(out_three.strategy_a.seeding[v_three.order[2]])
     checks += [
-        Check("balanced_seeding", 0.125, out_bal.strategy_a.seeding_total, 1e-6),
-        Check("balanced_quality", 1.875, out_bal.strategy_a.quality, 1e-6),
-        Check("three_star_seeding", 17.0 / 16.0, out_three.strategy_a.seeding_total, 1e-6),
-        Check("three_star_marginal_seed", 1.0 / 16.0, marginal_seed, 1e-6),
-        Check("three_star_quality", 15.0 / 16.0, out_three.strategy_a.quality, 1e-6),
-        Check("star_seeding", 0.5, out_star.strategy_a.seeding_total, 1e-6),
-        Check("star_v_tilde", 5.0 / 3.0, out_star.v_tilde_l, 1e-6),
+        Check("balanced_seeding", 0.125, out_bal.strategy_a.seeding_total, 1e-12),
+        Check("balanced_quality", 1.875, out_bal.strategy_a.quality, 1e-12),
+        Check("three_star_seeding", 17.0 / 16.0, out_three.strategy_a.seeding_total, 1e-12),
+        Check("three_star_marginal_seed", 1.0 / 16.0, marginal_seed, 1e-12),
+        Check("three_star_quality", 15.0 / 16.0, out_three.strategy_a.quality, 1e-12),
+        Check("star_seeding", 0.5, out_star.strategy_a.seeding_total, 1e-12),
+        Check("star_v_tilde", 5.0 / 3.0, out_star.v_tilde_l, 1e-12),
         Check("star_case", "boundary_zero", out_star.case_a),
     ]
     ext = symmetric_seeding_extremes(n, p, K, 1.0, 1.0)
     checks += [
-        Check("max_seeding", 17.0 / 16.0, ext.maximum.seeding_total, 1e-6),
+        Check("max_seeding", 17.0 / 16.0, ext.maximum.seeding_total, 1e-12),
         Check("max_witness", "l_star(3)", f"{ext.maximum.witness_kind}({ext.maximum.witness_l})"),
         Check("max_witness_verified", True, ext.maximum.verified),
-        Check("min_seeding", 0.125, ext.minimum.seeding_total, 1e-6),
+        Check("min_seeding", 0.125, ext.minimum.seeding_total, 1e-12),
         Check("min_witness", "balanced", ext.minimum.witness_kind),
         Check("min_witness_verified", True, ext.minimum.verified),
         Check("budget_regime", "star_over_balanced", budget_regime(n, p, K)["regime"]),
@@ -345,8 +341,8 @@ def example2_checks() -> list[Check]:
     n = 15
     v_c_a, v_c_b = thresholds(1.0, 1.0, p, n, 1.0, 1.0)
     checks = [
-        Check("threshold_a", 2.5, v_c_a, 1e-9),
-        Check("threshold_b", 2.5, v_c_b, 1e-9),
+        Check("threshold_a", 2.5, v_c_a, 1e-12),
+        Check("threshold_b", 2.5, v_c_b, 1e-12),
     ]
     state = PresetState.neutral(n, 1.0, 1.0)
     for name, kind, l, expected in (
@@ -357,12 +353,12 @@ def example2_checks() -> list[Check]:
         g = generate(kind, n, l=l)
         v = centrality(g, p)
         checks.append(
-            Check(name, expected, seeding_capacity(v, state, "a", p, 1.0, 1.0), 1e-9)
+            Check(name, expected, seeding_capacity(v, state, "a", p, 1.0, 1.0), 1e-12)
         )
     bound = max_seeding_capacity_bound(n, p, v_c_a, np.full(n, 0.5))
     checks += [
         Check("capacity_bound_k", 3, bound.k),
-        Check("capacity_bound_value", 1.5, bound.max_capacity, 1e-9),
+        Check("capacity_bound_value", 1.5, bound.max_capacity, 1e-12),
     ]
     return checks
 

@@ -139,14 +139,13 @@ def discounted_utilities(
     s_b: np.ndarray,
     mode: str = "closed_form",
     T: int | None = None,
-    tol: float = 1e-10,
 ) -> UtilityReport:
     """Discounted total consumption utilities of both firms.
 
     ``closed_form`` evaluates the exact geometric sums through the
     centrality vector; ``simulated`` runs the spread process from
-    y(0) = s_a - s_b and truncates once the tail bound drops under
-    ``tol`` (or at an explicit horizon ``T``).
+    y(0) = s_a - s_b for ``T`` steps, by default the
+    ``horizon_for_tolerance`` one, whose tail bound is below 1e-10.
     """
     require_valid(g)
     if T is not None:
@@ -159,7 +158,7 @@ def discounted_utilities(
     closed = _closed_form_report(p, centrality(g, p).values, q_a, q_b, s_a, s_b)
     if mode == "closed_form":
         return closed
-    horizon = horizon_for_tolerance(p, g.n, tol) if T is None else T
+    horizon = horizon_for_tolerance(p, g.n) if T is None else T
     return simulated_report(closed, simulate(g, p, q_a, q_b, s_a - s_b, horizon), p)
 
 

@@ -80,9 +80,6 @@ class FirmStrategy:
     def seeding_total(self) -> float:
         return float(self.seeding.sum())
 
-    def spend(self, c_s: float, c_q: float) -> float:
-        return c_s * self.seeding_total + c_q * self.quality
-
 
 @dataclass(frozen=True)
 class NashOutcome:

@@ -1,4 +1,4 @@
-"""Extremal graphs: which influence structures maximize or minimize seeding.
+"""Extremal graphs: the bounds on centrality and seeding over all graphs.
 
 Holding the population and budget fixed, the symmetric equilibrium
 seeding depends on the graph only through its sorted centralities, and
@@ -7,8 +7,10 @@ most the l-star hub value (the star hub for l = 1) and at least the
 matching floor (balanced value, star peripheral, then 1).  The two
 envelope sequences hold these bounds for l = 1..n, the upper one from
 one array evaluation of the l-star hub.  Running ``solve_nash``'s solve
-with K_a = K_b on them yields the extremes, and the bracketing graphs
-are explicit witnesses.
+with K_a = K_b on them yields the seeding extremes, with the bracketing
+graphs as explicit witnesses, and counting their levels strictly above a
+threshold bounds how many agents any graph can seed there.  A budget is
+classified by how star and balanced seeding compare.
 """
 
 from __future__ import annotations
@@ -18,11 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .allocation import regime_by_endpoints
+from .allocation import TIE_TOL
 from .centrality import balanced_centrality, l_star_centralities, star_centralities
 from .equilibrium import CASE_INTERIOR, CASE_SATURATED, BudgetSpec, _solve_sequence, solve_nash
 from .graphs import SocialGraph, generate
-from .params import ModelParams, require_count, require_real
+from .params import ModelParams, require_count, require_real, require_vector
 
 VERIFY_TOL = 1e-9
 
@@ -37,6 +39,49 @@ def max_centrality_sequence(n: int, p: ModelParams) -> np.ndarray:
 def min_centrality_sequence(n: int, p: ModelParams) -> np.ndarray:
     """Smallest possible l-th centrality for l = 1..n: balanced, star peripheral, then 1."""
     return np.r_[balanced_centrality(p), star_centralities(n, p)[1], np.ones(n - 2)]
+
+
+@dataclass(frozen=True)
+class CapacityBound:
+    """Extremal seeding-capacity facts at a threshold, strict counts over the envelopes.
+
+    ``k`` counts the levels of ``max_centrality_sequence`` strictly above
+    the threshold: no graph places more agents strictly above it, and the
+    k-star (the star for k = 1, the balanced graph for k = n) places
+    that many.
+    ``max_capacity`` sums the k largest capacities.  ``min_agent_count``
+    counts the levels of ``min_centrality_sequence`` strictly above it:
+    every graph places at least that many agents there (2, 1 or 0).
+    """
+
+    k: int
+    max_capacity: float
+    min_agent_count: int
+
+
+def max_seeding_capacity_bound(
+    n: int, p: ModelParams, v_c: float, capacities: np.ndarray
+) -> CapacityBound:
+    """Graph-independent bound on how much capacity can sit strictly above ``v_c``.
+
+    ``v_c`` keeps its own check, not ``require_real``'s closed range: its
+    refusal says why the range (1, hub centrality) is open.  A capacity is
+    1/2 - y0 or 1/2 + y0, so each lies in [0, 1].
+    """
+    highest = max_centrality_sequence(n, p)
+    v_c = require_real("v_c", v_c)
+    if not 1.0 < v_c < highest[0]:
+        raise ValueError(
+            f"threshold {v_c} outside (1, {highest[0]}); outside that range the "
+            "bound is trivially n or 0"
+        )
+    caps = np.sort(require_vector("capacities", capacities, n, -TIE_TOL, 1.0 + TIE_TOL))[::-1]
+    k = int(np.count_nonzero(highest > v_c))
+    return CapacityBound(
+        k=k,
+        max_capacity=float(caps[:k].sum()),
+        min_agent_count=int(np.count_nonzero(min_centrality_sequence(n, p) > v_c)),
+    )
 
 
 def _max_witness_kind(l: int, case: str, n: int) -> tuple[str, int | None]:
@@ -153,4 +198,19 @@ def budget_regime(n: int, p: ModelParams, K: float, c_s: float = 1.0) -> dict:
         "star_balanced_saturated_equal",
         "all_graphs_saturated",
     )
-    return regime_by_endpoints("budget", spend, endpoints, regimes)
+    return _regime_by_endpoints("budget", spend, endpoints, regimes)
+
+
+def _regime_by_endpoints(context: str, value: float, endpoints: dict, regimes: tuple) -> dict:
+    """Place ``value`` among ``endpoints``, nondecreasing up to TIE_TOL.
+
+    Within TIE_TOL of an endpoint is "boundary"; otherwise the regime is
+    ``regimes[j]``, with j the number of endpoints below ``value``.
+    ``value`` goes through ``require_real``, named ``context``.
+    """
+    value = require_real(context, value)
+    if any(abs(value - e) <= TIE_TOL for e in endpoints.values()):
+        regime = "boundary"
+    else:
+        regime = regimes[sum(e <= value for e in endpoints.values())]
+    return {"context": context, "value": value, "endpoints": endpoints, "regime": regime}

@@ -45,8 +45,8 @@ class SocialGraph:
     increasing order, with their weights in the same slice of ``data``.
     Only nonzero weights are stored, so a graph with m edges takes
     O(n + m) memory.  Build one with ``from_csr``, ``from_dict``,
-    ``from_json``, ``load_graph`` or ``generate``; ``weights`` returns the
-    dense n x n view.
+    ``load_graph`` or ``generate``; ``weights`` returns the dense n x n
+    view.
 
     Invalid weights still construct a graph; ``violations`` lists what is
     wrong with them (empty for a valid graph), computed once here since
@@ -63,9 +63,7 @@ class SocialGraph:
     _centrality: tuple | None = field(default=None, repr=False)
 
     def __init__(self, *args, **kwargs) -> None:
-        raise TypeError(
-            "build a SocialGraph with from_csr, from_dict, from_json, load_graph or generate"
-        )
+        raise TypeError("build a SocialGraph with from_csr, from_dict, load_graph or generate")
 
     @classmethod
     def _store(cls, n: int, rows: np.ndarray, cols: np.ndarray, data: np.ndarray) -> "SocialGraph":
@@ -102,9 +100,6 @@ class SocialGraph:
         edges = zip(self.rows().tolist(), self.indices.tolist(), self.data.tolist())
         return {"n": self.n, "edges": [list(e) for e in edges]}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
     @classmethod
     def from_dict(cls, data: dict) -> "SocialGraph":
         """Build from ``{"n": n, "edges": [[i, j, weight], ...]}``.
@@ -133,14 +128,6 @@ class SocialGraph:
             k = int(np.argmax(repeated))
             raise ValueError(f"duplicate edge ({i[k]}, {j[k]})")
         return cls._store(n, i[first], j[first], e[2, first])
-
-    @classmethod
-    def from_json(cls, text: str) -> "SocialGraph":
-        try:
-            data = json.loads(text)
-        except RecursionError as exc:  # nested deeper than the decoder goes
-            raise ValueError(str(exc)) from None
-        return cls.from_dict(data)
 
     @classmethod
     def from_csr(cls, n, indptr, indices, data) -> "SocialGraph":
@@ -308,7 +295,7 @@ def save_graph(g: SocialGraph, path: str) -> None:
         np.savez(path, n=np.int64(g.n), indptr=g.indptr, indices=g.indices, data=g.data)
         return
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(g.to_json())
+        fh.write(json.dumps(g.to_dict()))
 
 
 def _violations(n: int, rows: np.ndarray, cols: np.ndarray, w: np.ndarray) -> tuple[str, ...]:

@@ -16,7 +16,16 @@ import sys
 import numpy as np
 import pytest
 
-from netgame import BudgetSpec, ModelParams, SocialGraph, centrality, generate, solve_nash
+from netgame import (
+    BudgetSpec,
+    ModelParams,
+    SocialGraph,
+    balanced_centrality,
+    centrality,
+    generate,
+    solve_nash,
+    star_centralities,
+)
 from netgame.centrality import dot
 from netgame.dynamics import _STATE_TOL
 from netgame.equilibrium import (
@@ -30,6 +39,7 @@ from netgame.equilibrium import (
     best_response_quality,
     water_fill_seeding,
 )
+from netgame.extremal import _regime_by_endpoints
 from netgame.graphs import require_valid
 from netgame.params import require_qualities, require_vector
 
@@ -150,6 +160,29 @@ def best_response_by_candidates(v, p: ModelParams, K: float, c_s: float, c_q: fl
     seeding, _ = water_fill_seeding(v, min(spend, n / 2.0))
     value = dot(v.values, seeding) + lam * (best_q - q_opp) / (best_q + q_opp)
     return best_q, seeding, value
+
+
+def regime_classify(n: int, p: ModelParams, v_c: float) -> dict:
+    """Label threshold ``v_c`` by how star and balanced seeding capacity compare there.
+
+    The endpoints are the star's and the balanced graph's centralities,
+    placed by ``budget_regime``'s own ``_regime_by_endpoints``.
+    """
+    hub, peripheral = star_centralities(n, p)
+    endpoints = {
+        "all_agents": 1.0,
+        "star_peripheral": peripheral,
+        "balanced": balanced_centrality(p),
+        "star_hub": hub,
+    }
+    regimes = (
+        "all_graphs_full_capacity",
+        "star_balanced_equal_capacity",
+        "balanced_over_star",
+        "star_over_balanced",
+        "no_graph_seedable",
+    )
+    return _regime_by_endpoints("threshold", v_c, endpoints, regimes)
 
 
 def draw_costs(rng: np.random.Generator) -> tuple[float, float]:

@@ -26,6 +26,7 @@ from netgame import (
     centrality,
     discounted_utilities,
     generate,
+    horizon_for_tolerance,
     l_star_centralities,
     max_centrality_sequence,
     max_seeding_capacity_bound,
@@ -217,7 +218,7 @@ def test_criterion_06_utility_consistency(rng):
             s_a, s_b = draw_seedings(rng, n)
             closed = discounted_utilities(g, p, q_a, q_b, s_a, s_b)
             sim = discounted_utilities(
-                g, p, q_a, q_b, s_a, s_b, mode="simulated", tol=1e-12
+                g, p, q_a, q_b, s_a, s_b, mode="simulated", T=horizon_for_tolerance(p, n, 1e-12)
             )
             assert abs(sim.u_a - closed.u_a) / abs(closed.u_a) <= 1e-10
             assert abs(sim.u_b - closed.u_b) / abs(closed.u_b) <= 1e-10

@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 
 from netgame import (
+    KINDS,
     allocate_budget,
     centrality,
     generate,
+    l_star_centralities,
+    max_centrality_sequence,
     max_seeding_capacity_bound,
-    regime_classify,
+    min_centrality_sequence,
     seeding_capacity,
     star_centralities,
     thresholds,
@@ -126,20 +129,29 @@ def test_capacity_bound_rejects_trivial_thresholds(example_params):
         max_seeding_capacity_bound(15, example_params, 5.0, np.full(15, 0.5))
 
 
-def test_threshold_regimes(example_params):
-    hub, peripheral = star_centralities(15, example_params)
-    cases = [
-        (0.5, "all_graphs_full_capacity"),
-        (1.02, "star_balanced_equal_capacity"),
-        (1.2, "balanced_over_star"),
-        (2.5, "star_over_balanced"),
-        (hub + 1.0, "no_graph_seedable"),
-        (peripheral, "boundary"),
-    ]
-    for v_c, expected in cases:
-        out = regime_classify(15, example_params, v_c=v_c)
-        assert out["regime"] == expected, v_c
-    assert out["endpoints"]["star_hub"] == pytest.approx(hub)
+@pytest.mark.parametrize("l", range(2, 15))
+def test_capacity_bound_counts_strictly_at_an_l_star_hub(l, example_params):
+    # l agents at an l-star hub value fill the centrality total with the rest at 1,
+    # so no graph places l of them strictly above it
+    n, p = 15, example_params
+    total = 2.0 * p.beta * n / (2.0 * p.beta - p.delta)
+    v_c = l_star_centralities(n, l, p)[0]
+    assert abs(l * v_c + (n - l) - total) <= 1e-12
+    assert max_seeding_capacity_bound(n, p, v_c, np.full(n, 0.5)).k == l - 1
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_capacity_bound_brackets_each_graphs_count_above_the_threshold(kind, example_params):
+    # every level of both envelopes inside (1, hub), and the midpoints between them
+    n, p = 15, example_params
+    levels = np.union1d(max_centrality_sequence(n, p), min_centrality_sequence(n, p))
+    levels = levels[(levels > 1.0) & (levels < levels[-1])]
+    v = centrality(generate(kind, n, l=3 if kind == "l_star" else None, seed=4), p).values
+    for v_c in np.r_[levels, (levels[1:] + levels[:-1]) / 2.0]:
+        bound = max_seeding_capacity_bound(n, p, float(v_c), np.full(n, 0.5))
+        # TIE_TOL keeps an agent that sits on the level within rounding out of either count
+        assert np.count_nonzero(v > v_c + TIE_TOL) <= bound.k, v_c
+        assert np.count_nonzero(v > v_c - TIE_TOL) >= bound.min_agent_count, v_c
 
 
 def allocate_loop(v, state, firm, K, c_s, c_q, p):

@@ -244,8 +244,8 @@ def test_outcome_invariants(rng):
         ratio = c_s / c_q
         q_a, q_b = out.strategy_a.quality, out.strategy_b.quality
         # whole budget spent
-        assert out.strategy_a.spend(c_s, c_q) == pytest.approx(budget.K_a, abs=1e-9)
-        assert out.strategy_b.spend(c_s, c_q) == pytest.approx(budget.K_b, abs=1e-9)
+        for own, K in ((out.strategy_a, budget.K_a), (out.strategy_b, budget.K_b)):
+            assert c_s * own.seeding_total + c_q * own.quality == pytest.approx(K, abs=1e-9)
         # seeding water-filled along the centrality order
         _assert_water_filled(out.strategy_a.seeding, v.order)
         _assert_water_filled(out.strategy_b.seeding, v.order)

@@ -4,31 +4,21 @@ import numpy as np
 import pytest
 
 from netgame import (
+    PresetState,
     balanced_centrality,
     centrality,
     generate,
     l_star_centralities,
     max_centrality_sequence,
     min_centrality_sequence,
-    regime_classify,
+    seeding_capacity,
     star_centralities,
     symmetric_nash,
     symmetric_seeding_extremes,
 )
 from netgame.extremal import budget_regime
 
-from conftest import draw_costs, draw_graph, draw_params
-
-
-def test_envelope_values_example(example_params):
-    hi = max_centrality_sequence(15, example_params)
-    lo = min_centrality_sequence(15, example_params)
-    assert hi[0] == pytest.approx(4.8)
-    assert hi[2] == pytest.approx(8.0 / 3.0)
-    assert hi[14] == pytest.approx(4.0 / 3.0)
-    assert lo[0] == pytest.approx(4.0 / 3.0)
-    assert lo[1] == pytest.approx(38.0 / 35.0)
-    assert lo[6] == 1.0
+from conftest import draw_costs, draw_graph, draw_params, regime_classify
 
 
 def test_envelope_sequences_are_consistent(rng):
@@ -86,16 +76,6 @@ def test_witness_graphs_attain_envelopes(example_params):
         generate("near_star_one_bidirectional", n), example_params
     ).sorted_values
     assert np.abs(near[2:] - 1.0).max() <= 1e-9
-
-
-def test_seeding_extremes_example(example_params):
-    ext = symmetric_seeding_extremes(15, example_params, 2.0, 1.0, 1.0)
-    assert ext.maximum.seeding_total == pytest.approx(17.0 / 16.0, abs=1e-12)
-    assert ext.maximum.witness_kind == "l_star" and ext.maximum.witness_l == 3
-    assert ext.maximum.verified and ext.maximum.discrepancy <= 1e-9
-    assert ext.minimum.seeding_total == pytest.approx(0.125, abs=1e-12)
-    assert ext.minimum.witness_kind == "balanced"
-    assert ext.minimum.verified and ext.minimum.discrepancy <= 1e-9
 
 
 def test_extremes_bracket_random_graphs(rng):
@@ -174,11 +154,9 @@ def _first_endpoint_above(value, out, regimes):
     return regimes[-1]
 
 
-def test_both_regime_classifiers_match_the_comparison_chain(rng):
-    budget_regimes = ("no_graph_seedable", "star_over_balanced", "balanced_over_star",
-                      "star_balanced_saturated_equal", "all_graphs_saturated")
-    threshold_regimes = ("all_graphs_full_capacity", "star_balanced_equal_capacity",
-                         "balanced_over_star", "star_over_balanced", "no_graph_seedable")
+def test_budget_regime_matches_the_comparison_chain(rng):
+    regimes = ("no_graph_seedable", "star_over_balanced", "balanced_over_star",
+               "star_balanced_saturated_equal", "all_graphs_saturated")
     for _ in range(300):
         n, p = int(rng.integers(2, 60)), draw_params(rng)
         endpoints = list(budget_regime(n, p, 1.0)["endpoints"].values())
@@ -186,10 +164,56 @@ def test_both_regime_classifiers_match_the_comparison_chain(rng):
         spend = float(rng.uniform(0.0, 1.1 * endpoints[-1]))
         out = budget_regime(n, p, spend)
         if out["regime"] != "boundary":
-            assert out["regime"] == _first_endpoint_above(spend, out, budget_regimes)
-        endpoints = list(regime_classify(n, p, 1.0)["endpoints"].values())
-        assert np.diff(endpoints).min() >= -1e-12  # at n=2 the star's peripheral is balanced
-        v_c = float(rng.uniform(0.5, 1.1 * endpoints[-1]))
-        out = regime_classify(n, p, v_c)
-        if out["regime"] != "boundary":
-            assert out["regime"] == _first_endpoint_above(v_c, out, threshold_regimes)
+            assert out["regime"] == _first_endpoint_above(spend, out, regimes)
+
+
+# what each threshold label claims of the star's and the balanced graph's seeding capacity
+CAPACITY_CLAIMS = {
+    "all_graphs_full_capacity": lambda star, balanced, n: star == balanced == n / 2,
+    "star_balanced_equal_capacity": lambda star, balanced, n: star == balanced,
+    "balanced_over_star": lambda star, balanced, n: balanced > star,
+    "star_over_balanced": lambda star, balanced, n: star > balanced,
+    "no_graph_seedable": lambda star, balanced, n: star == balanced == 0.0,
+}
+
+
+def _label_with_its_capacity_claim(n, p, v_c) -> str:
+    """The threshold label at ``v_c``, after checking what it claims of the star's and the
+    balanced graph's seeding capacity."""
+    label = regime_classify(n, p, v_c)["regime"]
+    if label != "boundary":
+        # equal qualities q put both firms' thresholds at lambda / (2 q) = v_c
+        q = p.quality_weight(n) / (2.0 * v_c)
+        state = PresetState.neutral(n, q, q)
+        star, balanced = (
+            seeding_capacity(centrality(generate(kind, n), p), state, "a", p, 1.0, 1.0)
+            for kind in ("star", "balanced")
+        )
+        assert CAPACITY_CLAIMS[label](star, balanced, n), (n, v_c, label, star, balanced)
+    return label
+
+
+# at n=15, one threshold per label, from the star's hub and peripheral centralities
+POINTS_AT_15 = {
+    "all_graphs_full_capacity": lambda hub, peripheral: 0.5,
+    "star_balanced_equal_capacity": lambda hub, peripheral: 1.02,
+    "balanced_over_star": lambda hub, peripheral: 1.2,
+    "star_over_balanced": lambda hub, peripheral: 2.5,
+    "no_graph_seedable": lambda hub, peripheral: hub + 1.0,
+    "boundary": lambda hub, peripheral: peripheral,
+}
+
+
+@pytest.mark.parametrize("label", POINTS_AT_15)
+def test_threshold_labels_compare_star_and_balanced_seeding_capacity(label, example_params):
+    v_c = POINTS_AT_15[label](*star_centralities(15, example_params))
+    assert _label_with_its_capacity_claim(15, example_params, v_c) == label
+
+
+def test_threshold_labels_compare_star_and_balanced_seeding_capacity_on_draws(rng):
+    labels = set()
+    for _ in range(400):
+        n, p = int(rng.integers(2, 60)), draw_params(rng)
+        v_c = float(rng.uniform(0.5, 1.1 * star_centralities(n, p)[0]))
+        labels.add(_label_with_its_capacity_claim(n, p, v_c))
+    assert labels >= set(CAPACITY_CLAIMS)

@@ -141,9 +141,11 @@ def test_random_graphs_follow_the_bernoulli_law_given_an_edge_per_row(n, density
 
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(2, 12), seed=st.integers(0, 10**6))
-def test_json_round_trip(n, seed):
+def test_json_round_trip(tmp_path_factory, n, seed):
     g = generate("random", n, seed=seed)
-    back = SocialGraph.from_json(g.to_json())
+    path = str(tmp_path_factory.getbasetemp() / "round_trip.json")
+    save_graph(g, path)
+    back = load_graph(path)
     assert back.n == g.n
     assert np.array_equal(back.weights, g.weights)
 
@@ -176,11 +178,6 @@ def test_load_graph_names_a_file_that_is_no_json_graph(tmp_path, content, refusa
     with pytest.raises(ValueError) as exc:
         load_graph(str(path))
     assert str(exc.value).startswith(refusal.format(path=path)), exc.value
-
-
-def test_from_json_refuses_nesting_too_deep_to_decode():
-    with pytest.raises(ValueError, match="^maximum recursion depth exceeded"):
-        SocialGraph.from_json("[" * 100_000)
 
 
 def test_from_dict_rejects_duplicate_edge():
@@ -564,7 +561,7 @@ def test_from_csr_drops_explicit_zeros_as_from_dict_does():
     assert csr.indptr.tolist() == [0, 1, 2]
 
 
-@pytest.mark.parametrize("kind", ["random", "l_star", "star"])
+@pytest.mark.parametrize("kind", KINDS)
 def test_npz_round_trip_matches_json_route(tmp_path, kind, example_params):
     g = generate(kind, 15, l=3, seed=4, density=0.3)
     save_graph(g, str(tmp_path / "g.npz"))

@@ -92,7 +92,7 @@ def test_solve_nash_at_n_1e5_with_deep_budgets(scale_graphs, kind, K_a, K_b):
     lam = p.quality_weight(n)
     firms = ((K_a, out.strategy_a, out.strategy_b), (K_b, out.strategy_b, out.strategy_a))
     for K, own, rival in firms:
-        assert abs(K - own.spend(budget.c_s, budget.c_q)) <= 1e-9
+        assert abs(K - (budget.c_s * own.seeding_total + budget.c_q * own.quality)) <= 1e-9
         assert own.seeding.min() >= 0.0 and own.seeding.max() <= 0.5
         q, q_opp = own.quality, rival.quality
         # the library's own product: BLAS's ddot was 1.2e-9 off the exact sum here
