@@ -38,7 +38,8 @@ class CentralityVector:
     ``best_response_quality``, ``allocate_budget``, ``seeding_capacity``)
     take it as this type, which checks it in O(n): ``values`` must be
     finite and positive, and ``order`` a permutation of range(n) along
-    which ``values`` does not increase.
+    which ``values`` does not increase.  ``centrality`` builds its own
+    vectors without that check, which its guards and argsort make hold.
     """
 
     values: np.ndarray
@@ -52,10 +53,19 @@ class CentralityVector:
         # n entries in [0, n) are a permutation when none is missing
         if np.count_nonzero(np.bincount(order, minlength=n)) != n:
             raise ValueError(f"order must be a permutation of range({n}), got {self.order!r}")
-        ranked = vals[order]
-        if np.count_nonzero(ranked[1:] > ranked[:-1]):
+        self._freeze(vals, order)
+        if np.count_nonzero(self.sorted_values[1:] > self.sorted_values[:-1]):
             raise ValueError("values must not increase along order")
-        for name, arr in (("values", vals), ("order", order), ("sorted_values", ranked)):
+
+    @classmethod
+    def _trusted(cls, values: np.ndarray, order: np.ndarray) -> "CentralityVector":
+        """The vector owning ``centrality``'s own arrays, built without the public checks."""
+        v = cls.__new__(cls)
+        v._freeze(values, order)
+        return v
+
+    def _freeze(self, values: np.ndarray, order: np.ndarray) -> None:
+        for name, arr in (("values", values), ("order", order), ("sorted_values", values[order])):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -76,6 +86,8 @@ def centrality(g: SocialGraph, p: ModelParams) -> CentralityVector:
     The analytic guards are asserted on every call, cached or not: every
     entry is at least 1, the total equals 2*beta*n/(2*beta - delta), and
     the maximum lies between the balanced value and the star-hub value.
+    A NaN or an infinity fails one, so a fresh result, finite, positive and
+    ordered by its stable argsort, skips ``CentralityVector``'s own check.
     """
     require_valid(g)
     n = g.n
@@ -103,10 +115,9 @@ def centrality(g: SocialGraph, p: ModelParams) -> CentralityVector:
     if not balanced_centrality(p) - _GUARD_TOL <= values.max() <= hub + _GUARD_TOL:
         raise ArithmeticError(f"top centrality {values.max()} outside bounds")
     if fresh:
-        # built after the guards, so a NaN is a solver failure, not refused input;
         # a new tuple each time: a published slot is never changed in place
         order = np.argsort(-values, kind="stable")
-        slot = (powers, key, CentralityVector(values=values, order=order))
+        slot = (powers, key, CentralityVector._trusted(values, order))
         object.__setattr__(g, "_centrality", slot)
     return slot[2]
 

@@ -31,7 +31,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .allocation import capped_fill
 from .centrality import CentralityVector, centrality, dot
 from .dynamics import _closed_form_report
 from .graphs import SocialGraph
@@ -127,16 +126,17 @@ class NashOutcome:
 def water_fill_seeding(v: CentralityVector, amount: float) -> tuple[np.ndarray, int]:
     """Spread ``amount`` over agents in centrality order, 1/2 each at most.
 
-    Returns the per-agent seeding vector and the marginal index: the
-    number of agents receiving any seed (the last of them may be
-    partial).  ``amount`` must lie in [0, n/2], up to COND_TOL.
+    Returns the per-agent seeding vector and the marginal index k, the
+    number of agents seeded: min(n, ceil(2*amount)), 0 for amount <= 0.
+    The first k - 1 hold 1/2 and the k-th min(amount - (k - 1)/2, 1/2),
+    ``_prefix_seeding``'s fill.  ``amount`` must lie in [0, n/2], up to COND_TOL.
     """
     n = len(v.values)
     amount = require_real("seeding amount", amount, -COND_TOL, n / 2.0 + COND_TOL)
-    fill = capped_fill(amount, np.full(n, 0.5))
-    seeding = np.zeros(n)
-    seeding[v.order] = fill
-    return seeding, int(np.count_nonzero(fill))
+    k = min(n, math.ceil(2.0 * amount))
+    if not k:
+        return np.zeros(n), 0
+    return _prefix_seeding(v.order, k, min(amount - (k - 1) / 2.0, 0.5)), k
 
 
 def _prefix_seeding(order: np.ndarray, k: int, s_k: float) -> np.ndarray:

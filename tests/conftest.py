@@ -26,6 +26,7 @@ from netgame import (
     solve_nash,
     star_centralities,
 )
+from netgame.allocation import capped_fill
 from netgame.centrality import dot
 from netgame.dynamics import _STATE_TOL
 from netgame.equilibrium import (
@@ -160,6 +161,17 @@ def best_response_by_candidates(v, p: ModelParams, K: float, c_s: float, c_q: fl
     seeding, _ = water_fill_seeding(v, min(spend, n / 2.0))
     value = dot(v.values, seeding) + lam * (best_q - q_opp) / (best_q + q_opp)
     return best_q, seeding, value
+
+
+def water_fill_by_capped_fill(v, amount: float) -> tuple[np.ndarray, int]:
+    """Oracle for water_fill_seeding: ``capped_fill`` over caps of 1/2 in centrality order.
+
+    Returns the fill scattered back to the agents and the number of agents it seeds.
+    """
+    fill = capped_fill(amount, np.full(len(v.values), 0.5))
+    seeding = np.zeros(len(v.values))
+    seeding[v.order] = fill
+    return seeding, int(np.count_nonzero(fill))
 
 
 def regime_classify(n: int, p: ModelParams, v_c: float) -> dict:

@@ -411,13 +411,17 @@ def test_criterion_09_agent_count_bound_brute_force(rng):
             p = draw_params(rng)
             hub, _ = star_centralities(n, p)
             total = 2.0 * p.beta * n / (2.0 * p.beta - p.delta)
-            for v_c in rng.uniform(1.0 + 1e-3, hub - 1e-3, size=8):
-                v_c = float(v_c)
+            levels = max_centrality_sequence(n, p)
+            draws = rng.uniform(1.0 + 1e-3, hub - 1e-3, size=8)
+            # the l-star hub levels are ties: l agents there with the rest at 1 sum to the total
+            for v_c in map(float, np.r_[draws, levels[(levels > 1.0) & (levels < hub)]]):
                 bound = max_seeding_capacity_bound(n, p, v_c, np.full(n, 0.5))
+                # k agents strictly above v_c and the rest at 1 or more hold more than
+                # k*v_c + (n - k), so that must fall short of the total, beyond rounding
                 feasible = [
                     k
                     for k in range(n + 1)
-                    if k * v_c + (n - k) * 1.0 <= total + 1e-12
+                    if k * v_c + (n - k) * 1.0 < total * (1.0 - 1e-12)
                 ]
                 assert bound.k == max(feasible), (
                     f"n={n} v_c={v_c}: closed form {bound.k} vs {max(feasible)}"

@@ -124,6 +124,18 @@ def test_centrality_vector_refuses_what_is_no_ordering(values, order, named):
         CentralityVector(values, order)
 
 
+@pytest.mark.parametrize("kind", ["random", "star", "l_star", "balanced", "near_star_one_bidirectional"])
+def test_centrality_hands_out_a_vector_the_public_constructor_accepts(rng, kind):
+    # centrality builds its vector without the public checks, which must hold all the same;
+    # every kind but random ties agents, and the tie rule orders them by index
+    for n in (3, 15, 201):
+        kw = {"l_star": dict(l=int(rng.integers(2, n))), "random": dict(seed=n, density=0.2)}
+        v = centrality(generate(kind, n, **kw.get(kind, {})), draw_params(rng))
+        checked = CentralityVector(values=v.values, order=v.order)
+        assert checked.sorted_values.tobytes() == v.sorted_values.tobytes()
+        assert not any(a.flags.writeable for a in (v.values, v.order, v.sorted_values))
+
+
 @pytest.fixture
 def count_matvecs(monkeypatch):
     """The new powers, one edge pass each, of every extension of a graph's basis."""
@@ -256,8 +268,8 @@ def test_guards_run_on_cached_calls(example_params, monkeypatch):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_centralities_are_a_solver_failure(example_params, monkeypatch, bad):
-    # the guards run before the CentralityVector is built, whose own check
-    # would report the same values as refused input (ValueError)
+    # the guards are the only check a fresh vector gets: CentralityVector's
+    # public constructor would report the same values as refused input (ValueError)
     module = sys.modules["netgame.centrality"]
     real_powers = module._powers
 

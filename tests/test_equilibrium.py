@@ -41,6 +41,7 @@ from conftest import (
     draw_params,
     oracle_graphs,
     solve_nash_iterative,
+    water_fill_by_capped_fill,
 )
 
 
@@ -84,6 +85,19 @@ def test_water_fill_equals_loop_reference(rng):
             seeding, marginal = water_fill_seeding(v, amount)
             want, want_marginal = _water_fill_loop(v, amount)
             assert seeding.tobytes() == want.tobytes() and marginal == want_marginal
+
+
+@pytest.mark.parametrize("kind", ["star", "l_star", "balanced", "random"])
+def test_water_fill_is_the_capped_fill_bit_for_bit(kind, rng):
+    for n in (3, 15, 60, 201):
+        kw = {"l_star": dict(l=int(rng.integers(2, n))), "random": dict(seed=n, density=0.2)}
+        v = centrality(generate(kind, n, **kw.get(kind, {})), draw_params(rng))
+        amounts = [*rng.uniform(0.0, n / 2.0, size=100), *(np.arange(n + 1) / 2.0)]
+        amounts += [0.0, -COND_TOL, n / 2.0 + COND_TOL, 5e-324, 1e-300]
+        for amount in map(float, amounts):
+            seeding, marginal = water_fill_seeding(v, amount)
+            want, want_marginal = water_fill_by_capped_fill(v, amount)
+            assert (seeding.tobytes(), marginal) == (want.tobytes(), want_marginal), amount
 
 
 def test_best_response_matches_numeric_oracle(rng):
