@@ -20,7 +20,7 @@ from .params import ModelParams, require_count, require_qualities, require_real,
 TIE_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PresetState:
     """Qualities already chosen plus the agents' preexisting tilts.
 
@@ -52,7 +52,7 @@ class PresetState:
         raise ValueError(f"firm must be 'a' or 'b', got {firm!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AllocationResult:
     """Optimal split of a marginal budget for one firm."""
 

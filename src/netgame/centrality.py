@@ -27,7 +27,7 @@ _GUARD_TOL = 1e-9
 _TAIL_TOL = 1e-13
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CentralityVector:
     """Per-agent centralities plus the agent ordering used by all solvers.
 

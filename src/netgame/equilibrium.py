@@ -63,9 +63,9 @@ class BudgetSpec:
             object.__setattr__(self, name, require_real(name, getattr(self, name), low))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FirmStrategy:
-    """A firm's choice: per-agent seeding in [0, 1/2] plus a quality level."""
+    """A firm's choice: a read-only per-agent seeding in [0, 1/2] plus a quality level."""
 
     seeding: np.ndarray
     quality: float
@@ -75,12 +75,20 @@ class FirmStrategy:
         s.setflags(write=False)
         object.__setattr__(self, "seeding", s)
 
+    @classmethod
+    def _trusted(cls, seeding: np.ndarray, quality: float) -> "FirmStrategy":
+        """The strategy owning ``solve_nash``'s fresh seeding array, frozen without a copy."""
+        seeding.setflags(write=False)
+        s = cls.__new__(cls)
+        s.__dict__.update(seeding=seeding, quality=quality)
+        return s
+
     @property
     def seeding_total(self) -> float:
         return float(self.seeding.sum())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NashOutcome:
     """Equilibrium strategies with the characterization bookkeeping.
 
@@ -131,12 +139,16 @@ def water_fill_seeding(v: CentralityVector, amount: float) -> tuple[np.ndarray, 
     The first k - 1 hold 1/2 and the k-th min(amount - (k - 1)/2, 1/2),
     ``_prefix_seeding``'s fill.  ``amount`` must lie in [0, n/2], up to COND_TOL.
     """
-    n = len(v.values)
-    amount = require_real("seeding amount", amount, -COND_TOL, n / 2.0 + COND_TOL)
-    k = min(n, math.ceil(2.0 * amount))
+    return _water_fill(v.order, require_real(
+        "seeding amount", amount, -COND_TOL, len(v.values) / 2.0 + COND_TOL))
+
+
+def _water_fill(order: np.ndarray, amount: float) -> tuple[np.ndarray, int]:
+    """``water_fill_seeding`` on an ``amount`` already checked or clipped to [0, n/2]."""
+    k = min(len(order), math.ceil(2.0 * amount))
     if not k:
-        return np.zeros(n), 0
-    return _prefix_seeding(v.order, k, min(amount - (k - 1) / 2.0, 0.5)), k
+        return np.zeros(len(order)), 0
+    return _prefix_seeding(order, k, min(amount - (k - 1) / 2.0, 0.5)), k
 
 
 def _prefix_seeding(order: np.ndarray, k: int, s_k: float) -> np.ndarray:
@@ -163,28 +175,39 @@ def best_response_quality(
     positive below s_j = sqrt(2*lam*(c_s/c_q)*q_opp/v_j) - q_opp and
     negative above it, where s_j rises with j.  So the optimum is
     min(s_j, q_(j-1)) on the first piece with s_j >= q_j (q_n if none),
-    clipped to the affordable range: the candidate that an argmax over all
-    piece ends and in-piece stationary points picks, by the same arithmetic
-    (``tests/conftest.py`` keeps that oracle).  The value is the objective
-    on the returned seeding.  The costs ``c_s`` and ``c_q`` must be
-    positive, ``K`` must be at least 0 and afford quality epsilon, and
-    ``q_opp`` must be at least epsilon, each up to COND_TOL.
+    clipped to the affordable range.  Rounding keeps both monotone, so a
+    bisection finds that piece in O(log n) steps before the O(n) fill;
+    ``tests/conftest.py`` keeps the whole-array test and the argmax over
+    all candidates as oracles.  The value is the objective on the returned
+    seeding.  ``c_s`` and ``c_q`` must be positive, ``K`` at least 0 and
+    affording quality epsilon, and ``q_opp`` at least epsilon, each up to
+    COND_TOL; an overflowing kink q_0 = K/c_q or q_n raises ``ValueError``.
     """
     n = len(v.values)
     c_s, c_q = require_real("c_s", c_s, math.ulp(0.0)), require_real("c_q", c_q, math.ulp(0.0))
     K = require_real("K", K, max(0.0, c_q * p.epsilon - COND_TOL))
     q_opp = require_real("q_opp", q_opp, p.epsilon - COND_TOL)
     lam = p.quality_weight(n)
-    kinks = (K - c_s * np.arange(n + 1) / 2.0) / c_q
-    stationary = np.sqrt(2.0 * lam * (c_s / c_q) * q_opp / v.sorted_values) - q_opp
-    rising = stationary >= kinks[1:]
-    j = int(np.argmax(rising))
-    best_q = min(stationary[j], kinks[j]) if rising[j] else kinks[n]
-    best_q = float(max(min(best_q, kinks[0]), p.epsilon, kinks[n]))
+    vd, c = v.sorted_values, 2.0 * lam * (c_s / c_q) * q_opp
+    q_0, q_n = K / c_q, (K - c_s * n / 2.0) / c_q  # kinks j = 0 and n, which bound the rest
+    for name, q in (("q_0 = K/c_q", q_0), (f"q_n = (K - c_s*{n}/2)/c_q", q_n)):
+        if not math.isfinite(q):
+            raise ValueError(f"quality kink {name} overflows (K={K}, c_s={c_s}, c_q={c_q})")
+    # bisect for the first piece with s_j >= q_j, j = lo + 1 (lo = n if none, as for a NaN or
+    # negative c, q_opp < 0); each side is computed as the array route computes it
+    lo, hi = (0, n) if c >= 0.0 else (n, n)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if math.sqrt(c / vd[mid]) - q_opp >= (K - c_s * (mid + 1) / 2.0) / c_q:
+            hi = mid
+        else:
+            lo = mid + 1
+    best_q = min(math.sqrt(c / vd[lo]) - q_opp, (K - c_s * lo / 2.0) / c_q) if lo < n else q_n
+    best_q = float(max(min(best_q, q_0), p.epsilon, q_n))
 
     # a K that affords epsilon only within COND_TOL leaves a spend just below 0
     spend = (K - c_q * best_q) / c_s
-    seeding, _ = water_fill_seeding(v, min(max(spend, 0.0), n / 2.0))
+    seeding, _ = _water_fill(v.order, min(max(spend, 0.0), n / 2.0))
     value = dot(v.values, seeding) + lam * (best_q - q_opp) / (best_q + q_opp)
     return best_q, seeding, value
 
@@ -435,8 +458,8 @@ def _build_outcome(p, v, q_a, q_b, vt_k, vt_l, k, l, case_a, case_b, seed_k, see
     s_b = _prefix_seeding(v.order, l, seed_l)
     utilities = _closed_form_report(p, v.values, q_a, q_b, s_a, s_b)
     return NashOutcome(
-        strategy_a=FirmStrategy(seeding=s_a, quality=q_a),
-        strategy_b=FirmStrategy(seeding=s_b, quality=q_b),
+        strategy_a=FirmStrategy._trusted(s_a, q_a),
+        strategy_b=FirmStrategy._trusted(s_b, q_b),
         k=k,
         l=l,
         v_tilde_k=vt_k,

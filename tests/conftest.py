@@ -163,6 +163,28 @@ def best_response_by_candidates(v, p: ModelParams, K: float, c_s: float, c_q: fl
     return best_q, seeding, value
 
 
+def best_response_by_arrays(v, p: ModelParams, K: float, c_s: float, c_q: float, q_opp: float):
+    """Oracle for best_response_quality's bisection: the piece test over whole arrays.
+
+    Builds all n + 1 kinks and n stationary points, compares them and takes
+    the argmax of the comparison: the first piece whose stationary point
+    reaches its lower kink.  Returns the same (quality, seeding, value) triple.
+    """
+    n = len(v.values)
+    lam = p.quality_weight(n)
+    kinks = (K - c_s * np.arange(n + 1) / 2.0) / c_q
+    stationary = np.sqrt(2.0 * lam * (c_s / c_q) * q_opp / v.sorted_values) - q_opp
+    rising = stationary >= kinks[1:]
+    j = int(np.argmax(rising))
+    best_q = min(stationary[j], kinks[j]) if rising[j] else kinks[n]
+    best_q = float(max(min(best_q, kinks[0]), p.epsilon, kinks[n]))
+
+    spend = (K - c_q * best_q) / c_s
+    seeding, _ = water_fill_seeding(v, min(max(spend, 0.0), n / 2.0))
+    value = dot(v.values, seeding) + lam * (best_q - q_opp) / (best_q + q_opp)
+    return best_q, seeding, value
+
+
 def water_fill_by_capped_fill(v, amount: float) -> tuple[np.ndarray, int]:
     """Oracle for water_fill_seeding: ``capped_fill`` over caps of 1/2 in centrality order.
 

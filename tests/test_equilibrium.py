@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -6,6 +7,10 @@ import pytest
 
 from netgame import (
     BudgetSpec,
+    CentralityVector,
+    FirmStrategy,
+    PresetState,
+    allocate_budget,
     max_centrality_sequence,
     min_centrality_sequence,
     best_response_quality,
@@ -32,6 +37,7 @@ from netgame.equilibrium import (
 )
 
 from conftest import (
+    best_response_by_arrays,
     best_response_by_candidates,
     bounded_argmax,
     dense_graph,
@@ -151,6 +157,58 @@ def test_best_response_equals_candidate_oracle(rng):
                     assert np.array_equal(seeding, seeding_ref)
                     draws += 1
     assert draws >= 2000
+
+
+def test_best_response_bisection_equals_the_array_route(rng):
+    # The bisection must stop at the index the argmax over the whole-array
+    # comparison picks, so each reply is the same bytes: n from 2 to 500 (up
+    # to 9 steps) on tied centralities (star, l-star, balanced) and random
+    # graphs, budgets at the quality floor, past full seeding and
+    # log-uniform between, rivals at epsilon and far above K/c_q, and c_s/c_q
+    # over 12 decades.
+    sizes = sorted({2, 3, 4, *np.geomspace(5, 500, 30).astype(int).tolist()})
+    draws = 0
+    for n in sizes:
+        graphs = [generate("star", n), generate("balanced", n),
+                  generate("random", n, seed=int(rng.integers(2**31)),
+                           density=float(rng.uniform(0.01, 0.3)))]
+        if n > 2:
+            graphs.append(generate("l_star", n, l=int(rng.integers(2, n))))
+        for g in graphs:
+            for _ in range(3):
+                p = draw_params(rng)
+                v = centrality(g, p)
+                c_q = 10.0 ** float(rng.uniform(-3.0, 3.0))
+                c_s = c_q * 10.0 ** float(rng.uniform(-6.0, 6.0))
+                floor, full = c_q * p.epsilon, c_s * n / 2.0
+                budgets = (
+                    max(floor * (1.0 + 1e-3 * rng.uniform(-1.0, 1.0)), floor - 0.5 * COND_TOL),
+                    float(rng.uniform(full, 1.2 * (full + c_q))),
+                    *(floor * (1.2 * (full + c_q) / floor) ** float(u) for u in rng.random(2)),
+                )
+                for K in budgets:
+                    rivals = (p.epsilon, max(K / c_q, p.epsilon) * 10.0 ** float(rng.uniform(1, 6)),
+                              float(np.exp(rng.uniform(-4.0, 3.0))), max(K / c_q, p.epsilon))
+                    for q_opp in rivals:
+                        args = (v, p, K, c_s, c_q, q_opp)
+                        got, want = best_response_quality(*args), best_response_by_arrays(*args)
+                        assert [np.float64(x).tobytes() for x in got] == [
+                            np.float64(x).tobytes() for x in want], (g.n, K, c_s, c_q, q_opp)
+                        draws += 1
+    assert draws >= 5000
+
+
+def test_best_response_refuses_an_overflowing_kink(example_params):
+    # The kinks q_0 = K/c_q and q_n bound every kink the bisection reads; an
+    # overflow there is refused rather than answered with an infinite quality
+    v = centrality(generate("star", 4), example_params)
+    with pytest.raises(ValueError) as exc:
+        best_response_quality(v, example_params, 2, 1, 5e-324, 1)
+    assert str(exc.value) == "quality kink q_0 = K/c_q overflows (K=2.0, c_s=1.0, c_q=5e-324)"
+    with pytest.raises(ValueError) as exc:
+        best_response_quality(v, example_params, 2.0, 1e308, 1.0, 1.0)
+    assert str(exc.value) == (
+        "quality kink q_n = (K - c_s*4/2)/c_q overflows (K=2.0, c_s=1e+308, c_q=1.0)")
 
 
 def test_best_response_spends_whole_budget(rng):
@@ -450,6 +508,32 @@ def test_floor_refusal_names_the_floored_firm(example_params, budgets, firm):
     out = solve_nash_iterative(g, example_params, budget)
     floored = out.strategy_b if firm == "b" else out.strategy_a
     assert floored.quality == pytest.approx(example_params.epsilon, abs=1e-15)
+
+
+def test_records_holding_arrays_compare_by_identity(example_params):
+    # == on two fresh equal-valued results neither raises on their arrays nor
+    # compares them: each record equals itself only, and hashes by identity
+    g, p, budget = generate("star", 5), example_params, BudgetSpec(2.0, 1.0, 1.0, 1.0)
+    v = centrality(g, p)
+    fresh = {
+        "CentralityVector": lambda: CentralityVector(values=v.values, order=v.order),
+        "FirmStrategy": lambda: FirmStrategy(seeding=np.full(5, 0.25), quality=1.0),
+        "NashOutcome": lambda: solve_nash(g, p, budget),
+        "AllocationResult": lambda: allocate_budget(
+            v=v, state=PresetState.neutral(5, 1.0, 1.0), firm="a", K=2.0, c_s=1.0, c_q=1.0, p=p),
+        "PresetState": lambda: PresetState.neutral(5, 1.0, 1.0),
+    }
+    for name, make in fresh.items():
+        x, y = make(), make()
+        assert x == x and x != y and not x == y and hash(x) == hash(x), name
+    # solve_nash's strategies own read-only arrays; replace builds through the public copy
+    eq = solve_nash(g, p, budget)
+    moved = dataclasses.replace(eq, strategy_a=dataclasses.replace(eq.strategy_a, quality=3.0))
+    assert moved.strategy_a.quality == 3.0 and moved.strategy_b is eq.strategy_b
+    assert np.array_equal(moved.strategy_a.seeding, eq.strategy_a.seeding)
+    assert not np.shares_memory(moved.strategy_a.seeding, eq.strategy_a.seeding)
+    strategies = (eq.strategy_a, eq.strategy_b, moved.strategy_a)
+    assert not any(s.seeding.flags.writeable for s in strategies)
 
 
 def test_best_response_iteration_cycles_where_solve_nash_does_not(example_params):

@@ -295,11 +295,12 @@ def ends(row: str) -> list:
     return found
 
 
-# a quality cost of 5e-324 passes its range check and then overflows K/c_q, and
-# budget_regime refuses its own K/c_s at a seeding cost of 5e-324 (a density of
-# 5e-324 is no fault: each row gets one edge, uniformly placed)
+# a quality cost of 5e-324 passes its range check and then overflows K/c_q, which
+# best_response_quality refuses as an overflowing kink, and budget_regime refuses
+# its own K/c_s at a seeding cost of 5e-324 (a density of 5e-324 is no fault: each
+# row gets one edge, uniformly placed)
 FAULTS = {
-    "best_response_quality c_q low": RuntimeWarning, "allocate_budget c_q low": RuntimeWarning,
+    "best_response_quality c_q low": ValueError, "allocate_budget c_q low": RuntimeWarning,
     "symmetric_nash c_q low": RuntimeWarning,
     "symmetric_seeding_extremes c_q low": RuntimeWarning,
     "budget_regime c_s low": ValueError,
