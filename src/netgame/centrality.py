@@ -83,29 +83,29 @@ def centrality(g: SocialGraph, p: ModelParams) -> CentralityVector:
     result, and one with other values adds powers only when its ratio
     needs more terms than any before.
 
-    The analytic guards are asserted on every call, cached or not: every
-    entry is at least 1, the total equals 2*beta*n/(2*beta - delta), and
-    the maximum lies between the balanced value and the star-hub value.
-    A NaN or an infinity fails one, so a fresh result, finite, positive and
+    The analytic guards are asserted on every evaluation, from kept
+    powers or new ones: every entry is at least 1, the total equals
+    2*beta*n/(2*beta - delta), and the maximum lies between the balanced
+    value and the star-hub value.  A repeated (beta, delta) returns the
+    read-only vector that passed them, which they would pass again.  A NaN
+    or an infinity fails one, so a fresh result, finite, positive and
     ordered by its stable argsort, skips ``CentralityVector``'s own check.
     """
     require_valid(g)
-    n = g.n
     key = (p.beta, p.delta)
     slot = g._centrality  # read once: another thread may replace it
-    fresh = slot is None or slot[1] != key
-    if fresh:
-        r = p.delta / (2.0 * p.beta)
-        powers = () if slot is None else slot[0]
-        terms = _term_count(n, r) + 1
-        if len(powers) < terms:
-            powers = _powers(g, powers, terms)
-        values = powers[terms - 1].copy()
-        for b in reversed(powers[: terms - 1]):  # Horner's rule, highest power first
-            values *= r
-            values += b
-    else:
-        values = slot[2].values
+    if slot is not None and slot[1] == key:
+        return slot[2]
+    n = g.n
+    r = p.delta / (2.0 * p.beta)
+    powers = () if slot is None else slot[0]
+    terms = _term_count(n, r) + 1
+    if len(powers) < terms:
+        powers = _powers(g, powers, terms)
+    values = powers[terms - 1].copy()
+    for b in reversed(powers[: terms - 1]):  # Horner's rule, highest power first
+        values *= r
+        values += b
     expected_total = 2.0 * p.beta * n / (2.0 * p.beta - p.delta)
     hub, _ = star_centralities(n, p)
     if values.min() < 1.0 - _GUARD_TOL:
@@ -114,11 +114,10 @@ def centrality(g: SocialGraph, p: ModelParams) -> CentralityVector:
         raise ArithmeticError(f"centrality total {values.sum()} != {expected_total}")
     if not balanced_centrality(p) - _GUARD_TOL <= values.max() <= hub + _GUARD_TOL:
         raise ArithmeticError(f"top centrality {values.max()} outside bounds")
-    if fresh:
-        # a new tuple each time: a published slot is never changed in place
-        order = np.argsort(-values, kind="stable")
-        slot = (powers, key, CentralityVector._trusted(values, order))
-        object.__setattr__(g, "_centrality", slot)
+    # a new tuple each time: a published slot is never changed in place
+    order = np.argsort(-values, kind="stable")
+    slot = (powers, key, CentralityVector._trusted(values, order))
+    object.__setattr__(g, "_centrality", slot)
     return slot[2]
 
 

@@ -155,31 +155,25 @@ def discounted_utilities(
     s_b = require_vector("s_b", s_b, g.n, -_STATE_TOL, 0.5 + _STATE_TOL)
     if mode not in ("closed_form", "simulated"):
         raise ValueError(f"unknown mode {mode!r}; use 'closed_form' or 'simulated'")
-    closed = _closed_form_report(p, centrality(g, p).values, q_a, q_b, s_a, s_b)
+    terms = _closed_form_terms(p, centrality(g, p).values, q_a, q_b, s_a, s_b)
+    closed = UtilityReport(*terms, mode="closed_form")
     if mode == "closed_form":
         return closed
     horizon = horizon_for_tolerance(p, g.n) if T is None else T
     return simulated_report(closed, simulate(g, p, q_a, q_b, s_a - s_b, horizon), p)
 
 
-def _closed_form_report(p, v, q_a, q_b, s_a, s_b) -> UtilityReport:
-    """Both firms' closed-form utilities: ``discounted_utilities`` and ``solve_nash`` use it."""
+def _closed_form_terms(p, v, q_a, q_b, s_a, s_b) -> tuple:
+    """Both firms' closed-form utilities and their breakdown: ``UtilityReport``'s fields up to
+    ``mode``, which ``discounted_utilities`` reports and ``solve_nash`` reads u_a and u_b of."""
     n = len(v)
     lam = p.quality_weight(n)
     base = n / (2.0 * (1.0 - p.delta))
     seed_a = dot(v, s_a)
     seed_b = dot(v, s_b)
     quality = lam * (q_a - q_b) / (q_a + q_b)
-    return UtilityReport(
-        u_a=base + seed_a - seed_b + quality,
-        u_b=base + seed_b - seed_a - quality,
-        lam=lam,
-        base=base,
-        seeding_a=seed_a,
-        seeding_b=seed_b,
-        quality=quality,
-        mode="closed_form",
-    )
+    return (base + seed_a - seed_b + quality, base + seed_b - seed_a - quality,
+            lam, base, seed_a, seed_b, quality)
 
 
 def simulated_report(closed: UtilityReport, traj: np.ndarray, p: ModelParams) -> UtilityReport:

@@ -32,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .centrality import CentralityVector, centrality, dot
-from .dynamics import _closed_form_report
+from .dynamics import _closed_form_terms
 from .graphs import SocialGraph
 from .params import ModelParams, require_real
 
@@ -42,6 +42,11 @@ CASE_INTERIOR = "interior"
 CASE_BOUNDARY = "boundary_zero"
 CASE_SATURATED = "saturated"
 _CASE_RANK = {CASE_INTERIOR: 0, CASE_BOUNDARY: 1, CASE_SATURATED: 2}
+
+
+def _widened(floor: float) -> float:
+    """``floor`` less COND_TOL, but at least half of it: the tolerance must not eat a small one."""
+    return max(floor - COND_TOL, floor / 2.0)
 
 
 class SolverError(RuntimeError):
@@ -179,23 +184,24 @@ def best_response_quality(
     bisection finds that piece in O(log n) steps before the O(n) fill;
     ``tests/conftest.py`` keeps the whole-array test and the argmax over
     all candidates as oracles.  The value is the objective on the returned
-    seeding.  ``c_s`` and ``c_q`` must be positive, ``K`` at least 0 and
-    affording quality epsilon, and ``q_opp`` at least epsilon, each up to
-    COND_TOL; an overflowing kink q_0 = K/c_q or q_n raises ``ValueError``.
+    seeding.  ``c_s`` and ``c_q`` must be positive, ``K`` at least
+    max(c_q*epsilon - COND_TOL, c_q*epsilon/2), what affords quality
+    epsilon, and ``q_opp`` at least max(epsilon - COND_TOL, epsilon/2); an
+    overflowing kink q_0 = K/c_q or q_n raises ``ValueError``.
     """
     n = len(v.values)
     c_s, c_q = require_real("c_s", c_s, math.ulp(0.0)), require_real("c_q", c_q, math.ulp(0.0))
-    K = require_real("K", K, max(0.0, c_q * p.epsilon - COND_TOL))
-    q_opp = require_real("q_opp", q_opp, p.epsilon - COND_TOL)
+    K = require_real("K", K, _widened(c_q * p.epsilon))
+    q_opp = require_real("q_opp", q_opp, _widened(p.epsilon))
     lam = p.quality_weight(n)
     vd, c = v.sorted_values, 2.0 * lam * (c_s / c_q) * q_opp
     q_0, q_n = K / c_q, (K - c_s * n / 2.0) / c_q  # kinks j = 0 and n, which bound the rest
-    for name, q in (("q_0 = K/c_q", q_0), (f"q_n = (K - c_s*{n}/2)/c_q", q_n)):
-        if not math.isfinite(q):
-            raise ValueError(f"quality kink {name} overflows (K={K}, c_s={c_s}, c_q={c_q})")
-    # bisect for the first piece with s_j >= q_j, j = lo + 1 (lo = n if none, as for a NaN or
-    # negative c, q_opp < 0); each side is computed as the array route computes it
-    lo, hi = (0, n) if c >= 0.0 else (n, n)
+    if not (math.isfinite(q_0) and math.isfinite(q_n)):
+        name = f"q_n = (K - c_s*{n}/2)/c_q" if math.isfinite(q_0) else "q_0 = K/c_q"
+        raise ValueError(f"quality kink {name} overflows (K={K}, c_s={c_s}, c_q={c_q})")
+    # bisect for the first piece with s_j >= q_j, j = lo + 1 (lo = n if none); each side is
+    # computed as the array route computes it
+    lo, hi = 0, n
     while lo < hi:
         mid = (lo + hi) // 2
         if math.sqrt(c / vd[mid]) - q_opp >= (K - c_s * (mid + 1) / 2.0) / c_q:
@@ -241,15 +247,16 @@ class _QualityCurve(NamedTuple):
     floor: bool
 
     @classmethod
-    def build(cls, vd: np.ndarray, K: float, c_s: float, c_q: float, eps: float):
+    def build(cls, vd: np.ndarray, spend: np.ndarray, K: float, c_q: float, eps: float):
+        """The curve for budget ``K``; ``spend`` holds c_s*j/2 for j = 0 .. len(vd)."""
         n = len(vd)
-        kinks = (K - c_s * np.arange(n + 1) / 2.0) / c_q
-        depth = min(n, int(np.count_nonzero(kinks[1:] >= eps - COND_TOL)) + 1)
+        kinks, low = (K - spend) / c_q, _widened(eps)
+        depth = min(n, int(np.count_nonzero(kinks[1:] >= low)) + 1)
         # ascending: q_depth, q_(depth-1), q_(depth-1), ..., q_1, q_1, q_0 against
         # v_depth, v_depth, v_(depth-1), v_(depth-1), ..., v_1, v_1
         q = np.repeat(np.maximum(kinks[depth::-1], eps), 2)[1:-1]
         w = np.repeat(vd[depth - 1 :: -1], 2) * q
-        return cls(w, q, depth, bool(kinks[depth] < eps - COND_TOL))
+        return cls(w, q, depth, bool(kinks[depth] < low))
 
     def __call__(self, w):
         return np.interp(w, self.w, self.q)
@@ -337,6 +344,8 @@ def solve_nash(g: SocialGraph, p: ModelParams, budget: BudgetSpec) -> NashOutcom
     rejected pair, or at the quality floor) every pair of pieces near the
     bracket is solved, and ties between accepted candidates resolve to the
     lexicographically smallest (k, l, case), as trying every pair would.
+    ``K_a`` and ``K_b`` must each afford quality epsilon: at least
+    max(c_q*epsilon - COND_TOL, c_q*epsilon/2).
     """
     v = centrality(g, p)
     return _build_outcome(p, v, *_solve_sequence(v.sorted_values, p, budget))
@@ -349,13 +358,15 @@ def _solve_sequence(vd: np.ndarray, p: ModelParams, budget: BudgetSpec) -> _Solu
     envelope; the quality weight is that of n = len(vd) agents.
     """
     n = len(vd)
+    afford = _widened(budget.c_q * p.epsilon)
     for name in ("K_a", "K_b"):  # each must afford quality epsilon
-        require_real(name, getattr(budget, name), budget.c_q * p.epsilon - COND_TOL)
+        require_real(name, getattr(budget, name), afford)
     lam = p.quality_weight(n)
     ratio = budget.c_s / budget.c_q
     c_s, c_q = budget.c_s, budget.c_q
-    a = _QualityCurve.build(vd, budget.K_a, c_s, c_q, p.epsilon)
-    b = a if budget.K_b == budget.K_a else _QualityCurve.build(vd, budget.K_b, c_s, c_q, p.epsilon)
+    spend = c_s * np.arange(n + 1) / 2.0
+    a = _QualityCurve.build(vd, spend, budget.K_a, c_q, p.epsilon)
+    b = a if budget.K_b == budget.K_a else _QualityCurve.build(vd, spend, budget.K_b, c_q, p.epsilon)
     lo, hi, top = _root_bracket(a, b, 2.0 * lam * ratio)
 
     def accepted(k, ca, l, cb):
@@ -435,9 +446,10 @@ def _clipped_seed(K, c_s, c_q, idx, q, case):
 
 def _conditions_ok(budget, p, vd, n, q_a, q_b, vt_k, vt_l, k, l, case_a, case_b):
     """Whether a candidate meets, within 1e-9, what its closed form leaves open: qualities of at
-    least epsilon, an interior seed in [0, 1/2] and a pinned v~ in its centrality bounds.  A
-    pinned quality is ``_pin``'s, so its seed (0) or spend (n/2) holds by construction."""
-    if q_a < p.epsilon - COND_TOL or q_b < p.epsilon - COND_TOL:
+    least epsilon (``_widened``), an interior seed in [0, 1/2] and a pinned v~ in its centrality
+    bounds.  A pinned quality is ``_pin``'s, so its seed (0) or spend (n/2) holds by construction."""
+    low = _widened(p.epsilon)
+    if q_a < low or q_b < low:
         return False
     for q, vt, idx, case, K in (
         (q_a, vt_k, k, case_a, budget.K_a),
@@ -456,7 +468,7 @@ def _conditions_ok(budget, p, vd, n, q_a, q_b, vt_k, vt_l, k, l, case_a, case_b)
 def _build_outcome(p, v, q_a, q_b, vt_k, vt_l, k, l, case_a, case_b, seed_k, seed_l):
     s_a = _prefix_seeding(v.order, k, seed_k)
     s_b = _prefix_seeding(v.order, l, seed_l)
-    utilities = _closed_form_report(p, v.values, q_a, q_b, s_a, s_b)
+    u_a, u_b, *_ = _closed_form_terms(p, v.values, q_a, q_b, s_a, s_b)
     return NashOutcome(
         strategy_a=FirmStrategy._trusted(s_a, q_a),
         strategy_b=FirmStrategy._trusted(s_b, q_b),
@@ -466,8 +478,8 @@ def _build_outcome(p, v, q_a, q_b, vt_k, vt_l, k, l, case_a, case_b, seed_k, see
         v_tilde_l=vt_l,
         case_a=case_a,
         case_b=case_b,
-        utility_a=utilities.u_a,
-        utility_b=utilities.u_b,
+        utility_a=u_a,
+        utility_b=u_b,
     )
 
 

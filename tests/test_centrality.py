@@ -257,13 +257,26 @@ def test_threads_sharing_a_graph_get_cold_vectors(rng):
     assert wrong == []
 
 
-def test_guards_run_on_cached_calls(example_params, monkeypatch):
+def test_guards_run_on_every_evaluation(example_params, monkeypatch, count_matvecs):
+    # Under a guard tolerance no vector passes, a repeated (beta, delta) still
+    # returns the vector that passed before, with no new power and no guard
+    # read (the star-hub bound is one); every fresh key is guarded, whether
+    # its series is summed from kept powers or needs new ones.
     g = generate("star", 6)
-    centrality(g, example_params)
+    first = centrality(g, example_params)
     module = sys.modules["netgame.centrality"]
     monkeypatch.setattr(module, "_GUARD_TOL", -1.0)
-    with pytest.raises(ArithmeticError):
-        centrality(g, example_params)
+    hub_bounds = []
+    star = module.star_centralities
+    monkeypatch.setattr(module, "star_centralities", lambda *a: hub_bounds.append(a) or star(*a))
+    assert centrality(g, example_params) is first
+    assert (len(count_matvecs), hub_bounds) == (1, [])
+    with pytest.raises(ArithmeticError):  # r = 1/8 needs fewer powers than r = 1/4 kept
+        centrality(g, ModelParams(alpha=1.0, beta=1.0, delta=0.25))
+    assert (len(count_matvecs), len(hub_bounds)) == (1, 1)
+    with pytest.raises(ArithmeticError):  # r = 0.475 needs more
+        centrality(g, ModelParams(alpha=1.0, beta=1.0, delta=0.95))
+    assert (len(count_matvecs), len(hub_bounds)) == (2, 2)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -161,6 +161,16 @@ def test_nash_at_a_vanishing_seeding_cost_exits_0(capsys):
     assert json.loads(out)["result"]["case"] == {"a": "saturated", "b": "saturated"}
 
 
+def test_nash_budget_under_a_tiny_quality_floor_exits_2(capsys):
+    # c_q*epsilon = 1e-10 lies under COND_TOL = 1e-9; the floor keeps half of
+    # it, so a budget of 0 is refused as input, not divided by zero (exit 3)
+    code, out, err = _run(
+        capsys, "nash", "--generate", "star", "--n", "6", "--Ka", "0", "--Kb", "0", "--cq", "1e-4"
+    )
+    assert (code, out) == (EXIT_INVALID, "")
+    assert err == "error: K_a must lie in [5e-11, inf], got 0.0\n"
+
+
 def test_nash_floor_corner_exits_3_naming_the_floored_firm(capsys):
     # firm a seeds all 15 agents and buys quality with the rest; firm b's
     # best quality is the floor epsilon, a corner solve_nash refuses

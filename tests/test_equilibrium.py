@@ -9,6 +9,7 @@ from netgame import (
     BudgetSpec,
     CentralityVector,
     FirmStrategy,
+    ModelParams,
     PresetState,
     allocate_budget,
     max_centrality_sequence,
@@ -209,6 +210,32 @@ def test_best_response_refuses_an_overflowing_kink(example_params):
         best_response_quality(v, example_params, 2.0, 1e308, 1.0, 1.0)
     assert str(exc.value) == (
         "quality kink q_n = (K - c_s*4/2)/c_q overflows (K=2.0, c_s=1e+308, c_q=1.0)")
+
+
+def test_symmetric_nash_refuses_a_budget_under_a_tiny_quality_floor(example_params):
+    # c_q*epsilon = 1e-10 lies under COND_TOL; the floor keeps half of it, so
+    # K = 0, which buys no positive quality, is refused, not divided by zero
+    with pytest.raises(ValueError) as exc:
+        symmetric_nash(generate("star", 6), example_params, 0.0, 1.0, 1e-4)
+    assert str(exc.value) == "K_a must lie in [5e-11, inf], got 0.0"
+
+
+def test_best_response_refuses_a_budget_under_a_tiny_quality_floor(example_params):
+    # the same floor: a budget of 0 no longer returns quality epsilon
+    v = centrality(generate("star", 6), example_params)
+    with pytest.raises(ValueError) as exc:
+        best_response_quality(v, example_params, 0.0, 1.0, 1e-4, 1.0)
+    assert str(exc.value) == "K must lie in [5e-11, inf], got 0.0"
+
+
+def test_best_response_refuses_a_negative_rival_under_a_tiny_epsilon():
+    # at epsilon = 1e-12, epsilon - COND_TOL is negative; the floor epsilon/2
+    # keeps the payoff's pole at q = -q_opp out of reach
+    p = ModelParams(alpha=1.3, beta=1.2, delta=0.5, epsilon=1e-12)
+    v = centrality(generate("star", 6), p)
+    with pytest.raises(ValueError) as exc:
+        best_response_quality(v, p, 1.0, 1.0, 1.0, -5e-10)
+    assert str(exc.value) == "q_opp must lie in [5e-13, inf], got -5e-10"
 
 
 def test_best_response_spends_whole_budget(rng):
@@ -565,7 +592,8 @@ def test_quality_curve_inverts_best_response(rng):
         q_opp = float(np.exp(rng.uniform(-4.0, 3.0)))
         q, _, _ = best_response_quality(v, p, K, c_s, c_q, q_opp)
         w = 2.0 * p.quality_weight(n) * (c_s / c_q) * q * q_opp / (q + q_opp) ** 2
-        curve = _QualityCurve.build(v.sorted_values, K, c_s, c_q, p.epsilon)
+        spend = c_s * np.arange(n + 1) / 2.0
+        curve = _QualityCurve.build(v.sorted_values, spend, K, c_q, p.epsilon)
         assert curve(w) == pytest.approx(q, rel=1e-9, abs=1e-12)
 
 
