@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .centrality import CentralityVector, dot
-from .params import ModelParams, require_count, require_qualities, require_real, require_vector
+from .params import (
+    _QUALITY_MAX, ModelParams, require_count, require_qualities, require_real, require_vector)
 
 TIE_TOL = 1e-12
 
@@ -81,10 +82,10 @@ def thresholds(
 ) -> tuple[float, float]:
     """Centrality levels at which seeding and quality break even, per firm.
 
-    Both costs must be positive, and both qualities at least epsilon.
+    Both costs must be positive, and both qualities in [epsilon, 2**510].
     """
     c_s, c_q = require_real("c_s", c_s, math.ulp(0.0)), require_real("c_q", c_q, math.ulp(0.0))
-    q_a, q_b = require_qualities(p, q_a, q_b)
+    q_a, q_b = require_qualities(p, q_a, q_b, _QUALITY_MAX)
     lam = p.quality_weight(n)
     total = (q_a + q_b) ** 2
     v_c_a = 2.0 * lam * (c_s / c_q) * q_b / total

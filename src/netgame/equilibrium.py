@@ -16,9 +16,10 @@ u = q_a*q_b/(q_a + q_b)^2, and each firm's quality is an increasing
 piecewise-linear function of w.  ``solve_nash`` builds both curves in
 O(n), brackets the root of 2*lam*(c_s/c_q)*u(Q_a(w), Q_b(w)) = w between
 their breakpoints, and finishes with one closed-form solve on the piece
-pair there; only a root at a breakpoint, where pairs can tie, or at the
-quality floor sends it through every neighbouring pair in tie-break
-order.  The symmetric game is the same solve with K_a = K_b, and the
+pair there, whose conditions ``_marginal_seed`` checks as it places each
+firm's marginal seed; only a root at a breakpoint, where pairs can tie,
+or at the quality floor sends it through every neighbouring pair in
+tie-break order.  The symmetric game is the same solve with K_a = K_b, and the
 extremal envelopes run it on their own descending sequences.
 """
 
@@ -34,14 +35,14 @@ import numpy as np
 from .centrality import CentralityVector, centrality, dot
 from .dynamics import _closed_form_terms
 from .graphs import SocialGraph
-from .params import ModelParams, require_real
+from .params import _QUALITY_MAX, ModelParams, require_real
 
 COND_TOL = 1e-9
 
 CASE_INTERIOR = "interior"
 CASE_BOUNDARY = "boundary_zero"
 CASE_SATURATED = "saturated"
-_CASE_RANK = {CASE_INTERIOR: 0, CASE_BOUNDARY: 1, CASE_SATURATED: 2}
+_CASE_RANK = (CASE_INTERIOR, CASE_BOUNDARY, CASE_SATURATED)  # in tie-break rank
 
 
 def _widened(floor: float) -> float:
@@ -218,17 +219,6 @@ def best_response_quality(
     return best_q, seeding, value
 
 
-def _pin(K: float, c_s: float, c_q: float, idx: int, case: str) -> float | None:
-    """Quality left once every agent before the marginal one is fully seeded.
-
-    Saturation seeds all n fully; interior cases leave the quality free.
-    """
-    if case == CASE_INTERIOR:
-        return None
-    full = idx if case == CASE_SATURATED else idx - 1
-    return (K - c_s * full / 2.0) / c_q
-
-
 class _QualityCurve(NamedTuple):
     """One firm's equilibrium quality Q(w) as a function of w = v~ * q.
 
@@ -243,6 +233,7 @@ class _QualityCurve(NamedTuple):
 
     w: np.ndarray
     q: np.ndarray
+    kinks: np.ndarray
     depth: int
     floor: bool
 
@@ -256,32 +247,33 @@ class _QualityCurve(NamedTuple):
         # v_depth, v_depth, v_(depth-1), v_(depth-1), ..., v_1, v_1
         q = np.repeat(np.maximum(kinks[depth::-1], eps), 2)[1:-1]
         w = np.repeat(vd[depth - 1 :: -1], 2) * q
-        return cls(w, q, depth, bool(kinks[depth] < low))
+        return cls(w, q, kinks, depth, bool(kinks[depth] < low))
 
     def __call__(self, w):
         return np.interp(w, self.w, self.q)
 
-    def piece(self, t: int) -> tuple[int, str] | None:
-        """(index, case) of piece t, which lies between breakpoints t - 1 and t.
+    def piece(self, t: int) -> tuple[int, int, float | None] | None:
+        """(index, case rank, pinned quality) of piece t, between breakpoints t - 1 and t.
 
         t = 0 is the left tail (saturated, or None at the floor), odd t
-        interior and even t boundary_zero.
+        interior, whose quality is free (None), and even t boundary_zero.
+        A pinned quality is the kink q_j of the j agents fully seeded.
         """
+        j = self.depth - t // 2
         if t % 2:
-            return self.depth - t // 2, CASE_INTERIOR
+            return j, 0, None
         if t:
-            return self.depth - t // 2 + 1, CASE_BOUNDARY
-        return None if self.floor else (self.depth, CASE_SATURATED)
+            return j + 1, 1, float(self.kinks[j])
+        return None if self.floor else (j, 2, float(self.kinks[j]))
 
-    def cases_near(self, lo: float, hi: float, slack: float) -> list[tuple[int, int, str]]:
-        """(index, case rank, case) of each piece within ``slack`` of [lo, hi], sorted.
+    def cases_near(self, lo: float, hi: float, slack: float) -> list[tuple[int, int, float | None]]:
+        """``piece`` of each piece within ``slack`` of [lo, hi], sorted by (index, case rank).
 
         One piece either side is added, so ties at a breakpoint are all tried.
         """
         first = max(int(np.searchsorted(self.w, lo - slack, "left")) - 1, 0)
         last = min(int(np.searchsorted(self.w, hi + slack, "right")) + 1, len(self.w))
-        cases = filter(None, map(self.piece, range(first, last + 1)))
-        return sorted((idx, _CASE_RANK[case], case) for idx, case in cases)
+        return sorted(filter(None, map(self.piece, range(first, last + 1))))
 
 
 def _root_bracket(a: _QualityCurve, b: _QualityCurve, scale: float) -> tuple[float, ...]:
@@ -294,7 +286,7 @@ def _root_bracket(a: _QualityCurve, b: _QualityCurve, scale: float) -> tuple[flo
     the gap between breakpoints that holds the root.
     """
     hi = scale / 4.0
-    for own, rival in ((a, b),) if a is b else ((a, b), (b, a)):
+    for own, rival in ((a, b), (b, a)):
         q_rival = rival(own.w)
         phi = scale * own.q * q_rival / (own.q + q_rival) ** 2 - own.w
         hit = int(np.argmax(phi <= 0.0))
@@ -339,13 +331,14 @@ def solve_nash(g: SocialGraph, p: ModelParams, budget: BudgetSpec) -> NashOutcom
     brackets the root between breakpoints.  Each curve's piece at the
     bracket's midpoint gives that firm's case tag and marginal position,
     and that pair gets the closed-form solve for (q_a, q_b), accepted iff
-    ``_conditions_ok`` holds (within 1e-9).  Unless the root
-    lies near a breakpoint, that is the answer.  Otherwise (or for a
-    rejected pair, or at the quality floor) every pair of pieces near the
-    bracket is solved, and ties between accepted candidates resolve to the
-    lexicographically smallest (k, l, case), as trying every pair would.
-    ``K_a`` and ``K_b`` must each afford quality epsilon: at least
-    max(c_q*epsilon - COND_TOL, c_q*epsilon/2).
+    both reach epsilon and ``_marginal_seed`` places each firm's marginal
+    seed (within 1e-9).  Unless the root lies near a breakpoint, that is
+    the answer.  Otherwise (or for a rejected pair, or at the quality
+    floor) every pair of pieces near the bracket is solved, and ties
+    between accepted candidates resolve to the lexicographically smallest
+    (k, l, case), as trying every pair would.  ``K_a`` and ``K_b`` must
+    each afford quality epsilon, at least max(c_q*epsilon - COND_TOL,
+    c_q*epsilon/2), and each over c_q be at most 2**510.
     """
     v = centrality(g, p)
     return _build_outcome(p, v, *_solve_sequence(v.sorted_values, p, budget))
@@ -358,25 +351,27 @@ def _solve_sequence(vd: np.ndarray, p: ModelParams, budget: BudgetSpec) -> _Solu
     envelope; the quality weight is that of n = len(vd) agents.
     """
     n = len(vd)
-    afford = _widened(budget.c_q * p.epsilon)
-    for name in ("K_a", "K_b"):  # each must afford quality epsilon
-        require_real(name, getattr(budget, name), afford)
-    lam = p.quality_weight(n)
-    ratio = budget.c_s / budget.c_q
     c_s, c_q = budget.c_s, budget.c_q
+    afford = _widened(c_q * p.epsilon)
+    for name in ("K_a", "K_b"):  # each must afford quality epsilon, and no more than 2**510
+        K = require_real(name, getattr(budget, name), afford)
+        require_real(f"{name}/c_q", K / c_q, 0.0, _QUALITY_MAX)
+    lam = p.quality_weight(n)
+    scale = 2.0 * lam * (c_s / c_q)
     spend = c_s * np.arange(n + 1) / 2.0
     a = _QualityCurve.build(vd, spend, budget.K_a, c_q, p.epsilon)
-    b = a if budget.K_b == budget.K_a else _QualityCurve.build(vd, spend, budget.K_b, c_q, p.epsilon)
-    lo, hi, top = _root_bracket(a, b, 2.0 * lam * ratio)
+    b = _QualityCurve.build(vd, spend, budget.K_b, c_q, p.epsilon)
+    lo, hi, top = _root_bracket(a, b, scale)
+    low = _widened(p.epsilon)
 
-    def accepted(k, ca, l, cb):
-        qa_pin, qb_pin = _pin(budget.K_a, c_s, c_q, k, ca), _pin(budget.K_b, c_s, c_q, l, cb)
-        sol = _solve_case(lam, ratio, vd, k, l, ca, cb, qa_pin, qb_pin)
-        if sol is None or not _conditions_ok(budget, p, vd, n, *sol, k, l, ca, cb):
+    def accepted(k, rank_a, qa_pin, l, rank_b, qb_pin):
+        sol = _solve_case(scale, vd, k, l, qa_pin, qb_pin)
+        if sol is None or sol[0] < low or sol[1] < low:
             return None
-        seed_k = _clipped_seed(budget.K_a, c_s, c_q, k, sol[0], ca)
-        seed_l = _clipped_seed(budget.K_b, c_s, c_q, l, sol[1], cb)
-        return _Solution(*sol, k, l, ca, cb, seed_k, seed_l)
+        case_a, case_b = _CASE_RANK[rank_a], _CASE_RANK[rank_b]
+        seeds = (_marginal_seed(budget.K_a, c_s, c_q, vd, k, case_a, sol[0], sol[2]),
+                 _marginal_seed(budget.K_b, c_s, c_q, vd, l, case_b, sol[1], sol[3]))
+        return None if None in seeds else _Solution(*sol, k, l, case_a, case_b, *seeds)
 
     # No breakpoint lies inside (lo, top), so the bracket's midpoint names
     # each firm's piece there.  A root that pair puts more than the slack
@@ -390,7 +385,7 @@ def _solve_sequence(vd: np.ndarray, p: ModelParams, budget: BudgetSpec) -> _Solu
             itertools.product(a.cases_near(lo, hi, slack), b.cases_near(lo, hi, slack)),
             key=lambda pair: (pair[0][0], pair[1][0], pair[0][1], pair[1][1]),
         )
-        solved = (accepted(k, ca, l, cb) for (k, _, ca), (l, _, cb) in pairs)
+        solved = (accepted(*pa, *pb) for pa, pb in pairs)
         sol = next(filter(None, solved), None)
     if sol is not None:
         return sol
@@ -407,62 +402,37 @@ def _solve_sequence(vd: np.ndarray, p: ModelParams, budget: BudgetSpec) -> _Solu
     )
 
 
-def _solve_case(lam, ratio, vd, k, l, case_a, case_b, qa_pin, qb_pin):
-    """Solve the two marginal conditions for (q_a, q_b, v~_k, v~_l)."""
-    if case_a == CASE_INTERIOR and case_b == CASE_INTERIOR:
+def _solve_case(scale, vd, k, l, qa_pin, qb_pin):
+    """Both marginal conditions solved for (q_a, q_b, v~_k, v~_l), or None; pin None: interior."""
+    if qa_pin is None and qb_pin is None:
         vt_k, vt_l = vd[k - 1], vd[l - 1]
         den = (vt_k + vt_l) ** 2
-        return 2 * lam * ratio * vt_l / den, 2 * lam * ratio * vt_k / den, vt_k, vt_l
-    if case_a == CASE_INTERIOR:
+        return scale * vt_l / den, scale * vt_k / den, vt_k, vt_l
+    if qb_pin is None:  # the mirror of a interior and b pinned: (q_b + q_a)**2 is (q_a + q_b)**2
+        sol = _solve_case(scale, vd, l, k, qb_pin, qa_pin)
+        return None if sol is None else (sol[1], sol[0], sol[3], sol[2])
+    if qa_pin is None:
         vt_k, q_b = vd[k - 1], qb_pin
-        q_a = math.sqrt(2 * lam * ratio * q_b / vt_k) - q_b
+        q_a = math.sqrt(scale * q_b / vt_k) - q_b
         if q_a <= 0.0:
             return None
-        vt_l = 2 * lam * ratio * q_a / (q_a + q_b) ** 2
-        return q_a, q_b, vt_k, vt_l
-    if case_b == CASE_INTERIOR:
-        vt_l, q_a = vd[l - 1], qa_pin
-        q_b = math.sqrt(2 * lam * ratio * q_a / vt_l) - q_a
-        if q_b <= 0.0:
-            return None
-        vt_k = 2 * lam * ratio * q_b / (q_a + q_b) ** 2
-        return q_a, q_b, vt_k, vt_l
-    q_a, q_b = qa_pin, qb_pin
-    total = (q_a + q_b) ** 2
-    return q_a, q_b, 2 * lam * ratio * q_b / total, 2 * lam * ratio * q_a / total
+        return q_a, q_b, vt_k, scale * q_a / (q_a + q_b) ** 2
+    total = (qa_pin + qb_pin) ** 2
+    return qa_pin, qb_pin, scale * qb_pin / total, scale * qa_pin / total
 
 
-def _marginal_seed(K, c_s, c_q, idx, q):
-    """Seed left for the marginal agent at position ``idx`` after buying ``q``."""
-    return K / c_s - (idx - 1) / 2.0 - (c_q / c_s) * q
-
-
-def _clipped_seed(K, c_s, c_q, idx, q, case):
-    """The marginal agent's seed in [0, 1/2]; saturation seeds everyone fully."""
-    if case == CASE_SATURATED:
-        return 0.5
-    return min(max(_marginal_seed(K, c_s, c_q, idx, q), 0.0), 0.5)
-
-
-def _conditions_ok(budget, p, vd, n, q_a, q_b, vt_k, vt_l, k, l, case_a, case_b):
-    """Whether a candidate meets, within 1e-9, what its closed form leaves open: qualities of at
-    least epsilon (``_widened``), an interior seed in [0, 1/2] and a pinned v~ in its centrality
-    bounds.  A pinned quality is ``_pin``'s, so its seed (0) or spend (n/2) holds by construction."""
-    low = _widened(p.epsilon)
-    if q_a < low or q_b < low:
-        return False
-    for q, vt, idx, case, K in (
-        (q_a, vt_k, k, case_a, budget.K_a),
-        (q_b, vt_l, l, case_b, budget.K_b),
-    ):
-        if case == CASE_INTERIOR:
-            ok = -COND_TOL <= _marginal_seed(K, budget.c_s, budget.c_q, idx, q) <= 0.5 + COND_TOL
-        else:  # j agents fully seeded: v~ lies between the last one's centrality and the next's
-            j = idx if case == CASE_SATURATED else idx - 1
-            ok = (j == n or vt >= vd[j] - COND_TOL) and (j == 0 or vt <= vd[j - 1] + COND_TOL)
-        if not ok:
-            return False
-    return True
+def _marginal_seed(K, c_s, c_q, vd, idx, case, q, vt):
+    """The seed in [0, 1/2] of the marginal agent at ``idx`` after buying ``q``; None if the
+    piece's condition fails within COND_TOL: an interior seed in [0, 1/2], a pinned v~ between
+    the last fully seeded agent's centrality and the next's.  A pinned ``q`` is the curve's kink,
+    so its seed (0) or spend (n/2) holds by construction; saturation seeds everyone fully."""
+    seed = 0.5 if case == CASE_SATURATED else K / c_s - (idx - 1) / 2.0 - (c_q / c_s) * q
+    if case == CASE_INTERIOR:
+        ok = -COND_TOL <= seed <= 0.5 + COND_TOL
+    else:  # j agents fully seeded
+        j = idx if case == CASE_SATURATED else idx - 1
+        ok = (j == len(vd) or vt >= vd[j] - COND_TOL) and (j == 0 or vt <= vd[j - 1] + COND_TOL)
+    return min(max(seed, 0.0), 0.5) if ok else None
 
 
 def _build_outcome(p, v, q_a, q_b, vt_k, vt_l, k, l, case_a, case_b, seed_k, seed_l):

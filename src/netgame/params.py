@@ -10,6 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# qualities and budgets over c_q in [1/_QUALITY_MAX, _QUALITY_MAX] keep (q_a + q_b)**2 normal
+_QUALITY_MAX = 2.0**510
+
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -42,8 +45,8 @@ class ModelParams:
             )
         if not 0.0 < self.delta < 1.0:
             problems.append(f"delta={self.delta} outside (0, 1)")
-        if self.epsilon <= 0.0:
-            problems.append(f"epsilon={self.epsilon} must be positive")
+        if self.epsilon < 1.0 / _QUALITY_MAX:
+            problems.append(f"epsilon={self.epsilon} is below 2**-510 = {1.0 / _QUALITY_MAX}")
         if problems:
             raise ValueError("invalid model parameters: " + "; ".join(problems))
 
@@ -61,9 +64,9 @@ class ModelParams:
         )
 
 
-def require_qualities(p: ModelParams, q_a, q_b) -> tuple[float, float]:
-    """``q_a`` and ``q_b`` as floats; a quality below the floor epsilon raises ``ValueError``."""
-    return require_real("q_a", q_a, p.epsilon), require_real("q_b", q_b, p.epsilon)
+def require_qualities(p: ModelParams, q_a, q_b, high: float = math.inf) -> tuple[float, float]:
+    """``q_a`` and ``q_b`` as floats; a quality outside [epsilon, high] raises ``ValueError``."""
+    return require_real("q_a", q_a, p.epsilon, high), require_real("q_b", q_b, p.epsilon, high)
 
 
 def require_real(name: str, x, low: float = -math.inf, high: float = math.inf) -> float:

@@ -36,7 +36,7 @@ from netgame.equilibrium import (
     COND_TOL,
     SolverError,
     _build_outcome,
-    _clipped_seed,
+    _widened,
     best_response_quality,
     water_fill_seeding,
 )
@@ -196,6 +196,54 @@ def water_fill_by_capped_fill(v, amount: float) -> tuple[np.ndarray, int]:
     return seeding, int(np.count_nonzero(fill))
 
 
+def pin_by_formula(K: float, c_s: float, c_q: float, idx: int, case: str) -> float | None:
+    """Oracle for ``_QualityCurve.piece``'s pinned quality: the kink computed on its own.
+
+    Quality left once every agent before the marginal one is fully seeded;
+    saturation seeds all n fully, and an interior case leaves the quality free.
+    """
+    if case == CASE_INTERIOR:
+        return None
+    full = idx if case == CASE_SATURATED else idx - 1
+    return (K - c_s * full / 2.0) / c_q
+
+
+def seed_by_formula(K, c_s, c_q, idx, q):
+    """Seed left for the marginal agent at position ``idx`` after buying ``q``."""
+    return K / c_s - (idx - 1) / 2.0 - (c_q / c_s) * q
+
+
+def clipped_seed_by_formula(K, c_s, c_q, idx, q, case):
+    """Oracle for ``_marginal_seed``'s seed: in [0, 1/2]; saturation seeds everyone fully."""
+    if case == CASE_SATURATED:
+        return 0.5
+    return min(max(seed_by_formula(K, c_s, c_q, idx, q), 0.0), 0.5)
+
+
+def conditions_by_formula(budget, p, vd, n, q_a, q_b, vt_k, vt_l, k, l, case_a, case_b):
+    """Oracle for the solver's acceptance test of a candidate pair.
+
+    Whether it meets, within 1e-9, what its closed form leaves open:
+    qualities of at least epsilon (``_widened``), an interior seed in
+    [0, 1/2] and a pinned v~ in its centrality bounds.
+    """
+    low = _widened(p.epsilon)
+    if q_a < low or q_b < low:
+        return False
+    for q, vt, idx, case, K in (
+        (q_a, vt_k, k, case_a, budget.K_a),
+        (q_b, vt_l, l, case_b, budget.K_b),
+    ):
+        if case == CASE_INTERIOR:
+            ok = -COND_TOL <= seed_by_formula(K, budget.c_s, budget.c_q, idx, q) <= 0.5 + COND_TOL
+        else:  # j agents fully seeded: v~ lies between the last one's centrality and the next's
+            j = idx if case == CASE_SATURATED else idx - 1
+            ok = (j == n or vt >= vd[j] - COND_TOL) and (j == 0 or vt <= vd[j - 1] + COND_TOL)
+        if not ok:
+            return False
+    return True
+
+
 def regime_classify(n: int, p: ModelParams, v_c: float) -> dict:
     """Label threshold ``v_c`` by how star and balanced seeding capacity compare there.
 
@@ -305,8 +353,8 @@ def _outcome_from_qualities(g, p, v, budget, q_a, q_b):
     case_a, k = classify(q_a, budget.K_a)
     case_b, l = classify(q_b, budget.K_b)
     k, l = max(k, 1), max(l, 1)
-    seed_k = _clipped_seed(budget.K_a, budget.c_s, budget.c_q, k, q_a, case_a)
-    seed_l = _clipped_seed(budget.K_b, budget.c_s, budget.c_q, l, q_b, case_b)
+    seed_k = clipped_seed_by_formula(budget.K_a, budget.c_s, budget.c_q, k, q_a, case_a)
+    seed_l = clipped_seed_by_formula(budget.K_b, budget.c_s, budget.c_q, l, q_b, case_b)
     return _build_outcome(p, v, q_a, q_b, vt_k, vt_l, k, l, case_a, case_b, seed_k, seed_l)
 
 

@@ -171,6 +171,29 @@ def test_nash_budget_under_a_tiny_quality_floor_exits_2(capsys):
     assert err == "error: K_a must lie in [5e-11, inf], got 0.0\n"
 
 
+QUALITY_MAX = "3.3519519824856493e+153"  # 2**510: (q_a + q_b)**2 stays finite up to there
+
+
+@pytest.mark.parametrize("argv, error", [
+    # K_a/c_q = 1e160 squared overflowed (OverflowError, exit 3)
+    (("nash", "--generate", "star", "--n", "3", "--Ka", "1e160", "--Kb", "1"),
+     f"K_a/c_q must lie in [0.0, {QUALITY_MAX}], got 1e+160"),
+    # (q_a + q_b)**2 at qualities near 1e-170 underflowed to 0 (ZeroDivisionError, exit 3),
+    # and answered after numpy's invalid-value warning at a budget of 1
+    (("nash", "--generate", "star", "--n", "3", "--Ka", "1e-170", "--Kb", "1e-170",
+      "--epsilon", "1e-170"),
+     "invalid model parameters: epsilon=1e-170 is below 2**-510 = 2.983336292480083e-154"),
+    (("nash", "--generate", "star", "--n", "3", "--Ka", "1", "--Kb", "1", "--epsilon", "1e-170"),
+     "invalid model parameters: epsilon=1e-170 is below 2**-510 = 2.983336292480083e-154"),
+    # the threshold's (q_a + q_b)**2 overflowed (OverflowError, exit 3)
+    (("allocate", "--generate", "star", "--n", "5", "--qa", "1e160", "--qb", "1", "--budget", "1",
+      "--firm", "a"), f"q_a must lie in [1e-06, {QUALITY_MAX}], got 1e+160"),
+], ids=["nash Ka=1e160", "nash Ka=Kb=epsilon=1e-170", "nash epsilon=1e-170", "allocate qa=1e160"])
+def test_a_squared_quality_sum_out_of_range_exits_2(capsys, argv, error):
+    code, out, err = _run(capsys, *argv)  # a numpy RuntimeWarning fails the test
+    assert (code, out, err) == (EXIT_INVALID, "", f"error: {error}\n")
+
+
 def test_nash_floor_corner_exits_3_naming_the_floored_firm(capsys):
     # firm a seeds all 15 agents and buys quality with the rest; firm b's
     # best quality is the floor epsilon, a corner solve_nash refuses

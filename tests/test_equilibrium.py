@@ -31,14 +31,16 @@ from netgame.equilibrium import (
     _CASE_RANK,
     _QualityCurve,
     _build_outcome,
-    _clipped_seed,
-    _conditions_ok,
+    _marginal_seed,
     _solve_case,
     _solve_sequence,
+    _widened,
 )
 
 from conftest import (
     best_response_by_arrays,
+    clipped_seed_by_formula,
+    conditions_by_formula,
     best_response_by_candidates,
     bounded_argmax,
     dense_graph,
@@ -47,6 +49,7 @@ from conftest import (
     draw_instance,
     draw_params,
     oracle_graphs,
+    pin_by_formula,
     solve_nash_iterative,
     water_fill_by_capped_fill,
 )
@@ -385,21 +388,24 @@ def enumerate_sequence(vd, p, budget):
     lexicographically smallest, the tie-break solve_nash promises.
     """
     n = len(vd)
-    lam = p.quality_weight(n)
-    ratio = budget.c_s / budget.c_q
+    c_s, c_q = budget.c_s, budget.c_q
+    scale = 2.0 * p.quality_weight(n) * (c_s / c_q)
+    low = _widened(p.epsilon)
 
     def by_index(K):
         # one firm's cases come sorted by (index, case rank): group them by index
-        cases = _enumerated_cases(K, budget.c_s, budget.c_q, p.epsilon, n)
+        cases = _enumerated_cases(K, c_s, c_q, p.epsilon, n)
         return [list(group) for _, group in itertools.groupby(cases, key=lambda c: c[1])]
 
     for cases_k, cases_l in itertools.product(by_index(budget.K_a), by_index(budget.K_b)):
         for (ca, k, qa_pin), (cb, l, qb_pin) in itertools.product(cases_k, cases_l):
-            sol = _solve_case(lam, ratio, vd, k, l, ca, cb, qa_pin, qb_pin)
-            if sol is not None and _conditions_ok(budget, p, vd, n, *sol, k, l, ca, cb):
-                q_a, q_b, vt_k, vt_l = sol
-                seed_k = _clipped_seed(budget.K_a, budget.c_s, budget.c_q, k, q_a, ca)
-                seed_l = _clipped_seed(budget.K_b, budget.c_s, budget.c_q, l, q_b, cb)
+            sol = _solve_case(scale, vd, k, l, qa_pin, qb_pin)
+            if sol is None or min(sol[0], sol[1]) < low:
+                continue
+            q_a, q_b, vt_k, vt_l = sol
+            seed_k = _marginal_seed(budget.K_a, c_s, c_q, vd, k, ca, q_a, vt_k)
+            seed_l = _marginal_seed(budget.K_b, c_s, c_q, vd, l, cb, q_b, vt_l)
+            if seed_k is not None and seed_l is not None:
                 return q_a, q_b, vt_k, vt_l, k, l, ca, cb, seed_k, seed_l
     raise SolverError("no candidate pair satisfied the conditions")
 
@@ -595,6 +601,108 @@ def test_quality_curve_inverts_best_response(rng):
         spend = c_s * np.arange(n + 1) / 2.0
         curve = _QualityCurve.build(v.sorted_values, spend, K, c_q, p.epsilon)
         assert curve(w) == pytest.approx(q, rel=1e-9, abs=1e-12)
+
+
+def _draw_curve(rng):
+    """A quality curve on a descending sequence of 1, 2 or up to 30 agents, ties now and then.
+
+    The budget runs log-uniformly from the floor c_q*epsilon, where the
+    curve stops short of n agents and ends in the floor tail, to past
+    saturation.  Returns (vd, K, c_s, c_q, epsilon, curve).
+    """
+    n = int(rng.choice([1, 2, int(rng.integers(3, 31))]))
+    vd = np.sort(rng.uniform(1.0, 3.0, n))[::-1]
+    if rng.random() < 0.3:
+        vd = np.round(vd, 1)
+    c_q = float(10.0 ** rng.uniform(-2.0, 2.0))
+    c_s = c_q * float(10.0 ** rng.uniform(-3.0, 3.0))
+    eps = float(10.0 ** rng.uniform(-12.0, -1.0))
+    floor, top = c_q * eps, 1.2 * (c_s * n / 2.0 + c_q)
+    K = floor * (top / floor) ** float(rng.random())
+    return vd, K, c_s, c_q, eps, _QualityCurve.build(vd, c_s * np.arange(n + 1) / 2.0, K, c_q, eps)
+
+
+def _bits(x):
+    return None if x is None else (type(x), x.hex())
+
+
+def test_piece_pins_the_kink_the_formula_pins():
+    # every piece of every curve: all three cases, truncated depths, the
+    # floor tail (no piece), and n = 1 and 2
+    rng = np.random.default_rng(30)
+    seen = set()
+    for _ in range(400):
+        vd, K, c_s, c_q, _, curve = _draw_curve(rng)
+        for t in range(len(curve.w) + 1):
+            piece = curve.piece(t)
+            if piece is None:
+                assert t == 0 and curve.floor
+                seen.add("floor")
+                continue
+            idx, rank, pin = piece
+            case = _CASE_RANK[rank]
+            assert _bits(pin) == _bits(pin_by_formula(K, c_s, c_q, idx, case)), (t, case)
+            seen.add(case)
+        seen |= {("n", min(len(vd), 3)), ("truncated", curve.depth < len(vd))}
+    assert seen == {*_CASE_RANK, "floor", *(("n", n) for n in (1, 2, 3)),
+                    ("truncated", True), ("truncated", False)}
+
+
+def _candidates(rng, vd, K, c_s, c_q, eps, curve):
+    """(bound, index, case, q, v~) for one firm on each piece, at and about each bound.
+
+    An interior seed is aimed at each end of [0, 1/2], and a pinned v~ at
+    the centralities of the last fully seeded agent and the next, from
+    2*COND_TOL inside to 2*COND_TOL outside, plus one draw between them.
+    """
+    n, low = len(vd), _widened(eps)
+    offsets = COND_TOL * np.array([-2.0, -1.01, -0.99, -0.5, 0.0, 0.5, 0.99, 1.01, 2.0])
+    for piece in filter(None, map(curve.piece, range(len(curve.w) + 1))):
+        idx, rank, pin = piece
+        case = _CASE_RANK[rank]
+        if pin is None:
+            for bound, targets in (("seed 0", offsets), ("seed 1/2", 0.5 + offsets),
+                                   ("inside", [rng.uniform(0.0, 0.5)])):
+                for target in targets:
+                    q = (K / c_s - (idx - 1) / 2.0 - float(target)) * c_s / c_q
+                    if q >= low:
+                        yield bound, idx, case, q, vd[idx - 1]
+            continue
+        j = idx if case == CASE_SATURATED else idx - 1
+        if j < n:
+            for vt in vd[j] + offsets:
+                yield f"{case} above v_{j + 1}", idx, case, pin, vt
+        if j > 0:
+            for vt in vd[j - 1] + offsets:
+                yield f"{case} below v_{j}", idx, case, pin, vt
+        below, above = vd[min(j, n - 1)], vd[max(j - 1, 0)]
+        yield "inside", idx, case, pin, below + (above - below) * rng.random()
+
+
+def test_marginal_seed_places_what_the_conditions_accept():
+    # Each firm's candidate, as firm a and then as firm b against a
+    # saturated rival that every bound admits: the formula's conditions
+    # accept it iff _marginal_seed gives a seed, and that seed is the
+    # formula's clipped seed bit for bit
+    rng = np.random.default_rng(31)
+    seen = set()
+    for _ in range(120):
+        vd, K, c_s, c_q, eps, curve = _draw_curve(rng)
+        n, p = len(vd), ModelParams(alpha=1.0, beta=1.0, delta=0.5, epsilon=eps)
+        for bound, idx, case, q, vt in _candidates(rng, vd, K, c_s, c_q, eps, curve):
+            got = _marginal_seed(K, c_s, c_q, vd, idx, case, q, vt)
+            want = clipped_seed_by_formula(K, c_s, c_q, idx, q, case)
+            as_a = conditions_by_formula(BudgetSpec(K, 1.0, c_s, c_q), p, vd, n, q, 1.0, vt,
+                                         vd[n - 1], idx, n, case, CASE_SATURATED)
+            as_b = conditions_by_formula(BudgetSpec(1.0, K, c_s, c_q), p, vd, n, 1.0, q,
+                                         vd[n - 1], vt, n, idx, CASE_SATURATED, case)
+            for ok in (as_a, as_b):
+                assert _bits(got) == _bits(want if ok else None), (bound, case, q, vt)
+            seen.add((bound.split(" v_")[0], got is None))
+    # both sides of every bound: the saturated case has no agent after the last fully seeded
+    bounds = {"seed 0", "seed 1/2", f"{CASE_BOUNDARY} above", f"{CASE_BOUNDARY} below",
+              f"{CASE_SATURATED} below"}
+    assert seen == {(b, refused) for b in bounds for refused in (True, False)} | {("inside", False)}
 
 
 def test_saturated_case_reached(example_params):

@@ -35,6 +35,15 @@ def test_collects_all_violations():
     assert "beta=2.0" in msg and "delta=2.0" in msg and "epsilon=0.0" in msg
 
 
+def test_epsilon_down_to_2_to_the_minus_510():
+    # a smaller floor lets (q_a + q_b)**2 leave the normal floats
+    ModelParams(alpha=1.0, beta=1.0, delta=0.5, epsilon=2.0**-510)
+    below = math.nextafter(2.0**-510, 0.0)
+    with pytest.raises(ValueError, match=rf"^invalid model parameters: epsilon={below} is below "
+                       r"2\*\*-510 = 2.983336292480083e-154$"):
+        ModelParams(alpha=1.0, beta=1.0, delta=0.5, epsilon=below)
+
+
 def test_frozen():
     p = ModelParams(alpha=1.0, beta=1.0, delta=0.5)
     with pytest.raises(AttributeError):

@@ -59,6 +59,7 @@ class Arg(NamedTuple):
     optional: bool = False  # None is taken, or refused in other words
     scalar: bool = False  # indices that may be one integer, checked as a one-entry vector
     own: bool = False  # refused in its own words, which test_graphs.py pins; the row only names it
+    over: str = ""  # the name under which the value over c_q = 1 is checked against ``high``
 
 
 def count(low, high=INF, **kw):
@@ -73,10 +74,11 @@ def on_kinds(**args: Arg) -> dict:
 
 
 R, POS, Q = Arg("real"), Arg("real", U), Arg("real", P.epsilon)  # Q: a quality
+Q_MAX = Q._replace(high=2.0**510)  # a quality whose (q_a + q_b)**2 is formed
 FIRM = Arg("choice", choices=("a", "b"), refusal="firm must be 'a' or 'b', got {!r}")
 PATH = Arg("path")
 SEEDING = Arg("vector", -_STATE_TOL, 0.5 + _STATE_TOL, length=4)
-K_A = Arg("real", AFFORD, named="K_a")
+K_A = Arg("real", AFFORD, 2.0**510, named="K_a", over="K_a/c_q")
 
 # each public name: the keywords of its one valid call, and a row for each argument it checks
 TABLE = {
@@ -139,7 +141,7 @@ TABLE = {
     "symmetric_seeding_extremes": (dict(n=4, p=P, K=2.0, c_s=1.0, c_q=1.0),
                                    dict(n=count(2), K=K_A, c_s=POS, c_q=POS)),
     "thresholds": (dict(q_a=1.0, q_b=1.0, p=P, n=4, c_s=1.0, c_q=1.0),
-                   dict(q_a=Q, q_b=Q, n=count(1), c_s=POS, c_q=POS)),
+                   dict(q_a=Q_MAX, q_b=Q_MAX, n=count(1), c_s=POS, c_q=POS)),
     "water_fill_seeding": (dict(v=V4, amount=1.0), dict(
         amount=Arg("real", -COND_TOL, 2.0 + COND_TOL, named="seeding amount"))),
 }
@@ -163,9 +165,15 @@ def call(row: str, x):
     return public(name)(**{**valid(row), param: x})
 
 
+def check_real(a: Arg, name: str, x) -> float:
+    if a.over:  # from below under its own name, then from above over c_q = 1
+        return require_real(a.over, require_real(name, x, a.low), 0.0, a.high)
+    return require_real(name, x, a.low, a.high)
+
+
 CHECKS = {
     "count": lambda a, name, x: require_count(name, x, a.low),
-    "real": lambda a, name, x: require_real(name, x, a.low, a.high),
+    "real": check_real,
     "vector": lambda a, name, x: require_vector(name, x, a.length, a.low, a.high),
     "indices": lambda a, name, x: require_indices(
         name, [x] if a.scalar and np.ndim(x) == 0 else x, a.length, a.low, a.high),
@@ -296,13 +304,14 @@ def ends(row: str) -> list:
 
 
 # a quality cost of 5e-324 passes its range check and then overflows K/c_q, which
-# best_response_quality refuses as an overflowing kink, and budget_regime refuses
-# its own K/c_s at a seeding cost of 5e-324 (a density of 5e-324 is no fault: each
-# row gets one edge, uniformly placed)
+# best_response_quality refuses as an overflowing kink and the equilibrium solve as a
+# K_a/c_q of no finite value, and budget_regime refuses its own K/c_s at a seeding
+# cost of 5e-324 (a density of 5e-324 is no fault: each row gets one edge, uniformly
+# placed)
 FAULTS = {
     "best_response_quality c_q low": ValueError, "allocate_budget c_q low": RuntimeWarning,
-    "symmetric_nash c_q low": RuntimeWarning,
-    "symmetric_seeding_extremes c_q low": RuntimeWarning,
+    "symmetric_nash c_q low": ValueError,
+    "symmetric_seeding_extremes c_q low": ValueError,
     "budget_regime c_s low": ValueError,
 }
 ACCEPTED = [(f"{row} {label}", row, x) for row in ROWS for label, x, _ in ends(row)]
